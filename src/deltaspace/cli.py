@@ -3,7 +3,8 @@
 Every verb reads JSON (files or "-" for stdin), writes one deterministic
 JSON document to stdout, and exits 0 on a definitive affirmative verdict,
 1 on a definitive negative, 2 on Unknown or a blown budget, 3 on bad
-input.  All numbers use the bit-exact text grammar of the exact module.
+input or usage, and 4 on an internal error, so a crash never reads as a
+verdict.  All numbers use the bit-exact text grammar of the exact module.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from fractions import Fraction
 
 from . import amalgam, coding, dvs, equiv, limitbuilder, ramsey, space
 from .exact import ExactError, parse
+from .search import BudgetExceeded
 
-EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_INPUT = 0, 1, 2, 3
+EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _read_json(path: str):
@@ -96,16 +98,12 @@ def cmd_check_equiv(args) -> int:
 
 
 def cmd_gl2(args) -> int:
-    verdict = equiv.gl2_equivalent(parse(args.alpha), parse(args.beta), args.height)
+    verdict = equiv.gl2_equivalent(parse(args.alpha), parse(args.beta))
     out = {"status": verdict.status}
     if verdict.matrix is not None:
         out["matrix"] = verdict.matrix.to_json()
     _emit(out)
-    if verdict.status == equiv.EQUIVALENT:
-        return EXIT_YES
-    if verdict.status == equiv.INEQUIVALENT:
-        return EXIT_NO
-    return EXIT_UNKNOWN
+    return EXIT_YES if verdict.status == equiv.EQUIVALENT else EXIT_NO
 
 
 def cmd_amalgamate(args) -> int:
@@ -288,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gl2")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--height", type=int, default=10)
     p.set_defaults(fn=cmd_gl2)
 
     p = sub.add_parser("amalgamate")
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--budget", type=int, default=10 ** 7)
-    p.add_argument("--jobs", type=int, default=1, help="accepted; search runs sequentially")
     p.set_defaults(fn=cmd_check_arrow)
 
     p = sub.add_parser("check-rigid")
@@ -378,10 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return EXIT_INPUT  # argparse has printed the usage error
     try:
         return args.fn(args)
-    except (dvs.BudgetExceeded, limitbuilder.BudgetExceeded, coding.BudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     except (ExactError, dvs.DvsError, space.SpaceError, amalgam.AmalgamError,
@@ -390,6 +391,9 @@ def main(argv=None) -> int:
             FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,13 +16,10 @@ from typing import Optional
 
 from .dvs import DistanceSet, delta_triangle, make_set
 from .exact import ExactReal, MixedRadicands, parse, rational_between
+from .search import injective_maps
 
 
 class CodingError(Exception):
-    pass
-
-
-class BudgetExceeded(CodingError):
     pass
 
 
@@ -167,48 +164,26 @@ def approx_check(c: DvsCode, d: DvsCode, max_nodes: int = 2000000) -> Optional[t
         return None
     cp = [i for i in range(n) if c.prefix[i].sign() > 0]
     dp = [i for i in range(n) if d.prefix[i].sign() > 0]
+    cv = [c.prefix[i] for i in cp]
 
-    nodes = 0
-
-    def incremental_ok(assign: dict, new: int) -> bool:
-        idx = list(assign)  # includes new: triples may repeat it
+    def consistent(m, pos):
+        # triples through the new position, which may repeat it
+        idx = range(pos + 1)
         for j, k in itertools.product(idx, repeat=2):
-            for tri in ((new, j, k), (j, new, k), (j, k, new)):
-                left = _triple_ok(*(c.prefix[t] for t in tri))
-                right = _triple_ok(*(d.prefix[assign[t]] for t in tri))
+            for tri in ((pos, j, k), (j, pos, k), (j, k, pos)):
+                left = _triple_ok(*(cv[t] for t in tri))
+                right = _triple_ok(*(d.prefix[m[t]] for t in tri))
                 if left != right:
                     return False
         return True
 
-    assign: dict[int, int] = {}
-    used = set()
-
-    def extend(pos: int) -> bool:
-        nonlocal nodes
-        if pos == len(cp):
-            return True
-        i = cp[pos]
-        for j in dp:
-            if j in used:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceeded("permutation search budget")
-            assign[i] = j
-            if incremental_ok(assign, i):
-                used.add(j)
-                if extend(pos + 1):
-                    return True
-                used.discard(j)
-            del assign[i]
-        return False
-
-    if not extend(0):
+    assign = next(iter(injective_maps(len(cp), lambda pos: dp, consistent, max_nodes)), None)
+    if assign is None:
         return None
     g = [-1] * n
     for i, j in zip(cz, dz):
         g[i] = j
-    for i, j in assign.items():
+    for i, j in zip(cp, assign):
         g[i] = j
     return tuple(g)
 
@@ -243,12 +218,12 @@ def ts_isomorphic(s: TriangleStructure, t: TriangleStructure, max_nodes: int = 2
     inc_t = [t.incidence(i) for i in range(n)]
     if sorted(inc_s) != sorted(inc_t):
         return None
-    m = [-1] * n
-    used = [False] * n
-    nodes = 0
 
-    def check_new(i: int) -> bool:
-        idx = [x for x in range(i + 1)]
+    def candidates(i):
+        return (j for j in range(n) if inc_s[i] == inc_t[j])
+
+    def consistent(m, i):
+        idx = range(i + 1)
         for a, b, c in itertools.product(idx, repeat=3):
             if i not in (a, b, c):
                 continue
@@ -256,25 +231,7 @@ def ts_isomorphic(s: TriangleStructure, t: TriangleStructure, max_nodes: int = 2
                 return False
         return True
 
-    def extend(i: int) -> bool:
-        nonlocal nodes
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or inc_s[i] != inc_t[j]:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceeded("isomorphism search budget")
-            m[i] = j
-            used[j] = True
-            if check_new(i) and extend(i + 1):
-                return True
-            m[i] = -1
-            used[j] = False
-        return False
-
-    return tuple(m) if extend(0) else None
+    return next(iter(injective_maps(n, candidates, consistent, max_nodes)), None)
 
 
 # ---------------------------------------------------------------------------

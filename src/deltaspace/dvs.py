@@ -14,13 +14,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import ExactReal, parse
+from .search import BudgetExceeded
 
 
 class DvsError(Exception):
-    pass
-
-
-class BudgetExceeded(DvsError):
     pass
 
 

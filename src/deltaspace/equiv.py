@@ -166,7 +166,6 @@ def gl2_apply(m: RatMatrix, alpha: ExactReal) -> ExactReal:
 
 EQUIVALENT = "Equivalent"
 INEQUIVALENT = "Inequivalent"
-UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ class Gl2Verdict:
     matrix: Optional[RatMatrix] = None
 
 
-def gl2_equivalent(alpha: ExactReal, beta: ExactReal, search_height: int = 10) -> Gl2Verdict:
+def gl2_equivalent(alpha: ExactReal, beta: ExactReal) -> Gl2Verdict:
     """Decide orbit equivalence of two positive quadratic irrationals.
 
     Distinct squarefree radicands put the numbers in different quadratic

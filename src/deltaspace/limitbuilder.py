@@ -10,20 +10,17 @@ step), and the order-preserving perturbation of a partial isometry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .amalgam import BEFORE, cap_distances, extend_order, free_amalgam
 from .dvs import DistanceSet
 from .exact import ExactReal
+from .search import BudgetExceeded
 from .space import OK, PartialIsometry, Space, validate
 
 
 class BuilderError(Exception):
-    pass
-
-
-class BudgetExceeded(BuilderError):
     pass
 
 
@@ -51,11 +48,7 @@ class Extension:
 @dataclass
 class ExtensionReport:
     checked: int = 0
-    unrealized: list[Extension] = None
-
-    def __post_init__(self):
-        if self.unrealized is None:
-            self.unrealized = []
+    unrealized: list[Extension] = field(default_factory=list)
 
     @property
     def empty(self) -> bool:
@@ -231,11 +224,9 @@ def extend_partial_isometry(
     if x in dom:
         raise BuilderError("x already in the domain")
     rng = tuple(sorted(p.image(a) for a in dom))
-    dists = tuple(m.dist[x][a] for a in dom)
     # profile over the range, aligned to sorted range indices
     pair_for = {p.image(a): a for a in dom}
     ext_dists = tuple(m.dist[x][pair_for[r]] for r in rng)
-    by_rank = sorted(rng, key=lambda r: m.rank(pair_for[r]))
     # slot: the rank x takes among the domain, transported to the range
     dom_by_rank = sorted(dom, key=m.rank)
     slot = sum(1 for a in dom_by_rank if m.before(a, x))

@@ -9,11 +9,11 @@ the bad coloring and is re-verified before being returned.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .space import Space, copies_of, isomorphic
+from .search import BudgetExceeded, Search, injective_maps
+from .space import Space, copies_of
 
 
 class RamseyError(Exception):
@@ -65,68 +65,53 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
             b_for_a[ai].append(bi)
 
     m = len(copies_a)
-    colors = [-1] * m
-    # per-B-copy bookkeeping: how many members colored, which colors seen
-    assigned = [0] * len(copies_b)
-    seen = [set() for _ in copies_b]
-    nodes = 0
-    over_budget = False
-
-    def search(i: int) -> Optional[list[int]]:
-        nonlocal nodes, over_budget
-        if i == m:
-            return list(colors)
-        # symmetry reduction: the first copy is pinned to color 0
-        choices = range(1) if i == 0 else range(k)
-        for col in choices:
-            nodes += 1
-            if nodes > budget:
-                over_budget = True
-                return None
-            colors[i] = col
-            touched = []
-            dead = False
-            for bi in b_for_a[i]:
-                assigned[bi] += 1
-                added = col not in seen[bi]
-                if added:
-                    seen[bi].add(col)
-                touched.append((bi, added))
-                if assigned[bi] == len(a_in_b[bi]) and len(seen[bi]) <= 1:
-                    dead = True  # this B-copy came out monochromatic
-            if not dead:
-                result = search(i + 1)
-                if result is not None:
-                    return result
-                if over_budget:
-                    pass
-            for bi, added in touched:
-                assigned[bi] -= 1
-                if added:
-                    seen[bi].discard(col)
-            colors[i] = -1
-            if over_budget:
-                return None
-        return None
-
     if m == 0:
         # the empty coloring is constant on every copy of B
         verdict.status = HOLDS
         return verdict
+    # per-B-copy bookkeeping: how many members colored, which colors seen
+    size_b = [len(members) for members in a_in_b]
+    assigned = [0] * len(copies_b)
+    seen = [set() for _ in copies_b]
+    touched = [None] * m  # touched[i]: (B-copy, color newly seen) pairs of copy i
 
-    bad = search(0)
-    verdict.nodes = nodes
-    if bad is not None:
-        coloring = {copies_a[i]: bad[i] for i in range(m)}
-        if not verify_bad_coloring(c, b, a, coloring):
-            raise AssertionError("bad coloring failed re-verification")
-        verdict.status = FAILS
-        verdict.bad_coloring = coloring
+    def place(i, col):
+        alive = True
+        t = touched[i] = []
+        for bi in b_for_a[i]:
+            assigned[bi] += 1
+            s = seen[bi]
+            added = col not in s
+            if added:
+                s.add(col)
+            t.append((bi, added))
+            if assigned[bi] == size_b[bi] and len(s) <= 1:
+                alive = False  # this B-copy came out monochromatic
+        return alive
+
+    def undo(i, col):
+        for bi, added in touched[i]:
+            assigned[bi] -= 1
+            if added:
+                seen[bi].discard(col)
+
+    # symmetry reduction: the first copy is pinned to color 0
+    first, rest = range(1), range(k)
+    search = Search(m, lambda i: rest if i else first, place, undo, budget)
+    try:
+        bad = next(iter(search), None)
+    except BudgetExceeded:
+        verdict.nodes = search.nodes
         return verdict
-    if over_budget:
-        verdict.status = UNKNOWN
+    verdict.nodes = search.nodes
+    if bad is None:
+        verdict.status = HOLDS
         return verdict
-    verdict.status = HOLDS
+    coloring = {copies_a[i]: bad[i] for i in range(m)}
+    if not verify_bad_coloring(c, b, a, coloring):
+        raise AssertionError("bad coloring failed re-verification")
+    verdict.status = FAILS
+    verdict.bad_coloring = coloring
     return verdict
 
 
@@ -144,33 +129,27 @@ def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
 
 
 def automorphisms(x: Space):
-    """All automorphisms of x (identity included), by backtracking."""
-    out = []
+    """All automorphisms of x (identity included), in lexicographic order.
+    On an ordered space each pair is checked against the order as it is
+    placed, so the search never leaves the order automorphisms."""
     n = x.n
-    m = [-1] * n
-    used = [False] * n
+    dist = x.dist
+    rank = None
+    if x.order is not None:
+        rank = [0] * n
+        for r, p in enumerate(x.order):
+            rank[p] = r
 
-    def extend(i: int):
-        if i == n:
-            if x.order is not None:
-                for p in range(n):
-                    for q in range(n):
-                        if x.before(p, q) != x.before(m[p], m[q]):
-                            return
-            out.append(tuple(m))
-            return
-        for j in range(n):
-            if used[j]:
-                continue
-            if all(x.dist[i][t] == x.dist[j][m[t]] for t in range(i)):
-                m[i] = j
-                used[j] = True
-                extend(i + 1)
-                m[i] = -1
-                used[j] = False
+    def consistent(m, i):
+        j = m[i]
+        for t in range(i):
+            if rank is not None and (rank[i] < rank[t]) != (rank[j] < rank[m[t]]):
+                return False
+            if dist[i][t] != dist[j][m[t]]:
+                return False
+        return True
 
-    extend(0)
-    return out
+    return list(injective_maps(n, lambda i: range(n), consistent))
 
 
 def is_rigid(x: Space) -> bool:

@@ -14,6 +14,7 @@ from typing import Optional
 
 from .dvs import DistanceSet
 from .exact import ExactReal, parse
+from .search import injective_maps
 
 
 class SpaceError(Exception):
@@ -186,25 +187,16 @@ def isomorphic(x: Space, y: Space) -> Optional[tuple[int, ...]]:
     py = [_profile(y, i) for i in range(y.n)]
     if sorted(px) != sorted(py):
         return None
-    m = [-1] * x.n
-    used = [False] * y.n
+    n = x.n
 
-    def extend(i: int) -> bool:
-        if i == x.n:
-            return True
-        for j in range(y.n):
-            if used[j] or px[i] != py[j]:
-                continue
-            if all(x.dist[i][k] == y.dist[j][m[k]] for k in range(i)):
-                m[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                m[i] = -1
-                used[j] = False
-        return False
+    def candidates(i):
+        return (j for j in range(n) if px[i] == py[j])
 
-    return tuple(m) if extend(0) else None
+    def consistent(m, i):
+        j = m[i]
+        return all(x.dist[i][k] == y.dist[j][m[k]] for k in range(i))
+
+    return next(iter(injective_maps(n, candidates, consistent)), None)
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,40 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_usage_error_exit_code(capsys):
+    # argparse's own exit 2 would read as Unknown
+    assert main(["check-arrow", "--c", "x"]) == 3
+    assert main(["check-arrow", "--c", "x", "--b", "x", "--a", "x", "-k", "two"]) == 3
+    assert main(["no-such-verb"]) == 3
+    # removed flags are usage errors now
+    assert main(["gl2", "--alpha", "1/1*sqrt(2)", "--beta", "1/1*sqrt(2)", "--height", "3"]) == 3
+    assert main(["check-arrow", "--c", "x", "--b", "x", "--a", "x", "-k", "2", "--jobs", "2"]) == 3
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_budget_exit_code(tmp_path, capsys):
+    s = write_json(tmp_path, "s.json", make_set([n1(1), n1(3)], cap=n1(3)).to_json())
+    code, out = run(capsys, ["close", "--set", s, "--bound", "3/1", "--budget", "2"])
+    assert code == 2 and out is None
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    from deltaspace import ramsey
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ramsey, "arrow", broken)
+    a = write_json(tmp_path, "a.json", uniform_space(1, n1(1)).to_json())
+    assert main(["check-arrow", "--c", a, "--b", a, "--a", a, "-k", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal: RuntimeError: boom\n"
+
+
 def test_determinism(tmp_path, capsys):
     d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2), n1(3)], cap=n1(3)).to_json())
     main(["check-theory", "--set", d])

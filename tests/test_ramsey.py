@@ -27,11 +27,13 @@ def test_arrow_holds_at_six():
     verdict = arrow(uniform_space(6, n1(1)), uniform_space(3, n1(1)), uniform_space(2, n1(1)), 2)
     assert verdict.status == HOLDS
     assert verdict.copies_a == 15 and verdict.copies_b == 20
+    assert verdict.nodes == 987
 
 
 def test_arrow_fails_at_five():
     verdict = arrow(uniform_space(5, n1(1)), uniform_space(3, n1(1)), uniform_space(2, n1(1)), 2)
     assert verdict.status == FAILS
+    assert verdict.nodes == 71
     assert verdict.bad_coloring is not None
     assert verify_bad_coloring(
         uniform_space(5, n1(1)), uniform_space(3, n1(1)), uniform_space(2, n1(1)),
@@ -66,6 +68,18 @@ def test_arrow_not_embeddable():
 def test_arrow_budget_unknown():
     verdict = arrow(uniform_space(6, n1(1)), uniform_space(3, n1(1)), uniform_space(2, n1(1)), 2, budget=10)
     assert verdict.status == UNKNOWN
+    assert verdict.nodes == 11  # the node that crossed the budget is counted
+
+
+def test_arrow_deeper_than_recursion_limit():
+    # 1200 copies of a one-point space: the search is 1200 levels deep
+    c = uniform_space(1200, n1(1))
+    verdict = arrow(c, c, uniform_space(1, n1(1)), 2)
+    assert verdict.status == FAILS
+    assert verdict.nodes == 1201
+    assert verdict.copies_a == 1200 and verdict.copies_b == 1
+    # all but the last copy get color 0; only the last completes c
+    assert [verdict.bad_coloring[(i,)] for i in range(1200)] == [0] * 1199 + [1]
 
 
 def test_bad_coloring_verifier_rejects_good_coloring():
@@ -84,6 +98,13 @@ def test_ordered_spaces_are_rigid():
         x = random_space(rng, rng.randint(1, 6), d)
         assert is_rigid(x)
         assert automorphisms(x) == [tuple(range(x.n))]
+
+
+def test_ordered_uniform_rigid_without_enumerating_distance_automorphisms():
+    # all 12! permutations preserve the distances; the order prunes at once
+    x = uniform_space(12, n1(1))
+    assert is_rigid(x)
+    assert automorphisms(x) == [tuple(range(12))]
 
 
 def test_unordered_uniform_pair_not_rigid():

@@ -1,0 +1,215 @@
+"""The backtracking engine, and cross-checks of every search built on it
+against brute-force enumeration (the oracles below use no search code)."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deltaspace.coding import DvsCode, approx_check, triangle_structure, ts_isomorphic
+from deltaspace.dvs import make_set
+from deltaspace.exact import ExactReal
+from deltaspace.ramsey import FAILS, HOLDS, arrow, automorphisms
+from deltaspace.search import BudgetExceeded, Search, injective_maps
+from deltaspace.space import Space, copies_of, isomorphic, make_space
+
+
+def product_search(n, k, budget=None):
+    return Search(n, lambda i: range(k), lambda i, c: True, lambda i, c: None, budget)
+
+
+def test_search_yields_in_depth_first_order_and_counts_nodes():
+    search = product_search(3, 2)
+    assert list(search) == list(itertools.product(range(2), repeat=3))
+    assert search.nodes == 2 + 4 + 8
+
+
+def test_search_pairs_every_place_with_one_undo():
+    log = []
+
+    def place(i, c):
+        log.append(("place", i, c))
+        return c != 1
+
+    def undo(i, c):
+        log.append(("undo", i, c))
+
+    assert list(Search(2, lambda i: range(3), place, undo)) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    placed = [e[1:] for e in log if e[0] == "place"]
+    undone = [e[1:] for e in log if e[0] == "undo"]
+    assert sorted(placed) == sorted(undone) and len(placed) == 3 + 2 * 3
+
+
+def test_search_empty_assignment():
+    assert list(product_search(0, 2)) == [()]
+    assert list(product_search(2, 0)) == []
+
+
+def test_search_budget_counts_the_node_that_crosses_it():
+    search = product_search(3, 2, budget=5)
+    with pytest.raises(BudgetExceeded):
+        list(search)
+    assert search.nodes == 6
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    search = product_search(20000, 1)
+    assert list(search) == [(0,) * 20000]
+    assert search.nodes == 20000
+
+
+def test_injective_maps_are_the_permutations():
+    maps = injective_maps(4, lambda i: range(4), lambda m, i: True)
+    assert list(maps) == list(itertools.permutations(range(4)))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles
+
+ONE, TWO = ExactReal(1), ExactReal(2)
+
+
+@st.composite
+def spaces(draw, min_n=0, max_n=6, ordered=None):
+    """Spaces over {1, 2}: every distance assignment is a metric."""
+    n = draw(st.integers(min_n, max_n))
+    dists = {(i, j): draw(st.sampled_from((ONE, TWO))) for i in range(n) for j in range(i + 1, n)}
+    if ordered is None:
+        ordered = draw(st.booleans())
+    order = draw(st.permutations(range(n))) if ordered else None
+    return make_space([f"p{i}" for i in range(n)], dists, order)
+
+
+def preserves_distances(x, y, p):
+    return all(x.dist[i][j] == y.dist[p[i]][p[j]] for i in range(x.n) for j in range(x.n))
+
+
+def preserves_order(x, p):
+    rank = {q: r for r, q in enumerate(x.order)}
+    return all((rank[i] < rank[j]) == (rank[p[i]] < rank[p[j]]) for i in range(x.n) for j in range(x.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces(ordered=False), st.data())
+def test_unordered_isomorphic_matches_brute_force(x, data):
+    perm = data.draw(st.permutations(range(x.n)))
+    dist = [[x.dist[perm[i]][perm[j]] for j in range(x.n)] for i in range(x.n)]
+    if x.n >= 2 and data.draw(st.booleans()):
+        i, j = data.draw(st.sampled_from(list(itertools.combinations(range(x.n), 2))))
+        dist[i][j] = dist[j][i] = TWO if dist[i][j] == ONE else ONE
+    # a switch of two 1-pairs with two 2-pairs keeps every point's profile
+    switches = [(a, b, c, e) for a, b, c, e in itertools.permutations(range(x.n), 4)
+                if dist[a][b] == dist[c][e] == ONE and dist[a][c] == dist[b][e] == TWO]
+    if switches and data.draw(st.booleans()):
+        a, b, c, e = data.draw(st.sampled_from(switches))
+        dist[a][b] = dist[b][a] = dist[c][e] = dist[e][c] = TWO
+        dist[a][c] = dist[c][a] = dist[b][e] = dist[e][b] = ONE
+    y = Space(x.labels, tuple(tuple(row) for row in dist))
+    valid = [p for p in itertools.permutations(range(x.n)) if preserves_distances(x, y, p)]
+    assert isomorphic(x, y) == (valid[0] if valid else None)
+
+
+def test_isomorphic_equal_profiles_not_isomorphic():
+    # a hexagon and two triangles: every point has two 1s and three 2s
+    hexagon = {(i, (i + 1) % 6) for i in range(6)}
+    triangles = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}
+
+    def space(ones):
+        pairs = {tuple(sorted(p)) for p in ones}
+        return make_space("abcdef", {(i, j): ONE if (i, j) in pairs else TWO
+                                     for i in range(6) for j in range(i + 1, 6)})
+
+    assert isomorphic(space(hexagon), space(triangles)) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces())
+def test_automorphisms_match_brute_force(x):
+    expected = [
+        p for p in itertools.permutations(range(x.n))
+        if preserves_distances(x, x, p) and (x.order is None or preserves_order(x, p))
+    ]
+    assert automorphisms(x) == expected
+
+
+fragments = st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True).map(
+    lambda vs: make_set([ExactReal(Fraction(v, 2)) for v in vs])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fragments, st.data())
+def test_ts_isomorphic_matches_brute_force(d1, data):
+    # a scaled copy has the same triangle structure
+    d2 = data.draw(st.one_of(fragments, st.integers(1, 3).map(lambda r: make_set([v * r for v in d1.values]))))
+    s, t = triangle_structure(d1), triangle_structure(d2)
+    n = len(s.universe)
+    expected = None
+    if n == len(t.universe):
+        for p in itertools.permutations(range(n)):
+            if all(((a, b, c) in s.relation) == ((p[a], p[b], p[c]) in t.relation)
+                   for a, b, c in itertools.product(range(n), repeat=3)):
+                expected = p
+                break
+    assert ts_isomorphic(s, t) == expected
+
+
+def triangle(a, b, c):
+    return abs(b - c) <= a <= b + c
+
+
+codes = st.lists(st.integers(0, 9), min_size=0, max_size=5).map(
+    lambda vs: DvsCode(tuple(ExactReal(Fraction(v, 2)) for v in vs))
+)
+
+
+def approx_oracle(c1, c2):
+    """The first permutation, in index order over the positives, that keeps
+    zeros on zeros (in order) and the triangle pattern of every triple."""
+    u = [Fraction(v.a) for v in c1.prefix]
+    w = [Fraction(v.a) for v in c2.prefix]
+    if len(u) != len(w):
+        return None
+    uz, wz = [i for i, v in enumerate(u) if v == 0], [i for i, v in enumerate(w) if v == 0]
+    up, wp = [i for i, v in enumerate(u) if v > 0], [i for i, v in enumerate(w) if v > 0]
+    if len(uz) != len(wz):
+        return None
+    for images in itertools.permutations(wp):
+        g = dict(zip(uz, wz))
+        g.update(zip(up, images))
+        if all(triangle(u[a], u[b], u[c]) == triangle(w[g[a]], w[g[b]], w[g[c]])
+               for a, b, c in itertools.product(up, repeat=3)):
+            return tuple(g[i] for i in range(len(u)))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes, st.data())
+def test_approx_check_matches_brute_force(c1, data):
+    shuffled = st.permutations(c1.prefix).map(lambda vs: DvsCode(tuple(vs)))
+    c2 = data.draw(st.one_of(codes, shuffled))
+    assert approx_check(c1, c2) == approx_oracle(c1, c2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces(min_n=1, max_n=5), st.sampled_from((2, 3)), st.data())
+def test_arrow_matches_brute_force(c, k, data):
+    bpts = data.draw(st.lists(st.integers(0, c.n - 1), min_size=1, max_size=min(c.n, 4), unique=True))
+    b = c.induced(bpts)
+    a = b.induced(data.draw(st.lists(st.integers(0, b.n - 1), min_size=1, max_size=b.n, unique=True)))
+    copies_a, copies_b = copies_of(c, a), copies_of(c, b)
+    members = [[ai for ai, t in enumerate(copies_a) if set(t) <= set(bc)] for bc in copies_b]
+    first_bad = None
+    for rest in itertools.product(range(k), repeat=len(copies_a) - 1):
+        colors = (0,) + rest  # copy 0 pinned to color 0
+        if all(len({colors[ai] for ai in ms}) > 1 for ms in members):
+            first_bad = colors
+            break
+    verdict = arrow(c, b, a, k)
+    if first_bad is None:
+        assert verdict.status == HOLDS
+    else:
+        assert verdict.status == FAILS
+        assert verdict.bad_coloring == dict(zip(copies_a, first_bad))

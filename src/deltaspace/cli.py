@@ -40,6 +40,15 @@ def _load_space(path: str) -> space.Space:
     return space.Space.from_json(_read_json(path))
 
 
+def _load_valid_space(path: str, delta=None) -> space.Space:
+    """A space to build on, validated over delta, else over its own fragment."""
+    x = _load_space(path)
+    verdict = space.validate(x if delta is None else x.with_delta(delta))
+    if verdict != space.OK:
+        raise space.SpaceError(f"{path}: not a valid space: {verdict}")
+    return x
+
+
 def _load_code(path: str) -> coding.DvsCode:
     return coding.DvsCode.from_json(_read_json(path))
 
@@ -107,7 +116,7 @@ def cmd_gl2(args) -> int:
 
 
 def cmd_amalgamate(args) -> int:
-    b, c = _load_space(args.b), _load_space(args.c)
+    b, c = _load_valid_space(args.b), _load_valid_space(args.c)
     overlap = _parse_pairs(args.overlap) if args.overlap else []
     out = amalgam.free_amalgam(b, c, overlap)
     _emit(out.to_json())
@@ -115,7 +124,8 @@ def cmd_amalgamate(args) -> int:
 
 
 def cmd_saturate(args) -> int:
-    m, d = _load_space(args.space), _load_set(args.delta)
+    d = _load_set(args.delta)
+    m = _load_valid_space(args.space, d)
     result, report = limitbuilder.saturate(m, d, args.k, args.max_points, args.max_pairs)
     _emit(
         {
@@ -147,7 +157,8 @@ def cmd_check_extension(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    m, d = _load_space(args.space), _load_set(args.delta)
+    d = _load_set(args.delta)
+    m = _load_valid_space(args.space, d)
     pairs = _parse_pairs(args.pairs)
     out, images = limitbuilder.density_perturb(m, pairs, parse(args.eps), d, args.max_points)
     _emit({"space": out.to_json(), "images": images})
@@ -155,7 +166,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_extend_isometry(args) -> int:
-    m = _load_space(args.space)
+    m = _load_valid_space(args.space)
     p = space.PartialIsometry(m, tuple(_parse_pairs(args.pairs)))
     out, p2 = limitbuilder.extend_partial_isometry(m, p, args.point, args.max_points)
     _emit({"space": out.to_json(), "pairs": [list(t) for t in p2.pairs]})

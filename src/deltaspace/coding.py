@@ -167,14 +167,13 @@ def approx_check(c: DvsCode, d: DvsCode, max_nodes: int = 2000000) -> Optional[t
     cv = [c.prefix[i] for i in cp]
 
     def consistent(m, pos):
-        # triples through the new position, which may repeat it
-        idx = range(pos + 1)
-        for j, k in itertools.product(idx, repeat=2):
-            for tri in ((pos, j, k), (j, pos, k), (j, k, pos)):
-                left = _triple_ok(*(cv[t] for t in tri))
-                right = _triple_ok(*(d.prefix[m[t]] for t in tri))
-                if left != right:
-                    return False
+        # each multiset of positions through the new one, which may repeat
+        # it, once: _triple_ok is symmetric in its arguments
+        for j, k in itertools.combinations_with_replacement(range(pos + 1), 2):
+            left = _triple_ok(cv[pos], cv[j], cv[k])
+            right = _triple_ok(d.prefix[m[pos]], d.prefix[m[j]], d.prefix[m[k]])
+            if left != right:
+                return False
         return True
 
     assign = next(iter(injective_maps(len(cp), lambda pos: dp, consistent, max_nodes)), None)
@@ -275,7 +274,8 @@ def farey(order: int) -> list[Fraction]:
 def default_sample_q(d: DistanceSet, farey_order: int = 8) -> list[Fraction]:
     """Farey fractions plus every rational pairwise ratio of the fragment,
     plus a rational separator between each pair of adjacent distinct
-    ratios (so that irrational cuts are still told apart)."""
+    ratios (so that irrational cuts are still told apart), plus an integer
+    above the largest ratio when it is irrational."""
     qs = set(farey(farey_order))
     ratios = set()
     for x in d.values:
@@ -287,6 +287,8 @@ def default_sample_q(d: DistanceSet, farey_order: int = 8) -> list[Fraction]:
     ordered = sorted(ratios)
     for lo, hi in zip(ordered, ordered[1:]):
         qs.add(rational_between(lo, hi))
+    if ordered and not ordered[-1].is_rational:
+        qs.add(Fraction(ordered[-1].floor() + 1))  # a sample above every ratio
     return sorted(qs)
 
 

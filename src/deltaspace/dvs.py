@@ -8,6 +8,7 @@ not a closure violation, because the fragment cannot see that far.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,6 @@ CLOSED = "closed"
 class DistanceSet:
     values: tuple[ExactReal, ...]
     cap: Optional[ExactReal] = None  # None means unbounded
-    closed: bool = False
 
     def __post_init__(self):
         for v in self.values:
@@ -53,6 +53,11 @@ class DistanceSet:
     def bounded(self) -> bool:
         return self.cap is not None
 
+    @functools.cached_property
+    def closed(self) -> bool:
+        """Closed under the truncated sum, derived from the values."""
+        return validate_closure(self) == CLOSED
+
     def __contains__(self, x) -> bool:
         return any(v == x for v in self.values)
 
@@ -69,21 +74,17 @@ class DistanceSet:
     @staticmethod
     def from_json(obj: dict) -> "DistanceSet":
         cap = None if obj["cap"] == "unbounded" else parse(obj["cap"])
-        return DistanceSet(
-            tuple(parse(v) for v in obj["values"]),
-            cap,
-            bool(obj.get("closed", False)),
-        )
+        return DistanceSet(tuple(parse(v) for v in obj["values"]), cap)
 
 
-def make_set(values, cap=None, closed=False) -> DistanceSet:
+def make_set(values, cap=None) -> DistanceSet:
     """Build a DistanceSet from an unsorted iterable, deduplicating."""
     vals = []
     for v in values:
         if not any(v == u for u in vals):
             vals.append(v)
     vals.sort()
-    return DistanceSet(tuple(vals), cap, closed)
+    return DistanceSet(tuple(vals), cap)
 
 
 def validate_closure(s: DistanceSet):
@@ -125,9 +126,7 @@ def close(s: DistanceSet, bound: ExactReal, max_size: int = 4096) -> DistanceSet
         frontier = new
         if len(vals) + len(new) > max_size:
             raise BudgetExceeded(f"closure exceeds {max_size} values")
-    result = make_set(vals, s.cap, closed=False)
-    closed = validate_closure(result) == CLOSED
-    return DistanceSet(result.values, s.cap, closed)
+    return make_set(vals, s.cap)
 
 
 def delta_triangle(x: ExactReal, y: ExactReal, z: ExactReal, s: DistanceSet) -> bool:
@@ -163,17 +162,11 @@ def gen_delta_alpha(alpha: ExactReal, height: int, bound: ExactReal) -> Distance
                     # p*alpha+q determines (p, q) for irrational alpha
                     raise AssertionError(f"duplicate representation of {v}")
                 seen[v] = (p, q)
-    result = make_set(seen.keys(), cap=bound)
-    closed = validate_closure(result) == CLOSED
-    return DistanceSet(result.values, bound, closed)
+    return make_set(seen.keys(), cap=bound)
 
 
 def scale(s: DistanceSet, r: ExactReal) -> DistanceSet:
     """Multiply every value (and the cap) by r > 0; closure is preserved."""
     if r.sign() <= 0:
         raise DvsError("scale factor must be positive")
-    return DistanceSet(
-        tuple(v * r for v in s.values),
-        s.cap * r if s.bounded else None,
-        s.closed,
-    )
+    return DistanceSet(tuple(v * r for v in s.values), s.cap * r if s.bounded else None)

@@ -149,15 +149,14 @@ def extension_property_check(
 def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     """Adjoin a point realizing ext to m: free amalgam of m with the
     extension space over the subset, capped at the fragment's cap, with
-    the order extended so the new point lands in its slot."""
+    the order extended so the new point lands in its slot.  Precondition:
+    m is a valid space over d; only the new point is checked."""
     if not ext.subset and m.n > 0:
         raise BuilderError("empty-subset extension is realized by any point")
     if m.n == 0:
-        one = Space(("z",), ((ExactReal(0),),), (0,), d)
-        return one
+        return Space(("z",), ((ExactReal(0),),), (0,), d)
     sub = m.induced(ext.subset)
     # extension space: subset points then z
-    size = len(ext.subset)
     dist = [list(row) + [ext.dists[i]] for i, row in enumerate(sub.dist)]
     dist.append(list(ext.dists) + [ExactReal(0)])
     ext_space = Space(
@@ -173,9 +172,8 @@ def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     constraints = []
     for r, s in enumerate(by_rank):
         constraints.append((s, BEFORE, z) if r < ext.slot else (z, BEFORE, s))
-    ordered = extend_order(amal, m.order, constraints)
-    out = ordered.with_delta(d)
-    verdict = validate(out)
+    out = extend_order(amal, m.order, constraints).with_delta(d)
+    verdict = validate(out, since=m.n)
     if verdict != OK:
         raise BuilderError(f"realized space invalid: {verdict}")
     return out
@@ -189,7 +187,7 @@ def saturate(
     ORIGINAL m.  Existing points are reused before new ones are added, so
     re-saturation at the same k adds nothing.  When the point budget runs
     out, the partial result is returned with the skipped extensions
-    listed in the report."""
+    listed in the report.  Precondition: m is a valid space over d."""
     report = ExtensionReport()
     cur = m
     for ext in _subset_extensions(m, d, k, source_n):
@@ -216,7 +214,8 @@ def extend_partial_isometry(
 
     The image must mirror x's distance-and-order profile over the domain.
     If no point of m fits, a fresh one is adjoined by amalgamating a
-    one-point extension of the range over the range.
+    one-point extension of the range over the range.  Precondition: m is
+    a valid space over its fragment m.delta.
     """
     if not p.is_isometry() or (m.order is not None and not p.order_preserving):
         raise BuilderError("p must be an order-preserving partial isometry")
@@ -271,7 +270,8 @@ def density_perturb(
     copies z_i with d(y_i, z_j) = delta + d(y_i, y_j), orders the z block
     above the y block with the z's in the source order, realizes it over
     m, and returns the new space with the indices of the perturbed
-    images.
+    images.  Precondition: m is a valid space over d; the double space is
+    checked in full, and of the result only the new points.
     """
     pairs = list(pairs)
     pi = PartialIsometry(m, tuple(pairs))
@@ -323,9 +323,8 @@ def density_perturb(
             constraints.append((ys[i], BEFORE, z_idx[j]))
             if i != j and m.before(xs[i], xs[j]):
                 constraints.append((z_idx[i], BEFORE, z_idx[j]))
-    ordered = extend_order(amal, m.order, constraints)
-    out = ordered.with_delta(d)
-    verdict = validate(out)
+    out = extend_order(amal, m.order, constraints).with_delta(d)
+    verdict = validate(out, since=m.n)
     if verdict != OK:
         raise BuilderError(f"perturbed space invalid: {verdict}")
     return out, z_idx

@@ -130,30 +130,23 @@ def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
 
 def automorphisms(x: Space):
     """All automorphisms of x (identity included), in lexicographic order.
-    On an ordered space each pair is checked against the order as it is
-    placed, so the search never leaves the order automorphisms."""
+    A finite chain has only the identity automorphism, so on an ordered
+    space each point's one candidate image is itself."""
     n = x.n
     dist = x.dist
-    rank = None
-    if x.order is not None:
-        rank = [0] * n
-        for r, p in enumerate(x.order):
-            rank[p] = r
+
+    def candidates(i):
+        return (i,) if x.order is not None else range(n)
 
     def consistent(m, i):
         j = m[i]
-        for t in range(i):
-            if rank is not None and (rank[i] < rank[t]) != (rank[j] < rank[m[t]]):
-                return False
-            if dist[i][t] != dist[j][m[t]]:
-                return False
-        return True
+        return all(dist[i][t] == dist[j][m[t]] for t in range(i))
 
-    return list(injective_maps(n, lambda i: range(n), consistent))
+    return list(injective_maps(n, candidates, consistent))
 
 
 def is_rigid(x: Space) -> bool:
     """True iff the identity is the only automorphism.  Ordered spaces
     are rigid a priori (a finite linear order has no nontrivial
-    automorphism); the search agrees."""
+    automorphism)."""
     return all(m == tuple(range(x.n)) for m in automorphisms(x))

@@ -2,8 +2,8 @@
 
 Points are indexed 0..n-1 internally; labels are for I/O only.  The order
 is stored as a permutation listing point indices from least to greatest,
-so rank lookups are O(1) and order-rank matching of two ordered spaces is
-a single pass.
+so order-rank matching of two ordered spaces is a single pass; a rank
+lookup is a search of that permutation, O(n).
 """
 
 from __future__ import annotations
@@ -121,29 +121,33 @@ def uniform_space(n: int, value: ExactReal, ordered: bool = True, delta=None) ->
     return make_space(labels, dists, order, delta)
 
 
-def validate(x: Space):
-    """OK, or the first violation of the metric/order/Delta axioms."""
-    n = x.n
-    for i in range(n):
-        if not x.dist[i][i].is_zero():
+def validate(x: Space, since: int = 0):
+    """OK, or the first violation of the metric/order/Delta axioms among
+    the entries touching a point of index >= since, by kind: Diagonal,
+    Symmetry or Positivity, Triangle (each triple once, at its largest
+    index), NotInDelta, BadOrder.  since=0 is the full check; a larger
+    since is complete when the points below it form a valid space."""
+    n, dist = x.n, x.dist
+    for i in range(since, n):
+        if not dist[i][i].is_zero():
             return Violation("Diagonal", (i,))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x.dist[i][j] != x.dist[j][i]:
-                return Violation("Symmetry", (i, j))
-            if x.dist[i][j].sign() <= 0:
-                return Violation("Positivity", (i, j))
-    for i, j, k in itertools.permutations(range(n), 3):
-        if x.dist[i][k] > x.dist[i][j] + x.dist[j][k]:
-            return Violation("Triangle", (i, j, k))
+    pairs = [(i, j) for i in range(n) for j in range(max(i + 1, since), n)]
+    for i, j in pairs:
+        if dist[i][j] != dist[j][i]:
+            return Violation("Symmetry", (i, j))
+        if dist[i][j].sign() <= 0:
+            return Violation("Positivity", (i, j))
+    for k in range(max(since, 2), n):
+        for i, j in itertools.combinations(range(k), 2):
+            for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):  # each point as the middle one
+                if dist[a][c] > dist[a][b] + dist[b][c]:
+                    return Violation("Triangle", (a, b, c))
     if x.delta is not None:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if x.dist[i][j] not in x.delta:
-                    return Violation("NotInDelta", (i, j, x.dist[i][j]))
-    if x.order is not None:
-        if sorted(x.order) != list(range(n)):
-            return Violation("BadOrder", tuple(x.order))
+        for i, j in pairs:
+            if dist[i][j] not in x.delta:
+                return Violation("NotInDelta", (i, j, dist[i][j]))
+    if x.order is not None and sorted(x.order) != list(range(n)):
+        return Violation("BadOrder", tuple(x.order))
     return OK
 
 

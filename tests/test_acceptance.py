@@ -149,7 +149,7 @@ def test_criterion_04_amalgamation_suite():
 
 
 def test_criterion_05_extension_property():
-    delta = make_set([n1(1), n1(2)], cap=n1(2), closed=True)
+    delta = make_set([n1(1), n1(2)], cap=n1(2))
     m = uniform_space(1, n1(1), delta=delta)
     sat, rep = saturate(m, delta, 2, max_points=64)
     ok = rep.empty

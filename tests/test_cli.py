@@ -6,7 +6,7 @@ import pytest
 from deltaspace.cli import main
 from deltaspace.dvs import DistanceSet, make_set
 from deltaspace.exact import ExactReal
-from deltaspace.space import Space, uniform_space
+from deltaspace.space import Space, make_space, uniform_space
 
 
 def n1(v):
@@ -77,7 +77,7 @@ def test_amalgamate(tmp_path, capsys):
 
 
 def test_saturate_and_check_extension(tmp_path, capsys):
-    delta = make_set([n1(1), n1(2)], cap=n1(2), closed=True)
+    delta = make_set([n1(1), n1(2)], cap=n1(2))
     m = write_json(tmp_path, "m.json", uniform_space(1, n1(1), delta=delta).to_json())
     d = write_json(tmp_path, "d.json", delta.to_json())
     code, out = run(capsys, ["saturate", "--space", m, "--delta", d, "-k", "1"])
@@ -87,6 +87,35 @@ def test_saturate_and_check_extension(tmp_path, capsys):
     code, out = run(capsys, ["check-extension", "--space", m, "--delta", d, "-k", "1"])
     assert code == 1  # unrealized extensions exist before saturation
     assert out["unrealized"]
+
+
+def test_building_verbs_validate_their_input_spaces(tmp_path, capsys):
+    delta = make_set([n1(1), n1(2), n1(3)], cap=n1(3))
+    d = write_json(tmp_path, "d.json", delta.to_json())
+    good = write_json(tmp_path, "good.json", uniform_space(2, n1(1)).to_json())
+    # d(0,1) = d(1,2) = 1 and d(0,2) = 3: not a metric
+    bad = write_json(tmp_path, "bad.json", make_space(
+        "abc", {(0, 1): n1(1), (1, 2): n1(1), (0, 2): n1(3)}, order=(0, 1, 2)).to_json())
+    for argv in (
+        ["amalgamate", "--b", bad, "--c", good, "--overlap", "0:0"],
+        ["amalgamate", "--b", good, "--c", bad, "--overlap", "0:0"],
+        ["saturate", "--space", bad, "--delta", d, "-k", "1"],
+        ["perturb", "--space", bad, "--delta", d, "--pairs", "0:1", "--eps", "2/1"],
+        ["extend-isometry", "--space", bad, "--pairs", "0:0", "--point", "1"],
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a valid space" in captured.err and "Triangle" in captured.err
+    # saturate and perturb validate the space over the given fragment
+    far = write_json(tmp_path, "far.json", uniform_space(2, n1(5)).to_json())
+    for argv in (
+        ["saturate", "--space", far, "--delta", d, "-k", "1"],
+        ["perturb", "--space", far, "--delta", d, "--pairs", "0:1", "--eps", "2/1"],
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NotInDelta" in captured.err
 
 
 def test_check_arrow_exit_codes(tmp_path, capsys):

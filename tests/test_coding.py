@@ -197,6 +197,18 @@ def test_default_sample_separates_surd_ratios():
         assert any(lo < ExactReal(q) < hi for q in qs)
 
 
+@pytest.mark.parametrize("values", [
+    [ExactReal(1), 9 + SQRT2],  # max/min = 9+sqrt2
+    [ExactReal(Fraction(1, 2)), SQRT2, 3 * SQRT2],  # max/min = 6*sqrt2
+])
+def test_theory_T_has_a_sample_above_an_irrational_ratio_past_8(values):
+    d = make_set(values)
+    top = d.max() / d.values[0]
+    assert any(ExactReal(q) > top for q in default_sample_q(d))
+    report = check_theory_T(model_encode(d))
+    assert all(st.status != VIOLATED for st in report.values())
+
+
 def test_json_round_trip():
     c = encode_dvs(gen_delta_alpha(SQRT2, 1, ExactReal(2)))
     assert DvsCode.from_json(c.to_json()) == c

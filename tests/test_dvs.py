@@ -150,6 +150,13 @@ def test_scale_preserves_closure_flag():
     assert validate_closure(t) == CLOSED
 
 
+def test_closed_is_derived_not_read_from_json():
+    d = DistanceSet.from_json({"values": ["1/1", "3/1"], "cap": "3/1", "closed": True})
+    assert not d.closed
+    assert d.to_json()["closed"] is False
+    assert DistanceSet.from_json({"values": ["1/1", "2/1"], "cap": "2/1", "closed": False}).closed
+
+
 def test_well_formedness():
     with pytest.raises(DvsError):
         DistanceSet((ExactReal(0),))

@@ -6,6 +6,7 @@ import pytest
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
 from deltaspace.limitbuilder import (
+    BuilderError,
     Extension,
     NoSmallEnoughDelta,
     density_perturb,
@@ -24,7 +25,7 @@ def n1(v):
     return ExactReal(Fraction(v))
 
 
-D12 = make_set([n1(1), n1(2)], cap=n1(2), closed=True)
+D12 = make_set([n1(1), n1(2)], cap=n1(2))
 
 
 def test_one_point_extensions_of_empty():
@@ -45,14 +46,14 @@ def test_one_point_extensions_single_point():
 def test_one_point_extensions_triangle_filter():
     # two points at distance 2, candidate distances only {1}: the single
     # admissible vector is (1, 1), since |1-1| <= 2 <= 1+1
-    d1 = make_set([n1(1)], cap=n1(1), closed=True)
+    d1 = make_set([n1(1)], cap=n1(1))
     x = uniform_space(2, n1(2))
     outs = one_point_extensions(x, d1)
     assert len(outs) == 3  # the single vector (1, 1) in each of 3 slots
 
 
 def test_extension_check_unrealized():
-    m = uniform_space(1, n1(1), delta=make_set([n1(1)], cap=n1(1), closed=True))
+    m = uniform_space(1, n1(1), delta=make_set([n1(1)], cap=n1(1)))
     report = extension_property_check(m, m.delta, 1)
     assert len(report.unrealized) == 2  # distance 1, order slots 0 and 1
 
@@ -72,6 +73,20 @@ def test_realize_adds_matching_point():
     by_rank = sorted((0, 1), key=out.rank)
     assert sum(1 for s in by_rank if out.before(s, 2)) == 1
     assert validate(out) == OK
+
+
+def test_constructions_check_the_points_they_add():
+    d = make_set([n1(1), n1(3)], cap=n1(3))  # not closed: 1 + 1 is missing
+    m = uniform_space(2, n1(1), delta=d)
+    # at 1 from point 0, the new point lands at 2 from point 1
+    with pytest.raises(BuilderError, match="NotInDelta"):
+        realize(m, Extension((0,), (n1(1),), 1), d)
+    # at 1 and 3 from two points at distance 1: no metric
+    with pytest.raises(BuilderError, match="Triangle"):
+        realize(m, Extension((0, 1), (n1(1), n1(3)), 1), d)
+    # the copy of point 0 sits at 1 from it, so at 2 from point 1
+    with pytest.raises(BuilderError, match="NotInDelta"):
+        density_perturb(m, [(0, 0)], n1(2), d)
 
 
 def test_saturate_k1_single_point():
@@ -160,7 +175,7 @@ def test_density_perturb_single_pair():
 
 
 def test_density_perturb_requires_small_delta():
-    d = make_set([n1(1), n1(2)], cap=n1(2), closed=True)
+    d = make_set([n1(1), n1(2)], cap=n1(2))
     m = uniform_space(2, n1(1), delta=d)
     with pytest.raises(NoSmallEnoughDelta):
         density_perturb(m, [(0, 1)], n1(1), d)

@@ -107,6 +107,11 @@ def test_ordered_uniform_rigid_without_enumerating_distance_automorphisms():
     assert automorphisms(x) == [tuple(range(12))]
 
 
+def test_ordered_uniform_rigid_at_64_points():
+    # one candidate image per point: linear, not one node per order-preserving partial map
+    assert is_rigid(uniform_space(64, n1(1)))
+
+
 def test_unordered_uniform_pair_not_rigid():
     assert not is_rigid(uniform_space(2, n1(1), ordered=False))
     assert not is_rigid(uniform_space(3, n1(1), ordered=False))

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
@@ -181,3 +183,90 @@ def test_json_round_trip():
     assert Space.from_json(x.to_json()) == x
     y = make_space("ab", {(0, 1): n1(1)})
     assert Space.from_json(y.to_json()) == y
+
+
+def _validate_oracle(x):
+    """The full check over every ordered triple, kinds in validate's order
+    of precedence; it shares no code with validate."""
+    n = x.n
+    for i in range(n):
+        if not x.dist[i][i].is_zero():
+            return Violation("Diagonal", (i,))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if x.dist[i][j] != x.dist[j][i]:
+                return Violation("Symmetry", (i, j))
+            if x.dist[i][j].sign() <= 0:
+                return Violation("Positivity", (i, j))
+    for i, j, k in itertools.permutations(range(n), 3):
+        if x.dist[i][k] > x.dist[i][j] + x.dist[j][k]:
+            return Violation("Triangle", (i, j, k))
+    if x.delta is not None:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if x.dist[i][j] not in x.delta:
+                    return Violation("NotInDelta", (i, j, x.dist[i][j]))
+    if x.order is not None and sorted(x.order) != list(range(n)):
+        return Violation("BadOrder", tuple(x.order))
+    return OK
+
+
+# in the fragment {1, 2, 3}, out of it, zero, and irrational
+ENTRIES = [ExactReal(0), n1(Fraction(1, 2)), n1(1), n1(2), n1(3), n1(4), n1(7), ExactReal.sqrt(2)]
+
+
+@st.composite
+def grown_spaces(draw):
+    """(x, y): a valid random space x and y, x with 1-2 appended points
+    whose rows are arbitrary: possibly out of the fragment, non-metric,
+    asymmetric, with a nonzero diagonal or a broken order."""
+    d = make_set([n1(1), n1(2), n1(3)], cap=n1(3))
+    ordered, bound = draw(st.booleans()), draw(st.booleans())
+    x = random_space(random.Random(draw(st.integers(0, 10 ** 6))), draw(st.integers(0, 4)), d,
+                     ordered=ordered, delta_bound=bound)
+    n = x.n + draw(st.integers(1, 2))
+    entry = st.sampled_from(ENTRIES)
+    dist = [list(row) + [None] * (n - x.n) for row in x.dist] + [[None] * n for _ in range(n - x.n)]
+    for p in range(x.n, n):
+        dist[p][p] = draw(entry) if draw(st.integers(0, 7)) == 0 else ExactReal(0)
+        for q in range(p):
+            v = draw(entry)
+            dist[p][q] = v
+            dist[q][p] = draw(entry) if draw(st.integers(0, 7)) == 0 else v
+    order = None
+    if ordered:
+        order = list(x.order)
+        for p in range(x.n, n):
+            order.insert(draw(st.integers(0, len(order))), p)
+        if draw(st.integers(0, 7)) == 0:
+            order[draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    y = Space(tuple(f"p{i}" for i in range(n)), tuple(tuple(r) for r in dist),
+              tuple(order) if ordered else None, x.delta)
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(grown_spaces())
+def test_validate_since_agrees_with_the_full_check(xy):
+    x, y = xy
+    assert validate(x) == OK
+    full = validate(y)
+    # complete: x is valid, so only entries touching the new points can fail
+    assert validate(y, since=x.n) == full
+    expected = _validate_oracle(y)
+    assert (full == OK) == (expected == OK)
+    if full != OK:
+        assert full.kind == expected.kind
+        if full.kind == "Triangle":
+            i, j, k = full.witness
+            assert len({i, j, k}) == 3 and y.dist[i][k] > y.dist[i][j] + y.dist[j][k]
+        else:
+            assert full == expected
+
+
+def test_validate_since_skips_the_prefix():
+    # the violation sits among points 0-2 only; since=3 trusts them
+    x = make_space("abcd", {(0, 1): n1(1), (1, 2): n1(1), (0, 2): n1(3),
+                            (0, 3): n1(2), (1, 3): n1(2), (2, 3): n1(2)})
+    assert validate(x).kind == "Triangle"
+    assert validate(x, since=3) == OK

@@ -36,13 +36,9 @@ def _load_set(path: str) -> dvs.DistanceSet:
     return dvs.DistanceSet.from_json(_read_json(path))
 
 
-def _load_space(path: str) -> space.Space:
-    return space.Space.from_json(_read_json(path))
-
-
 def _load_valid_space(path: str, delta=None) -> space.Space:
-    """A space to build on, validated over delta, else over its own fragment."""
-    x = _load_space(path)
+    """An input space, validated over delta, else over its own fragment."""
+    x = space.Space.from_json(_read_json(path))
     verdict = space.validate(x if delta is None else x.with_delta(delta))
     if verdict != space.OK:
         raise space.SpaceError(f"{path}: not a valid space: {verdict}")
@@ -138,7 +134,8 @@ def cmd_saturate(args) -> int:
 
 
 def cmd_check_extension(args) -> int:
-    m, d = _load_space(args.space), _load_set(args.delta)
+    d = _load_set(args.delta)
+    m = _load_valid_space(args.space, d)
     report = limitbuilder.extension_property_check(m, d, args.k, args.max_pairs)
     _emit(
         {
@@ -174,7 +171,7 @@ def cmd_extend_isometry(args) -> int:
 
 
 def cmd_check_arrow(args) -> int:
-    c, b, a = _load_space(args.c), _load_space(args.b), _load_space(args.a)
+    c, b, a = _load_valid_space(args.c), _load_valid_space(args.b), _load_valid_space(args.a)
     verdict = ramsey.arrow(c, b, a, args.k, args.budget)
     out = {
         "status": verdict.status,
@@ -193,7 +190,7 @@ def cmd_check_arrow(args) -> int:
 
 
 def cmd_check_rigid(args) -> int:
-    x = _load_space(args.space)
+    x = _load_valid_space(args.space)
     rigid = ramsey.is_rigid(x)
     _emit({"rigid": rigid})
     return EXIT_YES if rigid else EXIT_NO

@@ -58,8 +58,14 @@ class DistanceSet:
         """Closed under the truncated sum, derived from the values."""
         return validate_closure(self) == CLOSED
 
+    @functools.cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.values)
+
     def __contains__(self, x) -> bool:
-        return any(v == x for v in self.values)
+        if isinstance(x, (int, Fraction)):
+            x = ExactReal(x)
+        return x in self._members
 
     def max(self) -> ExactReal:
         return self.values[-1]
@@ -79,12 +85,7 @@ class DistanceSet:
 
 def make_set(values, cap=None) -> DistanceSet:
     """Build a DistanceSet from an unsorted iterable, deduplicating."""
-    vals = []
-    for v in values:
-        if not any(v == u for u in vals):
-            vals.append(v)
-    vals.sort()
-    return DistanceSet(tuple(vals), cap)
+    return DistanceSet(tuple(sorted(set(values))), cap)
 
 
 def validate_closure(s: DistanceSet):

@@ -1,9 +1,14 @@
 """Exact ordered arithmetic in Q and Q(sqrt(D)).
 
-Every number in the library is an ExactReal: either a rational p/q or a
+Every number in the library is an ExactReal: either a rational or a
 quadratic surd a + b*sqrt(D) with a, b rational and D a squarefree integer
->= 2.  Comparison, addition, multiplication and division are exact; no
-floating point is ever consulted for a decision.
+>= 2.  It is stored in one canonical integer form (p + q*sqrt(d)) / den
+with den > 0, gcd(p, q, den) == 1 and d == 0 exactly when q == 0, so
+equality and hashing are integer tuple operations and an order comparison
+is an exact integer cross-multiplication.  The rational parts a = p/den
+and b = q/den are derived from that form.  Comparison, addition,
+multiplication and division are exact; no floating point is ever
+consulted for a decision.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 
 
 class ExactReal:
-    """Immutable number a + b*sqrt(d); d == 0 exactly when b == 0 (rational)."""
+    """Immutable number (p + q*sqrt(d)) / den in canonical form: den > 0,
+    gcd(p, q, den) == 1, and d == 0 exactly when q == 0 (rational)."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "den", "d")
 
     def __init__(self, a, b=0, d=0):
         a = Fraction(a)
@@ -65,9 +71,12 @@ class ExactReal:
                 a, b, d = a + b * s, Fraction(0), 0
             else:
                 b, d = b * s, m
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        # over the lcm of two reduced denominators, gcd(p, q, den) is 1
+        den = math.lcm(a.denominator, b.denominator)
+        _set_p(self, a.numerator * (den // a.denominator))
+        _set_q(self, b.numerator * (den // b.denominator))
+        _set_den(self, den)
+        _set_d(self, d)
 
     def __setattr__(self, *_):
         raise AttributeError("ExactReal is immutable")
@@ -83,67 +92,66 @@ class ExactReal:
         return ExactReal(0, 1, d)
 
     @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self.p, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(d)."""
+        return Fraction(self.q, self.den)
+
+    @property
     def is_rational(self) -> bool:
-        return self.b == 0
-
-    # -- coercion helpers ----------------------------------------------
-
-    @staticmethod
-    def _coerce(x) -> "ExactReal":
-        if isinstance(x, ExactReal):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return ExactReal(x)
-        raise TypeError(f"cannot coerce {x!r} to ExactReal")
-
-    def _common_radicand(self, other: "ExactReal") -> int:
-        if self.d and other.d and self.d != other.d:
-            raise MixedRadicands(f"sqrt({self.d}) vs sqrt({other.d})")
-        return self.d or other.d
+        return self.q == 0
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        d = self._common_radicand(other)
-        return ExactReal(self.a + other.a, self.b + other.b, d)
+        other = _coerce(other)
+        d = _radicand(self, other)
+        n, m = self.den, other.den
+        if n == m:
+            return _make(self.p + other.p, self.q + other.q, n, d)
+        return _make(self.p * m + other.p * n, self.q * m + other.q * n, n * m, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactReal(-self.a, -self.b, self.d)
+        return _make(-self.p, -self.q, self.den, self.d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = _coerce(other)
+        d = _radicand(self, other)
+        n, m = self.den, other.den
+        if n == m:
+            return _make(self.p - other.p, self.q - other.q, n, d)
+        return _make(self.p * m - other.p * n, self.q * m - other.q * n, n * m, d)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return _coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        d = self._common_radicand(other)
-        a = self.a * other.a + self.b * other.b * d
-        b = self.a * other.b + self.b * other.a
-        return ExactReal(a, b, d)
+        other = _coerce(other)
+        d = _radicand(self, other)
+        p, q, r, s = self.p, self.q, other.p, other.q
+        return _make(p * r + q * s * d, p * s + q * r, self.den * other.den, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactReal":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if self.is_rational:
-            return ExactReal(1 / self.a)
-        # 1/(a+b*sqrt(d)) = (a-b*sqrt(d)) / (a^2 - b^2 d); the norm is
-        # nonzero since sqrt(d) is irrational.
-        norm = self.a * self.a - self.b * self.b * self.d
-        return ExactReal(self.a / norm, -self.b / norm, self.d)
+        # den/(p+q*sqrt(d)) = den*(p-q*sqrt(d)) / (p^2 - q^2 d); the norm
+        # is nonzero since sqrt(d) is irrational.
+        p, q, d = self.p, self.q, self.d
+        return _make(self.den * p, -self.den * q, p * p - q * q * d, d)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
+        return self * _coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return _coerce(other) / self
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -151,77 +159,129 @@ class ExactReal:
     # -- order ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d), by case analysis on a, b."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: sign decided by a^2 vs b^2 d
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
-        if self.a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        """Exact sign of (p + q*sqrt(d)) / den; den > 0."""
+        return _sign(self.p, self.q, self.d)
 
     def __eq__(self, other):
-        if not isinstance(other, (ExactReal, int, Fraction)):
-            return NotImplemented
-        other = self._coerce(other)
-        if self.d and other.d and self.d != other.d:
-            # sqrt(d) and sqrt(d') are linearly independent over Q for
-            # distinct squarefree radicands, so the values differ.
-            return False
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, ExactReal):
+            # The form is canonical; distinct radicands give distinct
+            # numbers, as sqrt(d) and sqrt(d') are linearly independent
+            # over Q for distinct squarefree d, d'.
+            return (self.p == other.p and self.den == other.den
+                    and self.q == other.q and self.d == other.d)
+        if isinstance(other, (int, Fraction)):
+            return self.q == 0 and self.p == other.numerator and self.den == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        return hash((self.p, self.q, self.den, self.d))
 
     def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
+        return _cmp(self, other) < 0
 
     def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
+        return _cmp(self, other) <= 0
 
     def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
+        return _cmp(self, other) > 0
 
     def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
+        return _cmp(self, other) >= 0
 
     def __float__(self):
-        v = float(self.a)
-        if self.b:
-            v += float(self.b) * math.sqrt(self.d)
+        v = self.p / self.den
+        if self.q:
+            v += self.q / self.den * math.sqrt(self.d)
         return v
 
     def floor(self) -> int:
-        if self.is_rational:
-            return math.floor(self.a)
-        n = math.floor(float(self))
-        while self < n:
-            n -= 1
-        while self >= n + 1:
-            n += 1
-        return n
+        p, q, den = self.p, self.q, self.den
+        if q:
+            # |q|*sqrt(d) is irrational, strictly between r and r + 1, so
+            # p + q*sqrt(d) has floor p + r or p - r - 1; dividing by den
+            # > 0 keeps that integer's floor.
+            r = math.isqrt(q * q * self.d)
+            p = p + r if q > 0 else p - r - 1
+        return p // den
 
     # -- text form ------------------------------------------------------
 
     def __str__(self):
         if self.is_rational:
-            return f"{self.a.numerator}/{self.a.denominator}"
-        surd = f"{self.b.numerator}/{self.b.denominator}*sqrt({self.d})"
-        if self.a == 0:
+            return f"{self.p}/{self.den}"
+        b = self.b
+        surd = f"{b.numerator}/{b.denominator}*sqrt({self.d})"
+        if self.p == 0:
             return surd
-        return f"{self.a.numerator}/{self.a.denominator}+{surd}"
+        a = self.a
+        return f"{a.numerator}/{a.denominator}+{surd}"
 
     def __repr__(self):
         return f"ExactReal({self})"
+
+
+_new = object.__new__
+_set_p, _set_q = ExactReal.p.__set__, ExactReal.q.__set__
+_set_den, _set_d = ExactReal.den.__set__, ExactReal.d.__set__
+
+
+def _make(p: int, q: int, den: int, d: int) -> ExactReal:
+    """The trusted constructor for operation results: d is already
+    squarefree (or 0), and den != 0.  Only the sign of den and the common
+    gcd are normalised; __init__ and its radicand split are bypassed."""
+    if den < 0:
+        p, q, den = -p, -q, -den
+    g = math.gcd(p, q, den)
+    if g != 1:
+        p, q, den = p // g, q // g, den // g
+    x = _new(ExactReal)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_den(x, den)
+    _set_d(x, d if q else 0)
+    return x
+
+
+def _coerce(x) -> ExactReal:
+    if isinstance(x, ExactReal):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _make(x.numerator, 0, x.denominator, 0)
+    raise TypeError(f"cannot coerce {x!r} to ExactReal")
+
+
+def _radicand(x: ExactReal, y: ExactReal) -> int:
+    """The common radicand of x and y (0 when both are rational)."""
+    if x.d and y.d and x.d != y.d:
+        raise MixedRadicands(f"sqrt({x.d}) vs sqrt({y.d})")
+    return x.d or y.d
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), d squarefree when b != 0."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a == 0 or (a > 0) == (b > 0):
+        return sb
+    # opposite signs: a^2 != b^2 d as sqrt(d) is irrational
+    return -sb if a * a > b * b * d else sb
+
+
+def _cmp(x: ExactReal, y) -> int:
+    """-1, 0 or 1 as x <, =, > y, by integer cross-multiplication of the
+    two canonical forms; allocates no ExactReal for an ExactReal y."""
+    if not isinstance(y, ExactReal):
+        y = _coerce(y)
+    n, m = x.den, y.den
+    if x.q or y.q:
+        d = _radicand(x, y)
+        return _sign(x.p * m - y.p * n, x.q * m - y.q * n, d)
+    a, b = x.p * m, y.p * n
+    return (a > b) - (a < b)
 
 
 _RAT = r"(-?\d+)/(\d+)"
@@ -258,7 +318,7 @@ def parse(text: str) -> ExactReal:
 def compare(x: ExactReal, y: ExactReal) -> int:
     """-1, 0 or 1 as x <, =, > y.  Raises MixedRadicands for surds over
     distinct radicands (ordering across fields is out of scope)."""
-    return (x - y).sign()
+    return _cmp(_coerce(x), y)
 
 
 def rational_between(lo: ExactReal, hi: ExactReal) -> Fraction:

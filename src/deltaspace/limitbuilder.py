@@ -118,8 +118,7 @@ def _realizes(m: Space, ext: Extension, p: int) -> bool:
     for i, s in enumerate(ext.subset):
         if m.dist[p][s] != ext.dists[i]:
             return False
-    by_rank = sorted(ext.subset, key=m.rank)
-    rank_among = sum(1 for s in by_rank if m.before(s, p))
+    rank_among = sum(1 for s in ext.subset if m.before(s, p))
     return rank_among == ext.slot
 
 
@@ -227,8 +226,7 @@ def extend_partial_isometry(
     pair_for = {p.image(a): a for a in dom}
     ext_dists = tuple(m.dist[x][pair_for[r]] for r in rng)
     # slot: the rank x takes among the domain, transported to the range
-    dom_by_rank = sorted(dom, key=m.rank)
-    slot = sum(1 for a in dom_by_rank if m.before(a, x))
+    slot = sum(1 for a in dom if m.before(a, x))
     # order slot is over the range sorted by image rank; p order-preserving
     # makes domain rank order and range rank order agree
     ext = Extension(rng, ext_dists, slot)

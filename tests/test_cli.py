@@ -118,6 +118,38 @@ def test_building_verbs_validate_their_input_spaces(tmp_path, capsys):
         assert captured.out == "" and "NotInDelta" in captured.err
 
 
+def write_non_metric(tmp_path):
+    """d(0,1) = d(1,2) = 1 and d(0,2) = 3: violates the triangle inequality."""
+    return write_json(tmp_path, "bad.json", make_space(
+        "abc", {(0, 1): n1(1), (1, 2): n1(1), (0, 2): n1(3)}, order=(0, 1, 2)).to_json())
+
+
+def assert_rejected(capsys, argv, kind):
+    assert main(argv) == 3, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a valid space" in captured.err and kind in captured.err
+
+
+def test_check_extension_validates_its_space(tmp_path, capsys):
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2), n1(3)], cap=n1(3)).to_json())
+    bad = write_non_metric(tmp_path)
+    assert_rejected(capsys, ["check-extension", "--space", bad, "--delta", d, "-k", "1"], "Triangle")
+    far = write_json(tmp_path, "far.json", uniform_space(2, n1(5)).to_json())
+    assert_rejected(capsys, ["check-extension", "--space", far, "--delta", d, "-k", "1"], "NotInDelta")
+
+
+def test_check_arrow_validates_its_spaces(tmp_path, capsys):
+    good = write_json(tmp_path, "good.json", uniform_space(2, n1(1)).to_json())
+    bad = write_non_metric(tmp_path)
+    for c, b, a in ((bad, good, good), (good, bad, good), (good, good, bad)):
+        assert_rejected(capsys, ["check-arrow", "--c", c, "--b", b, "--a", a, "-k", "2"], "Triangle")
+
+
+def test_check_rigid_validates_its_space(tmp_path, capsys):
+    assert_rejected(capsys, ["check-rigid", "--space", write_non_metric(tmp_path)], "Triangle")
+
+
 def test_check_arrow_exit_codes(tmp_path, capsys):
     c6 = write_json(tmp_path, "c6.json", uniform_space(6, n1(1)).to_json())
     c5 = write_json(tmp_path, "c5.json", uniform_space(5, n1(1)).to_json())

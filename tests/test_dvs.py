@@ -157,6 +157,15 @@ def test_closed_is_derived_not_read_from_json():
     assert DistanceSet.from_json({"values": ["1/1", "2/1"], "cap": "2/1", "closed": False}).closed
 
 
+def test_membership_coerces_rationals_and_separates_radicands():
+    d = make_set(nums(1, "1/2", 2) + [SQRT2, SQRT2 + 1, ExactReal(1)], cap=ExactReal(3))
+    assert len(d.values) == 5  # the repeated 1 is dropped
+    assert 1 in d and Fraction(1, 2) in d and ExactReal(2) in d
+    assert 3 not in d and Fraction(1, 3) not in d
+    assert SQRT2 in d and ExactReal(1, 1, 2) in d and ExactReal(0, Fraction(1, 2), 8) in d
+    assert ExactReal.sqrt(3) not in d and ExactReal(1, 1, 3) not in d
+
+
 def test_well_formedness():
     with pytest.raises(DvsError):
         DistanceSet((ExactReal(0),))

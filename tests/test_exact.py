@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaspace.exact import (
     DivisionByZero,
     ExactReal,
     MixedRadicands,
     ParseError,
+    _squarefree_split,
     compare,
     parse,
     rational_between,
@@ -144,3 +147,166 @@ def test_field_axioms_on_random_triples():
         assert a * (b + c) == a * b + a * c
         if not b.is_zero():
             assert (a * b) / b == a
+
+
+# -- oracle: the Fraction-pair formulas of the earlier representation ------
+#
+# A number is the triple (a, b, d) for a + b*sqrt(d), normalised as the
+# Fraction-based constructor did; ExactReal must agree with it exactly.
+
+def old(a, b=0, d=0):
+    a, b = Fraction(a), Fraction(b)
+    if b == 0:
+        return a, Fraction(0), 0
+    s, m = _squarefree_split(d)
+    if m == 1:
+        return a + b * s, Fraction(0), 0
+    return a, b * s, m
+
+
+def old_radicand(x, y):
+    if x[2] and y[2] and x[2] != y[2]:
+        raise MixedRadicands
+    return x[2] or y[2]
+
+
+def old_add(x, y):
+    return old(x[0] + y[0], x[1] + y[1], old_radicand(x, y))
+
+
+def old_neg(x):
+    return old(-x[0], -x[1], x[2])
+
+
+def old_mul(x, y):
+    d = old_radicand(x, y)
+    return old(x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0], d)
+
+
+def old_inverse(x):
+    a, b, d = x
+    if b == 0:
+        return old(1 / a)
+    norm = a * a - b * b * d
+    return old(a / norm, -b / norm, d)
+
+
+def old_sign(x):
+    a, b, d = x
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * d
+    if a > 0:
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
+
+
+def old_compare(x, y):
+    return old_sign(old_add(x, old_neg(y)))
+
+
+def components(x: ExactReal):
+    return x.a, x.b, x.d
+
+
+BIG = 10 ** 30
+RADICANDS = (2, 3, 5, 1000003)
+# small values make equal numbers and zero parts likely; large ones stress
+# the cross-multiplication
+fractions = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+surd_parts = st.one_of(st.just(Fraction(0)), fractions)
+
+
+@st.composite
+def pairs_over_one_radicand(draw):
+    d = draw(st.sampled_from(RADICANDS))
+    return (draw(fractions), draw(surd_parts), d), (draw(fractions), draw(surd_parts), d)
+
+
+def assert_canonical(x: ExactReal):
+    assert x.den > 0
+    assert math.gcd(x.p, x.q, x.den) == 1
+    assert (x.d == 0) == (x.q == 0)
+    if x.d:
+        assert _squarefree_split(x.d)[0] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs_over_one_radicand())
+def test_arithmetic_agrees_with_the_fraction_formulas(pair):
+    (xa, xb, d), (ya, yb, _) = pair
+    x, y = ExactReal(xa, xb, d), ExactReal(ya, yb, d)
+    ox, oy = old(xa, xb, d), old(ya, yb, d)
+    assert components(x) == ox and components(y) == oy
+    results = [
+        (x + y, old_add(ox, oy)),
+        (x - y, old_add(ox, old_neg(oy))),
+        (-x, old_neg(ox)),
+        (x * y, old_mul(ox, oy)),
+    ]
+    if not y.is_zero():
+        results += [(x / y, old_mul(ox, old_inverse(oy))), (y.inverse(), old_inverse(oy))]
+    for got, want in results:
+        assert components(got) == want
+        assert_canonical(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs_over_one_radicand())
+def test_order_and_equality_agree_with_the_fraction_formulas(pair):
+    (xa, xb, d), (ya, yb, _) = pair
+    x, y = ExactReal(xa, xb, d), ExactReal(ya, yb, d)
+    want = old_compare(old(xa, xb, d), old(ya, yb, d))
+    assert compare(x, y) == want == -compare(y, x)
+    assert x.sign() == old_sign(old(xa, xb, d))
+    assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
+    assert (x == y) == (want == 0)
+    assert (x == xa) == (x.b == 0) == (x == ExactReal(xa))
+    if want == 0:
+        assert hash(x) == hash(y)
+    # the same value reached another way is equal and hashes equal
+    z = (x + y) - y
+    assert z == x and hash(z) == hash(x)
+    n = x.floor()
+    assert old_compare(old(n), old(xa, xb, d)) <= 0 < old_compare(old(n + 1), old(xa, xb, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions, surd_parts, st.sampled_from(RADICANDS))
+def test_parse_inverts_str(a, b, d):
+    x = ExactReal(a, b, d)
+    assert parse(str(x)) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions, surd_parts, st.sampled_from((4, 8, 9, 12, 18, 50, 4 * 1000003)))
+def test_public_constructor_splits_the_radicand(a, b, d):
+    x = ExactReal(a, b, d)
+    assert components(x) == old(a, b, d)
+    assert_canonical(x)
+    s, m = _squarefree_split(d)
+    split = ExactReal(a, b * s, m) if m > 1 else ExactReal(a + b * s)
+    assert x == split and hash(x) == hash(split)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fractions, fractions.filter(bool), fractions, fractions.filter(bool),
+       st.sampled_from([(2, 3), (5, 1000003), (3, 1000003)]))
+def test_mixed_radicands_raise(xa, xb, ya, yb, radicands):
+    x, y = ExactReal(xa, xb, radicands[0]), ExactReal(ya, yb, radicands[1])
+    assert x != y
+    for op in (
+        lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+        lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y, lambda: compare(x, y),
+    ):
+        with pytest.raises(MixedRadicands):
+            op()

@@ -1,9 +1,10 @@
-"""Free amalgamation, distance capping, and constrained order extension.
+"""Free amalgamation and distance capping.
 
-These are the three primitives out of which the larger constructions
-(saturation, back-and-forth steps, density perturbation) are assembled.
-The free amalgam carries no order; callers impose one with extend_order,
-encoding whatever positional conditions their construction demands.
+These are the two metric primitives out of which the larger
+constructions (saturation, back-and-forth steps, density perturbation)
+are assembled.  The free amalgam carries no order: the order amalgamates
+freely too, so each construction places its new points in the order
+itself.
 """
 
 from __future__ import annotations
@@ -23,16 +24,6 @@ class OverlapNotIsometric(AmalgamError):
 class DegenerateAmalgam(AmalgamError):
     """Empty overlap between two diameter-zero spaces: the cross distance
     formula degenerates to 0, which no metric allows."""
-
-
-class CyclicConstraints(AmalgamError):
-    def __init__(self, cycle):
-        super().__init__(f"constraint cycle: {cycle}")
-        self.cycle = cycle
-
-
-BEFORE = "before"
-AFTER = "after"
 
 
 def free_amalgam(b: Space, c: Space, overlap) -> Space:
@@ -56,8 +47,11 @@ def free_amalgam(b: Space, c: Space, overlap) -> Space:
                 raise OverlapNotIsometric(
                     f"d_B({i1},{i2}) = {b.dist[i1][i2]} != {c.dist[j1][j2]} = d_C({j1},{j2})"
                 )
-    if not overlap and b.diameter().is_zero() and c.diameter().is_zero():
-        raise DegenerateAmalgam("two singletons with empty overlap")
+    cross_default = None
+    if not overlap:
+        cross_default = b.diameter() + c.diameter()
+        if cross_default.is_zero():
+            raise DegenerateAmalgam("two singletons with empty overlap")
 
     c_to_b = {j: i for i, j in overlap}
     fresh = [j for j in range(c.n) if j not in c_to_b]
@@ -81,7 +75,6 @@ def free_amalgam(b: Space, c: Space, overlap) -> Space:
     for j1 in range(c.n):
         for j2 in range(c.n):
             dist[c_idx[j1]][c_idx[j2]] = c.dist[j1][j2]
-    cross_default = b.diameter() + c.diameter()
     for x in range(b.n):
         if x in c_to_b.values():
             continue
@@ -108,70 +101,3 @@ def cap_distances(x: Space, cap: ExactReal) -> Space:
         for i, row in enumerate(x.dist)
     )
     return Space(x.labels, dist, x.order, x.delta)
-
-
-def extend_order(x: Space, base_order, constraints) -> Space:
-    """Extend a strict order on part of x's points to a total order.
-
-    base_order lists already-ordered point indices from least to
-    greatest; constraints are (i, "before"|"after", j) pairs over any
-    points.  The result is the deterministic stable topological sort:
-    base points keep their positions and come as early as the constraints
-    allow, new points break ties by label.
-    """
-    n = x.n
-    edges: dict[int, set[int]] = {i: set() for i in range(n)}
-    for u, v in zip(base_order, list(base_order)[1:]):
-        edges[u].add(v)
-    for i, rel, j in constraints:
-        if rel == BEFORE:
-            edges[i].add(j)
-        elif rel == AFTER:
-            edges[j].add(i)
-        else:
-            raise AmalgamError(f"unknown relation {rel!r}")
-
-    base_rank = {p: r for r, p in enumerate(base_order)}
-    new_points = [i for i in range(n) if i not in base_rank]
-
-    def priority(i: int):
-        if i in base_rank:
-            return (0, base_rank[i], "")
-        return (1, 0, x.labels[i])
-
-    indeg = {i: 0 for i in range(n)}
-    for i in range(n):
-        for j in edges[i]:
-            indeg[j] += 1
-    ready = sorted((i for i in range(n) if indeg[i] == 0), key=priority)
-    order = []
-    while ready:
-        cur = ready.pop(0)
-        order.append(cur)
-        changed = False
-        for j in edges[cur]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-                changed = True
-        if changed:
-            ready.sort(key=priority)
-    if len(order) != n:
-        remaining = [i for i in range(n) if i not in order]
-        cycle = _find_cycle(edges, remaining)
-        raise CyclicConstraints(cycle)
-    return Space(x.labels, x.dist, tuple(order), x.delta)
-
-
-def _find_cycle(edges, remaining):
-    rem = set(remaining)
-    start = remaining[0]
-    path, seen = [start], {start}
-    cur = start
-    while True:
-        nxt = next(j for j in edges[cur] if j in rem)
-        if nxt in seen:
-            return path[path.index(nxt):] + [nxt]
-        path.append(nxt)
-        seen.add(nxt)
-        cur = nxt

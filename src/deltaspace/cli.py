@@ -45,15 +45,31 @@ def _load_valid_space(path: str, delta=None) -> space.Space:
     return x
 
 
+def _load_ordered_space(path: str, delta=None) -> space.Space:
+    """A valid input space for the constructions, which need an order."""
+    x = _load_valid_space(path, delta)
+    if x.order is None:
+        raise space.SpaceError(f"{path}: the space must be ordered")
+    return x
+
+
 def _load_code(path: str) -> coding.DvsCode:
     return coding.DvsCode.from_json(_read_json(path))
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
+def _index(i: int, n: int) -> int:
+    """i, if it names one of n points."""
+    if not 0 <= i < n:
+        raise ValueError(f"point index {i} out of range for {n} points")
+    return i
+
+
+def _parse_pairs(text: str, left: int, right: int) -> list[tuple[int, int]]:
+    """i:j pairs with 0 <= i < left and 0 <= j < right."""
     out = []
     for part in text.split(","):
         i, j = part.split(":")
-        out.append((int(i), int(j)))
+        out.append((_index(int(i), left), _index(int(j), right)))
     return out
 
 
@@ -113,7 +129,7 @@ def cmd_gl2(args) -> int:
 
 def cmd_amalgamate(args) -> int:
     b, c = _load_valid_space(args.b), _load_valid_space(args.c)
-    overlap = _parse_pairs(args.overlap) if args.overlap else []
+    overlap = _parse_pairs(args.overlap, b.n, c.n) if args.overlap else []
     out = amalgam.free_amalgam(b, c, overlap)
     _emit(out.to_json())
     return EXIT_YES
@@ -121,7 +137,7 @@ def cmd_amalgamate(args) -> int:
 
 def cmd_saturate(args) -> int:
     d = _load_set(args.delta)
-    m = _load_valid_space(args.space, d)
+    m = _load_ordered_space(args.space, d)
     result, report = limitbuilder.saturate(m, d, args.k, args.max_points, args.max_pairs)
     _emit(
         {
@@ -135,7 +151,7 @@ def cmd_saturate(args) -> int:
 
 def cmd_check_extension(args) -> int:
     d = _load_set(args.delta)
-    m = _load_valid_space(args.space, d)
+    m = _load_ordered_space(args.space, d)
     report = limitbuilder.extension_property_check(m, d, args.k, args.max_pairs)
     _emit(
         {
@@ -155,17 +171,17 @@ def cmd_check_extension(args) -> int:
 
 def cmd_perturb(args) -> int:
     d = _load_set(args.delta)
-    m = _load_valid_space(args.space, d)
-    pairs = _parse_pairs(args.pairs)
+    m = _load_ordered_space(args.space, d)
+    pairs = _parse_pairs(args.pairs, m.n, m.n)
     out, images = limitbuilder.density_perturb(m, pairs, parse(args.eps), d, args.max_points)
     _emit({"space": out.to_json(), "images": images})
     return EXIT_YES
 
 
 def cmd_extend_isometry(args) -> int:
-    m = _load_valid_space(args.space)
-    p = space.PartialIsometry(m, tuple(_parse_pairs(args.pairs)))
-    out, p2 = limitbuilder.extend_partial_isometry(m, p, args.point, args.max_points)
+    m = _load_ordered_space(args.space)
+    p = space.PartialIsometry(m, tuple(_parse_pairs(args.pairs, m.n, m.n)))
+    out, p2 = limitbuilder.extend_partial_isometry(m, p, _index(args.point, m.n), args.max_points)
     _emit({"space": out.to_json(), "pairs": [list(t) for t in p2.pairs]})
     return EXIT_YES
 

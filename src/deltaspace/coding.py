@@ -327,8 +327,10 @@ def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
 
     Clauses (1)-(6) are checked exhaustively over universe x sample;
     clause (6) reports a violation only when one is provable from the
-    finite tables.  Clause (7) is existential over the infinite set and
-    is reported with a witness or as not falsifiable.
+    finite tables.  Clause (7) asks, for every q, for x and y with
+    x/y <= q.  It is Satisfied, with the witness for the smallest q, when
+    every sample q has one; otherwise its witnesses lie past the finite
+    horizon, so it is reported as not falsifiable.
     """
     report = {}
     qs = sorted(model.rq)
@@ -413,21 +415,13 @@ def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
                     status = ClauseStatus(VIOLATED, (q, i, i2, j))
     report["6"] = status
 
-    # (7) arbitrarily small elements exist
-    small_witness = None
-    for q in qs:
-        found = None
-        for i in nz:
-            for x in nz:
-                if not model.holds(q, x, i):
-                    found = (q, x, i)
-                    break
-            if found:
-                break
-        if found:
-            small_witness = found
-    if small_witness:
-        report["7"] = ClauseStatus(SATISFIED, small_witness)
+    # (7) arbitrarily small elements exist: every sample q has x, y with
+    # x/y <= q.  The witness is the one for the smallest q.
+    witnesses = [
+        next(((q, x, i) for i in nz for x in nz if not model.holds(q, x, i)), None) for q in qs
+    ]
+    if witnesses and None not in witnesses:
+        report["7"] = ClauseStatus(SATISFIED, witnesses[0])
     else:
         report["7"] = ClauseStatus(NOT_FALSIFIABLE)
     return report

@@ -292,6 +292,8 @@ _RAT_RE = re.compile(rf"^{_RAT}$")
 def parse(text: str) -> ExactReal:
     """Parse the bit-exact grammar: "p/q" or "p/q+r/s*sqrt(D)" (rational
     part omitted when zero, signs attached to numerators)."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected a number string, got {text!r}")
     text = text.strip()
     m = _RAT_RE.match(text)
     if m:

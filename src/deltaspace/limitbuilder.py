@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .amalgam import BEFORE, cap_distances, extend_order, free_amalgam
-from .dvs import DistanceSet
+from .amalgam import cap_distances, free_amalgam
+from .dvs import DistanceSet, validate_closure
 from .exact import ExactReal
 from .search import BudgetExceeded
 from .space import OK, PartialIsometry, Space, validate
@@ -26,6 +26,12 @@ class BuilderError(Exception):
 
 class NoSmallEnoughDelta(BuilderError):
     pass
+
+
+class FragmentNotClosed(BuilderError):
+    def __init__(self, gap):
+        super().__init__(f"fragment not closed: the truncated sum of {gap.x} and {gap.y} is missing")
+        self.gap = gap
 
 
 class ZNotInDelta(BuilderError):
@@ -145,11 +151,27 @@ def extension_property_check(
     return report
 
 
+def _adjoin(m: Space, block: Space, overlap, order, d: DistanceSet, what: str) -> Space:
+    """Free amalgam of m with block over the overlap, capped at d's cap,
+    with the given total order and bound to d.  The order lists m.order
+    with block's new points placed in it; of the result, only those new
+    points are checked."""
+    amal = free_amalgam(m, block, overlap)
+    if d.bounded:
+        amal = cap_distances(amal, d.cap)
+    out = Space(amal.labels, amal.dist, order, d)
+    verdict = validate(out, since=m.n)
+    if verdict != OK:
+        raise BuilderError(f"{what} space invalid: {verdict}")
+    return out
+
+
 def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     """Adjoin a point realizing ext to m: free amalgam of m with the
-    extension space over the subset, capped at the fragment's cap, with
-    the order extended so the new point lands in its slot.  Precondition:
-    m is a valid space over d; only the new point is checked."""
+    extension space over the subset, capped at the fragment's cap.  The
+    new point goes directly below the subset point of rank ext.slot, or
+    on top when the slot is past the last one.  Precondition: m is a
+    valid ordered space over d; only the new point is checked."""
     if not ext.subset and m.n > 0:
         raise BuilderError("empty-subset extension is realized by any point")
     if m.n == 0:
@@ -163,19 +185,10 @@ def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
         tuple(tuple(r) for r in dist),
     )
     overlap = [(s, i) for i, s in enumerate(ext.subset)]
-    amal = free_amalgam(m, ext_space, overlap)
-    if d.bounded:
-        amal = cap_distances(amal, d.cap)
-    z = amal.n - 1
     by_rank = sorted(ext.subset, key=m.rank)
-    constraints = []
-    for r, s in enumerate(by_rank):
-        constraints.append((s, BEFORE, z) if r < ext.slot else (z, BEFORE, s))
-    out = extend_order(amal, m.order, constraints).with_delta(d)
-    verdict = validate(out, since=m.n)
-    if verdict != OK:
-        raise BuilderError(f"realized space invalid: {verdict}")
-    return out
+    at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
+    order = m.order[:at] + (m.n,) + m.order[at:]
+    return _adjoin(m, ext_space, overlap, order, d, "realized")
 
 
 def saturate(
@@ -186,7 +199,12 @@ def saturate(
     ORIGINAL m.  Existing points are reused before new ones are added, so
     re-saturation at the same k adds nothing.  When the point budget runs
     out, the partial result is returned with the skipped extensions
-    listed in the report.  Precondition: m is a valid space over d."""
+    listed in the report.  Precondition: m is a valid ordered space over
+    d.  d must be closed, else FragmentNotClosed, since the new distances
+    are truncated sums; an unbounded fragment is closed only up to its
+    largest value, so a sum past it still fails realize's final check."""
+    if not d.closed:
+        raise FragmentNotClosed(validate_closure(d))
     report = ExtensionReport()
     cur = m
     for ext in _subset_extensions(m, d, k, source_n):
@@ -310,19 +328,8 @@ def density_perturb(
     if m.n + n > max_points:
         raise BudgetExceeded("point budget")
     overlap = [(ys[i], i) for i in range(n)]
-    amal = free_amalgam(m, z_space, overlap)
-    if d.bounded:
-        amal = cap_distances(amal, d.cap)
-    # new z indices follow m's points in amalgam order
-    z_idx = list(range(m.n, m.n + n))
-    constraints = []
-    for i in range(n):
-        for j in range(n):
-            constraints.append((ys[i], BEFORE, z_idx[j]))
-            if i != j and m.before(xs[i], xs[j]):
-                constraints.append((z_idx[i], BEFORE, z_idx[j]))
-    out = extend_order(amal, m.order, constraints).with_delta(d)
-    verdict = validate(out, since=m.n)
-    if verdict != OK:
-        raise BuilderError(f"perturbed space invalid: {verdict}")
-    return out, z_idx
+    # the z's follow m's points in amalgam order, and go on top of m's
+    # order in the source order
+    order = m.order + tuple(m.n + i for i in z_by_rank)
+    out = _adjoin(m, z_space, overlap, order, d, "perturbed")
+    return out, list(range(m.n, m.n + n))

@@ -8,8 +8,9 @@ lookup is a search of that permutation, O(n).
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .dvs import DistanceSet
@@ -88,12 +89,23 @@ class Space:
 
     @staticmethod
     def from_json(obj: dict) -> "Space":
+        """Parse a space, rejecting a shape that validate cannot judge:
+        labels that are not strings, a distance matrix that is not n x n
+        for n labels, or an order entry that is not an integer."""
+        labels, rows = obj["labels"], obj["dist"]
+        n = len(labels)
+        if not all(isinstance(lbl, str) for lbl in labels):
+            raise SpaceError("labels must be strings")
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise SpaceError(f"dist must have one row and one column per label ({n})")
+        order = obj.get("order")
+        if order is not None and not all(type(i) is int for i in order):
+            raise SpaceError(f"order entries must be point indices: {order}")
         delta = DistanceSet.from_json(obj["delta"]) if obj.get("delta") else None
-        order = tuple(obj["order"]) if obj.get("order") is not None else None
         return Space(
-            tuple(obj["labels"]),
-            tuple(tuple(parse(v) for v in row) for row in obj["dist"]),
-            order,
+            tuple(labels),
+            tuple(tuple(parse(v) for v in row) for row in rows),
+            tuple(order) if order is not None else None,
             delta,
         )
 
@@ -181,10 +193,9 @@ def isomorphic(x: Space, y: Space) -> Optional[tuple[int, ...]]:
         m = [0] * x.n
         for r in range(x.n):
             m[x.order[r]] = y.order[r]
-        for i in range(x.n):
-            for j in range(x.n):
-                if x.dist[i][j] != y.dist[m[i]][m[j]]:
-                    return None
+        for i, j in itertools.combinations(range(x.n), 2):  # valid spaces are symmetric
+            if x.dist[i][j] != y.dist[m[i]][m[j]]:
+                return None
         return tuple(m)
     # unordered: backtracking with per-point distance multiset pruning
     px = [_profile(x, i) for i in range(x.n)]
@@ -207,14 +218,12 @@ def isomorphic(x: Space, y: Space) -> Optional[tuple[int, ...]]:
 class PartialIsometry:
     space: Space
     pairs: tuple[tuple[int, int], ...]  # (source point, target point)
-    order_preserving: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         dom = [p for p, _ in self.pairs]
         rng = [q for _, q in self.pairs]
         if len(set(dom)) != len(dom) or len(set(rng)) != len(rng):
             raise SpaceError("partial map must be injective")
-        object.__setattr__(self, "order_preserving", self._check_order())
 
     def domain(self) -> list[int]:
         return [p for p, _ in self.pairs]
@@ -231,7 +240,9 @@ class PartialIsometry:
                 return False
         return True
 
-    def _check_order(self) -> bool:
+    @functools.cached_property
+    def order_preserving(self) -> bool:
+        """Derived from the pairs; False on an unordered space."""
         if self.space.order is None:
             return False
         for (p1, q1), (p2, q2) in itertools.combinations(self.pairs, 2):

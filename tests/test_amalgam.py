@@ -4,13 +4,9 @@ from fractions import Fraction
 import pytest
 
 from deltaspace.amalgam import (
-    AFTER,
-    BEFORE,
-    CyclicConstraints,
     DegenerateAmalgam,
     OverlapNotIsometric,
     cap_distances,
-    extend_order,
     free_amalgam,
 )
 from deltaspace.dvs import make_set
@@ -115,46 +111,3 @@ def test_cap_idempotent_and_metric_preserving():
         once = cap_distances(x, cap)
         assert validate(once) == OK
         assert cap_distances(once, cap).dist == once.dist
-
-
-def test_extend_order_appends_new_point():
-    x = make_space("abz", {(0, 1): n1(1), (0, 2): n1(1), (1, 2): n1(1)})
-    out = extend_order(x, (0, 1), [])
-    assert out.order == (0, 1, 2)
-
-
-def test_extend_order_constraint_first():
-    x = make_space("abz", {(0, 1): n1(1), (0, 2): n1(1), (1, 2): n1(1)})
-    out = extend_order(x, (0, 1), [(2, BEFORE, 0), (2, BEFORE, 1)])
-    assert out.order == (2, 0, 1)
-
-
-def test_extend_order_between():
-    # two new points placed strictly between the base points
-    x = uniform_space(4, n1(1), ordered=False)
-    constraints = [(0, BEFORE, 2), (0, BEFORE, 3), (2, BEFORE, 1), (3, BEFORE, 1)]
-    out = extend_order(x, (0, 1), constraints)
-    r = {i: out.order.index(i) for i in range(4)}
-    assert r[0] < r[2] < r[1] and r[0] < r[3] < r[1]
-    # exhaustive post hoc check of every demanded relation
-    for i, rel, j in constraints:
-        assert r[i] < r[j]
-
-
-def test_extend_order_after_relation():
-    x = uniform_space(3, n1(1), ordered=False)
-    out = extend_order(x, (0, 1), [(0, AFTER, 2)])
-    assert out.order.index(2) < out.order.index(0)
-
-
-def test_extend_order_deterministic_label_tiebreak():
-    x = Space(("b", "a", "c"), uniform_space(3, n1(1), ordered=False).dist)
-    out = extend_order(x, (), [])
-    assert out.order == (1, 0, 2)  # a, b, c
-
-
-def test_extend_order_cycle():
-    x = uniform_space(3, n1(1), ordered=False)
-    with pytest.raises(CyclicConstraints) as exc:
-        extend_order(x, (), [(0, BEFORE, 1), (1, BEFORE, 2), (2, BEFORE, 0)])
-    assert len(exc.value.cycle) >= 3

@@ -7,6 +7,7 @@ from deltaspace.cli import main
 from deltaspace.dvs import DistanceSet, make_set
 from deltaspace.exact import ExactReal
 from deltaspace.space import Space, make_space, uniform_space
+from util import closed_fragment
 
 
 def n1(v):
@@ -150,6 +151,81 @@ def test_check_rigid_validates_its_space(tmp_path, capsys):
     assert_rejected(capsys, ["check-rigid", "--space", write_non_metric(tmp_path)], "Triangle")
 
 
+def assert_input_error(capsys, argv, text):
+    assert main(argv) == 3, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and text in captured.err, captured.err
+
+
+def test_space_with_more_distances_than_labels_is_rejected(tmp_path, capsys):
+    # one label and a 2 x 2 matrix: validate sees one point and says OK
+    x = write_json(tmp_path, "x.json", {"labels": ["a"], "dist": [["0/1", "1/1"], ["1/1", "0/1"]]})
+    assert_input_error(capsys, ["check-rigid", "--space", x], "one row and one column per label (1)")
+
+
+@pytest.mark.parametrize("change, text", [
+    pytest.param({"dist": [["0/1", "1/1"], ["1/1"]]}, "one row and one column per label (2)", id="ragged-row"),
+    pytest.param({"dist": [["0/1", "1/1"]]}, "one row and one column per label (2)", id="missing-row"),
+    pytest.param({"order": [0, "b"]}, "order entries", id="string-in-order"),
+    pytest.param({"order": [0, 1.0]}, "order entries", id="float-in-order"),
+    pytest.param({"labels": ["a", 2]}, "labels must be strings", id="number-label"),
+    pytest.param({"dist": [[0, 1], [1, 0]]}, "number string", id="number-distance"),
+])
+def test_malformed_space_is_rejected(tmp_path, capsys, change, text):
+    obj = {**uniform_space(2, n1(1)).to_json(), **change}
+    x = write_json(tmp_path, "x.json", obj)
+    assert_input_error(capsys, ["check-rigid", "--space", x], text)
+
+
+def test_constructions_reject_an_unordered_space(tmp_path, capsys):
+    delta = make_set([n1(1), n1(2)], cap=n1(2))
+    d = write_json(tmp_path, "d.json", delta.to_json())
+    m = write_json(tmp_path, "m.json", uniform_space(2, n1(1), ordered=False, delta=delta).to_json())
+    for argv in (
+        ["saturate", "--space", m, "--delta", d, "-k", "1"],
+        ["check-extension", "--space", m, "--delta", d, "-k", "1"],
+        ["perturb", "--space", m, "--delta", d, "--pairs", "0:1", "--eps", "2/1"],
+        ["extend-isometry", "--space", m, "--pairs", "0:1", "--point", "1"],
+    ):
+        assert_input_error(capsys, argv, "the space must be ordered")
+
+
+def write_two_points(tmp_path):
+    delta = closed_fragment([n1(Fraction(1, 4))], n1(4))
+    d = write_json(tmp_path, "d.json", delta.to_json())
+    return write_json(tmp_path, "m.json", uniform_space(2, n1(1), delta=delta).to_json()), d
+
+
+def test_extend_isometry_point_out_of_range(tmp_path, capsys):
+    m, _ = write_two_points(tmp_path)
+    for point in ("7", "-1"):
+        argv = ["extend-isometry", "--space", m, "--pairs", "0:1", "--point", point]
+        assert_input_error(capsys, argv, "out of range for 2 points")
+
+
+def test_perturb_pairs_out_of_range(tmp_path, capsys):
+    m, d = write_two_points(tmp_path)
+    for pairs in ("0:9", "9:0", "0:-2"):
+        argv = ["perturb", "--space", m, "--delta", d, "--pairs", pairs, "--eps", "1/2"]
+        assert_input_error(capsys, argv, "out of range for 2 points")
+
+
+def test_amalgamate_overlap_out_of_range(tmp_path, capsys):
+    b = write_json(tmp_path, "b.json", uniform_space(2, n1(1)).to_json())
+    c = write_json(tmp_path, "c.json", uniform_space(3, n1(1)).to_json())
+    assert_input_error(capsys, ["amalgamate", "--b", b, "--c", c, "--overlap", "0:9"], "out of range for 3 points")
+    assert_input_error(capsys, ["amalgamate", "--b", b, "--c", c, "--overlap", "2:0"], "out of range for 2 points")
+
+
+def test_saturate_rejects_a_non_closed_fragment(tmp_path, capsys):
+    code, out = run(capsys, ["gen-dvs", "--alpha", "1/1*sqrt(2)", "--height", "2", "--bound", "3/1"])
+    assert code == 0 and out["closed"] is False
+    d = write_json(tmp_path, "d.json", out)
+    m = write_json(tmp_path, "m.json", Space(("a",), ((n1(0),),), (0,)).to_json())
+    assert_input_error(capsys, ["saturate", "--space", m, "--delta", d, "-k", "1"], "fragment not closed")
+
+
 def test_check_arrow_exit_codes(tmp_path, capsys):
     c6 = write_json(tmp_path, "c6.json", uniform_space(6, n1(1)).to_json())
     c5 = write_json(tmp_path, "c5.json", uniform_space(5, n1(1)).to_json())
@@ -203,7 +279,6 @@ def test_theory_verbs(tmp_path, capsys):
 
 
 def test_perturb_verb(tmp_path, capsys):
-    from util import closed_fragment
     delta = closed_fragment([ExactReal(Fraction(1, 4))], n1(4))
     m = write_json(tmp_path, "m.json", uniform_space(2, n1(1), delta=delta).to_json())
     d = write_json(tmp_path, "d.json", delta.to_json())

@@ -8,6 +8,7 @@ from deltaspace.coding import (
     PREFIX_SEMANTICS,
     SATISFIED,
     VIOLATED,
+    ClauseStatus,
     CodingError,
     DvsCode,
     approx_check,
@@ -166,6 +167,15 @@ def test_theory_T_satisfied_on_clean_models():
         for key in ("1", "2", "3", "4", "5", "6"):
             assert report[key].status == SATISFIED, (key, report[key])
         assert report["7"].status in (SATISFIED, NOT_FALSIFIABLE)
+
+
+def test_theory_T_clause_7_needs_a_witness_for_every_sample():
+    # the sample reaches down to 1/8, but no ratio of {1, 2, 3} is below 1/3
+    report = check_theory_T(model_encode(make_set(nums(1, 2, 3), cap=ExactReal(3))))
+    assert report["7"] == ClauseStatus(NOT_FALSIFIABLE)
+    # 1/8 over 1 is at most the smallest sample q, 1/8; universe 0, 1/8, 1
+    report = check_theory_T(model_encode(make_set(nums(Fraction(1, 8), 1), cap=ExactReal(1))))
+    assert report["7"] == ClauseStatus(SATISFIED, (Fraction(1, 8), 1, 2))
 
 
 def test_theory_T_detects_corruption():

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
 from deltaspace.limitbuilder import (
     BuilderError,
     Extension,
+    FragmentNotClosed,
     NoSmallEnoughDelta,
     density_perturb,
     extend_partial_isometry,
@@ -18,7 +21,7 @@ from deltaspace.limitbuilder import (
     saturate,
 )
 from deltaspace.space import OK, PartialIsometry, Space, make_space, uniform_space, validate
-from util import closed_fragment, doubled_space, random_space
+from util import closed_fragment, doubled_space, random_space, triangle_ok
 
 
 def n1(v):
@@ -197,3 +200,56 @@ def test_density_perturb_two_pairs():
             if i != j:
                 assert out.before(images[i], images[j]) == m.before(xs[i], xs[j])
     assert validate(out) == OK
+
+
+def test_saturate_rejects_a_non_closed_fragment_up_front():
+    d = make_set([n1(1), n1(3)], cap=n1(3))  # 1 + 1 is missing
+    m = uniform_space(1, n1(1), delta=d)
+    with pytest.raises(FragmentNotClosed, match="1/1 and 1/1"):
+        saturate(m, d, 1)
+
+
+D13 = closed_fragment([n1(1)], n1(3))  # {1, 2, 3}, cap 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.data())
+def test_realize_places_the_new_point_in_its_slot(seed, n, data):
+    rng = random.Random(seed)
+    m = random_space(rng, n, D13)
+    subset = tuple(sorted(rng.sample(range(n), data.draw(st.integers(1, n)))))
+    sub = m.induced(subset)
+    vec = tuple(rng.choice(D13.values) for _ in subset)
+    if not triangle_ok(vec, sub):
+        vec = (D13.max(),) * len(subset)
+    slot = data.draw(st.integers(0, len(subset)))
+    out = realize(m, Extension(subset, vec, slot), D13)
+    z = m.n
+    assert tuple(i for i in out.order if i != z) == m.order
+    assert sum(1 for s in subset if out.before(s, z)) == slot
+    by_rank = sorted(subset, key=m.rank)
+    above = out.order[out.rank(z) + 1:]
+    if slot < len(subset):
+        assert above[0] == by_rank[slot]
+    else:
+        assert above == ()
+
+
+D_QUARTERS = closed_fragment([n1(Fraction(1, 4))], n1(2))  # {1/4, ..., 2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_density_perturb_appends_the_images_in_source_order(n, data):
+    # on a uniform space every injective map is an isometry, so the
+    # sources and the images can lie in any relative order
+    u = uniform_space(n, n1(1))
+    m = Space(u.labels, u.dist, tuple(data.draw(st.permutations(range(n)))), D_QUARTERS)
+    size = data.draw(st.integers(1, n))
+    xs = data.draw(st.permutations(range(n)))[:size]
+    ys = data.draw(st.permutations(range(n)))[:size]
+    pairs = list(zip(xs, ys))
+    out, images = density_perturb(m, pairs, n1(Fraction(1, 2)), D_QUARTERS)
+    assert images == list(range(m.n, m.n + len(pairs)))
+    by_source = sorted(range(len(pairs)), key=lambda i: m.rank(pairs[i][0]))
+    assert out.order == m.order + tuple(images[i] for i in by_source)

@@ -158,6 +158,13 @@ def test_partial_isometry_order_flag_detects_reversal():
     assert not rev.order_preserving
 
 
+def test_order_preserving_is_derived_not_passed():
+    # an unordered space has no order to preserve
+    assert not PartialIsometry(uniform_space(3, n1(1), ordered=False), ((0, 1),)).order_preserving
+    with pytest.raises(TypeError):
+        PartialIsometry(uniform_space(3, n1(1)), ((0, 2), (2, 0)), order_preserving=True)
+
+
 def test_periodic_fixed_identity():
     x = uniform_space(1, n1(1))
     p = PartialIsometry(x, ((0, 0),))

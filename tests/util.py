@@ -3,7 +3,7 @@ fragments, spaces and partial isometries."""
 
 from fractions import Fraction
 
-from deltaspace.amalgam import cap_distances, extend_order, free_amalgam
+from deltaspace.amalgam import cap_distances, free_amalgam
 from deltaspace.dvs import DistanceSet, close, make_set
 from deltaspace.exact import ExactReal
 from deltaspace.space import OK, Space, validate
@@ -97,8 +97,8 @@ def doubled_space(rng, k, d: DistanceSet):
     amal = free_amalgam(core, core.relabel(tuple(f"p{i}'" for i in range(k))), [])
     if d.bounded:
         amal = cap_distances(amal, d.cap)
-    ordered = extend_order(amal, (), [])
-    ordered = ordered.with_delta(d)
+    order = tuple(sorted(range(amal.n), key=lambda i: amal.labels[i]))
+    ordered = Space(amal.labels, amal.dist, order, d)
     assert validate(ordered) == OK
     pairs = tuple((i, k + i) for i in range(k))
     return ordered, pairs

@@ -273,8 +273,8 @@ def cmd_encode_model(args) -> int:
 
 
 def cmd_check_theory(args) -> int:
-    m = coding.model_encode(_load_set(args.set), _sample_from_arg(args.sample))
-    report = coding.check_theory_T(m)
+    m = coding.model_encode(_load_set(args.set), _sample_from_arg(args.sample), args.budget)
+    report = coding.check_theory_T(m, args.budget)
     _emit({"clauses": _clause_json(report)})
     bad = any(st.status == coding.VIOLATED for st in report.values())
     return EXIT_NO if bad else EXIT_YES
@@ -391,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-theory")
     p.add_argument("--set", required=True)
     p.add_argument("--sample")
+    p.add_argument("--budget", type=int, default=coding.THEORY_BUDGET,
+                   help="table steps, for the encoding and again for the check")
     p.set_defaults(fn=cmd_check_theory)
 
     return ap

@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .dvs import DistanceSet, delta_triangle, make_set
 from .exact import ExactReal, MixedRadicands, parse, rational_between
-from .search import injective_maps
+from .search import BudgetExceeded, injective_maps
 
 
 class CodingError(Exception):
@@ -236,6 +237,17 @@ def ts_isomorphic(s: TriangleStructure, t: TriangleStructure, max_nodes: int = 2
 # ---------------------------------------------------------------------------
 # model coding
 
+# The default limit, in table steps, of model_encode and check_theory_T.
+THEORY_BUDGET = 10 ** 7
+
+
+def _charge(spent: int, steps: int, budget: Optional[int]) -> int:
+    """spent + steps, or BudgetExceeded if that passes the budget."""
+    spent += steps
+    if budget is not None and spent > budget:
+        raise BudgetExceeded(f"the theory tables need more than {budget} steps")
+    return spent
+
 
 @dataclass
 class EncodedModel:
@@ -292,16 +304,18 @@ def default_sample_q(d: DistanceSet, farey_order: int = 8) -> list[Fraction]:
     return sorted(qs)
 
 
-def model_encode(d: DistanceSet, sample_q=None) -> EncodedModel:
+def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_BUDGET) -> EncodedModel:
     """The fragment as a first-order structure: 0, the sup constant, a
     partial addition table, and for each sample rational q the exact
-    table of pairs with q < x/y."""
+    table of pairs with q < x/y.  The |sample| * n^2 cells of those tables
+    are charged against budget before any is built."""
     if sample_q is None:
         sample_q = default_sample_q(d)
     sample_q = sorted(set(Fraction(q) for q in sample_q))
     if not sample_q:
         raise CodingError("sample_q must be nonempty")
     universe = (ExactReal(0),) + d.values
+    _charge(0, len(sample_q) * len(universe) ** 2, budget)
     c = d.cap if d.bounded else ExactReal(0)
     model = EncodedModel(universe, c)
     for i, x in enumerate(universe):
@@ -322,7 +336,37 @@ def model_encode(d: DistanceSet, sample_q=None) -> EncodedModel:
     return model
 
 
-def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
+def _sample_tables(qs) -> tuple[list[tuple[int, int, int]], list[list[tuple[int, int]]]]:
+    """Position tables of the sorted sample: the triples (a, b, c) with
+    qs[a] * qs[b] == qs[c], in (a, b) order, and for each position t the
+    splits (t1, t2) with qs[t1] + qs[t2] == qs[t] and t1 < t.  Built on
+    reduced (numerator, denominator) pairs, so no Fraction is hashed."""
+    frac = [(q.numerator, q.denominator) for q in qs]
+    where = {f: t for t, f in enumerate(frac)}
+    top_n, top_d = frac[-1]
+    triples = []
+    splits = [[] for _ in frac]
+    for a, (na, da) in enumerate(frac):
+        for b, (nb, db) in enumerate(frac):
+            num, den = na * nb, da * db
+            if na > 0 and num * top_d > top_n * den:
+                break  # the products only grow along the row
+            g = gcd(num, den)
+            c = where.get((num // g, den // g))
+            if c is not None:
+                triples.append((a, b, c))
+        for b, (nb, db) in enumerate(frac):
+            num, den = na * db + nb * da, da * db
+            if num * top_d > top_n * den:
+                break
+            g = gcd(num, den)
+            t = where.get((num // g, den // g))
+            if t is not None and a < t:
+                splits[t].append((a, b))
+    return triples, splits
+
+
+def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -> dict[str, ClauseStatus]:
     """Clause-by-clause validation of the model against the finite sample.
 
     Clauses (1)-(6) are checked exhaustively over universe x sample;
@@ -330,12 +374,36 @@ def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
     finite tables.  Clause (7) asks, for every q, for x and y with
     x/y <= q.  It is Satisfied, with the witness for the smallest q, when
     every sample q has one; otherwise its witnesses lie past the finite
-    horizon, so it is reported as not falsifiable.
+    horizon, so it is reported as not falsifiable.  Each clause reports
+    its last violation in loop order.
+
+    The clauses run on int bitmasks that are derived from model.rq on
+    every call, so rq stays the one table: for qs the sorted sample,
+    M[i][j] has bit t set iff (i, j) is in rq[qs[t]], and rows[i][t] has
+    bit j set on the same condition.  Before each block its steps (one
+    per table cell read, or per row of cells read as one mask) are
+    charged against budget, None for no limit; BudgetExceeded when the
+    total passes it.
     """
     report = {}
     qs = sorted(model.rq)
     nz = model.nonzero()
     u = model.universe
+    n, width = len(u), len(qs)
+    spent = _charge(0, width * n * n, budget)
+
+    # the masks; pairs outside the universe get none (a negative index
+    # would alias a slot)
+    M = [[0] * n for _ in range(n)]
+    rows = [[0] * width for _ in range(n)]
+    for t, q in enumerate(qs):
+        bit = 1 << t
+        for i, j in model.rq[q]:
+            if 0 <= i < n and 0 <= j < n:
+                M[i][j] |= bit
+                rows[i][t] |= 1 << j
+    full = (1 << width) - 1
+    nz_bits = ((1 << n) - 1) & ~1
 
     # (1) nothing relates to 0
     status = ClauseStatus(SATISFIED)
@@ -348,80 +416,101 @@ def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
     # (2) cuts are downward closed within the sample; the cut at (x, x) is
     # exactly {q < 1}
     status = ClauseStatus(SATISFIED)
+    below1 = sum(1 << t for t, q in enumerate(qs) if q < 1)
     for i in nz:
+        Mi = M[i]
         for j in nz:
-            cut = [q for q in qs if model.holds(q, i, j)]
-            for q1 in qs:
-                if cut and q1 < max(cut) and not model.holds(q1, i, j):
-                    status = ClauseStatus(VIOLATED, (q1, i, j))
-            if len(cut) == len(qs):
+            m = Mi[j]
+            holes = ~m & ((1 << (m.bit_length() - 1)) - 1) if m else 0
+            if holes:
+                status = ClauseStatus(VIOLATED, (qs[holes.bit_length() - 1], i, j))
+            if m == full:
                 status = ClauseStatus(VIOLATED, ("full cut", i, j))
-        for q in qs:
-            if model.holds(q, i, i) != (q < 1):
-                status = ClauseStatus(VIOLATED, ("unit cut", q, i))
+        wrong = Mi[i] ^ below1
+        if wrong:
+            status = ClauseStatus(VIOLATED, ("unit cut", qs[wrong.bit_length() - 1], i))
     report["2"] = status
 
     # (3) distinct elements give distinct cuts against every y
+    spent = _charge(spent, n * n * n, budget)
     status = ClauseStatus(SATISFIED)
     for i, i2 in itertools.combinations(nz, 2):
+        Mi, Mi2 = M[i], M[i2]
         for j in nz:
-            if all(model.holds(q, i, j) == model.holds(q, i2, j) for q in qs):
+            if Mi[j] == Mi2[j]:
                 status = ClauseStatus(VIOLATED, (i, i2, j))
     report["3"] = status
 
-    # (4) multiplicativity along sample products
+    # (4) multiplicativity along sample products: R_p(x, y) and R_q(y, z)
+    # force R_pq(x, z), and their absence forbids it.  For each x and y
+    # the violating z are one mask.
+    spent = _charge(spent, width * width, budget)
+    triples, splits = _sample_tables(qs) if qs else ([], [])
+    spent = _charge(spent, len(triples) * n * n, budget)
     status = ClauseStatus(SATISFIED)
-    products = [(p, q) for p in qs for q in qs if p * q in model.rq]
-    for p, q in products:
-        pq = p * q
+    for a, b, c in triples:
         for i in nz:
+            row_p, row_pq = rows[i][a], rows[i][c]
             for j in nz:
-                for k in nz:
-                    rp, rq_ = model.holds(p, i, j), model.holds(q, j, k)
-                    rpq = model.holds(pq, i, k)
-                    if rp and rq_ and not rpq:
-                        status = ClauseStatus(VIOLATED, (p, q, i, j, k))
-                    if not rp and not rq_ and rpq:
-                        status = ClauseStatus(VIOLATED, (p, q, i, j, k))
+                if row_p >> j & 1:
+                    bad = rows[j][b] & ~row_pq & nz_bits
+                else:
+                    bad = row_pq & ~rows[j][b] & nz_bits
+                if bad:
+                    status = ClauseStatus(VIOLATED, (qs[a], qs[b], i, j, bad.bit_length() - 1))
     report["4"] = status
 
     # (5) the order is linear with 0 least and agrees with R_1
     status = ClauseStatus(SATISFIED)
     one = Fraction(1)
     if one in model.rq:
+        t1 = qs.index(one)
         for i in nz:
             for j in nz:
                 le = u[i] <= u[j]
-                via_r = (i == j) or model.holds(one, j, i)
+                via_r = (i == j) or bool(M[j][i] >> t1 & 1)
                 if le != via_r:
                     status = ClauseStatus(VIOLATED, (i, j))
     else:
         status = ClauseStatus(NOT_FALSIFIABLE)
     report["5"] = status
 
-    # (6) additivity of cuts: only provable violations are reported
+    # (6) additivity of cuts: only provable violations are reported.  A
+    # sample split q = q1 + q2 with R_q1(x, y) and R_q2(x', y) forces
+    # R_q(x+x', y); for each q the y it is forced but missing at are one
+    # mask, and the last violation is at the largest y, then q.
+    ways = [(t, split) for t, split in enumerate(splits) if split]
+    spent = _charge(spent, len(model.plus) * (n * width + sum(len(s) for _, s in ways)), budget)
     status = ClauseStatus(SATISFIED)
+
+    def rows_of(i):
+        if 0 <= i < n:
+            return rows[i]
+        return [sum(1 << j for j in range(n) if (i, j) in model.rq[q]) for q in qs]
+
     for (i, i2), k in model.plus.items():
-        for j in nz:
-            for q in qs:
-                # any sample split q = q1 + q2 with both parts in the cuts
-                # forces R_q(x+x', y)
-                forced = any(
-                    model.holds(q1, i, j) and (q - q1) in model.rq and model.holds(q - q1, i2, j)
-                    for q1 in qs
-                    if q1 < q
-                )
-                if forced and not model.holds(q, k, j):
-                    status = ClauseStatus(VIOLATED, (q, i, i2, j))
+        left, right, total = rows_of(i), rows_of(i2), rows_of(k)
+        last = None
+        for t, split in ways:
+            forced = 0
+            for t1, t2 in split:
+                forced |= left[t1] & right[t2]
+            bad = forced & ~total[t] & nz_bits
+            if bad and (last is None or bad.bit_length() - 1 >= last[0]):
+                last = (bad.bit_length() - 1, t)
+        if last is not None:
+            status = ClauseStatus(VIOLATED, (qs[last[1]], i, i2, last[0]))
     report["6"] = status
 
     # (7) arbitrarily small elements exist: every sample q has x, y with
     # x/y <= q.  The witness is the one for the smallest q.
-    witnesses = [
-        next(((q, x, i) for i in nz for x in nz if not model.holds(q, x, i)), None) for q in qs
-    ]
-    if witnesses and None not in witnesses:
-        report["7"] = ClauseStatus(SATISFIED, witnesses[0])
+    common = full
+    for x in nz:
+        for i in nz:
+            common &= M[x][i]
+    if qs and not common:
+        witness = next((qs[0], x, i) for i in nz for x in nz if not M[x][i] & 1)
+        report["7"] = ClauseStatus(SATISFIED, witness)
     else:
         report["7"] = ClauseStatus(NOT_FALSIFIABLE)
     return report

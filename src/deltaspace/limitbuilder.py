@@ -34,6 +34,11 @@ class FragmentNotClosed(BuilderError):
         self.gap = gap
 
 
+class FragmentUnbounded(BuilderError):
+    def __init__(self):
+        super().__init__("fragment unbounded: saturate needs a cap on the sums it creates")
+
+
 class ZNotInDelta(BuilderError):
     def __init__(self, value):
         super().__init__(f"perturbation distance {value} is not in the fragment")
@@ -200,9 +205,12 @@ def saturate(
     re-saturation at the same k adds nothing.  When the point budget runs
     out, the partial result is returned with the skipped extensions
     listed in the report.  Precondition: m is a valid ordered space over
-    d.  d must be closed, else FragmentNotClosed, since the new distances
-    are truncated sums; an unbounded fragment is closed only up to its
-    largest value, so a sum past it still fails realize's final check."""
+    d.  d must be bounded, else FragmentUnbounded: an unbounded fragment
+    is closed only up to its largest value, and a new distance past it
+    would fail realize's final check mid-run.  d must be closed, else
+    FragmentNotClosed, since the new distances are truncated sums."""
+    if not d.bounded:
+        raise FragmentUnbounded()
     if not d.closed:
         raise FragmentNotClosed(validate_closure(d))
     report = ExtensionReport()
@@ -232,9 +240,11 @@ def extend_partial_isometry(
     The image must mirror x's distance-and-order profile over the domain.
     If no point of m fits, a fresh one is adjoined by amalgamating a
     one-point extension of the range over the range.  Precondition: m is
-    a valid space over its fragment m.delta.
+    a valid space over its fragment m.delta; an unordered m is rejected.
     """
-    if not p.is_isometry() or (m.order is not None and not p.order_preserving):
+    if m.order is None:
+        raise BuilderError("space must be ordered")
+    if not p.is_isometry() or not p.order_preserving:
         raise BuilderError("p must be an order-preserving partial isometry")
     dom = p.domain()
     if x in dom:

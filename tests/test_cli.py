@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,28 @@ def test_saturate_rejects_a_non_closed_fragment(tmp_path, capsys):
     d = write_json(tmp_path, "d.json", out)
     m = write_json(tmp_path, "m.json", Space(("a",), ((n1(0),),), (0,)).to_json())
     assert_input_error(capsys, ["saturate", "--space", m, "--delta", d, "-k", "1"], "fragment not closed")
+
+
+def test_saturate_rejects_an_unbounded_fragment(tmp_path, capsys):
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2)]).to_json())
+    m = write_json(tmp_path, "m.json", uniform_space(2, n1(1)).to_json())
+    assert_input_error(capsys, ["saturate", "--space", m, "--delta", d, "-k", "1"], "fragment unbounded")
+
+
+def test_check_theory_budget(tmp_path, capsys):
+    # the closure of a Q(sqrt 2) fragment: 87 values and 4982 sample
+    # rationals, tables far past the default budget
+    code, out = run(capsys, ["gen-dvs", "--alpha", "1/1*sqrt(2)", "--height", "2", "--bound", "3/1"])
+    code, out = run(capsys, ["close", "--set", write_json(tmp_path, "s.json", out), "--bound", "3/1"])
+    assert len(out["values"]) == 87
+    d = write_json(tmp_path, "d.json", out)
+    start = time.perf_counter()
+    code, out = run(capsys, ["check-theory", "--set", d])
+    assert code == 2 and out is None
+    assert time.perf_counter() - start < 20
+    small = write_json(tmp_path, "small.json", make_set([n1(1), n1(2), n1(3)], cap=n1(3)).to_json())
+    code, out = run(capsys, ["check-theory", "--set", small, "--budget", "100"])
+    assert code == 2 and out is None
 
 
 def test_check_arrow_exit_codes(tmp_path, capsys):

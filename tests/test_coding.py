@@ -24,6 +24,7 @@ from deltaspace.coding import (
 )
 from deltaspace.dvs import gen_delta_alpha, make_set, scale
 from deltaspace.exact import ExactReal
+from deltaspace.search import BudgetExceeded
 
 SQRT2 = ExactReal.sqrt(2)
 SQRT3 = ExactReal.sqrt(3)
@@ -196,6 +197,17 @@ def test_theory_T_detects_corruption():
     m.rq[q] = frozenset(m.rq[q] - {pair})
     report = check_theory_T(m)
     assert report["2"].status == VIOLATED or report["4"].status == VIOLATED
+
+
+def test_theory_budget_counts_table_steps():
+    d = make_set(nums(1, 2, 3), cap=ExactReal(3))
+    m = model_encode(d)
+    assert check_theory_T(m, budget=None) == check_theory_T(m)
+    with pytest.raises(BudgetExceeded):
+        model_encode(d, budget=len(m.rq) * 16 - 1)  # |sample| * n^2 cells, n = 4
+    assert model_encode(d, budget=len(m.rq) * 16) == m
+    with pytest.raises(BudgetExceeded):
+        check_theory_T(m, budget=len(m.rq) * 16)  # the masks alone take that much
 
 
 def test_default_sample_separates_surd_ratios():

@@ -11,6 +11,7 @@ from deltaspace.limitbuilder import (
     BuilderError,
     Extension,
     FragmentNotClosed,
+    FragmentUnbounded,
     NoSmallEnoughDelta,
     density_perturb,
     extend_partial_isometry,
@@ -207,6 +208,20 @@ def test_saturate_rejects_a_non_closed_fragment_up_front():
     m = uniform_space(1, n1(1), delta=d)
     with pytest.raises(FragmentNotClosed, match="1/1 and 1/1"):
         saturate(m, d, 1)
+
+
+def test_saturate_rejects_an_unbounded_fragment_up_front():
+    # closed up to its largest value, but a 1-point extension can sit at
+    # 1 and 2 from two points at distance 1, and 1 + 2 is not in it
+    d = make_set([n1(1), n1(2)])
+    with pytest.raises(FragmentUnbounded):
+        saturate(uniform_space(2, n1(1)), d, 1)
+
+
+def test_extend_isometry_rejects_an_unordered_space():
+    m = uniform_space(3, n1(1), ordered=False)
+    with pytest.raises(BuilderError, match="ordered"):
+        extend_partial_isometry(m, PartialIsometry(m, ((0, 1),)), 2)
 
 
 D13 = closed_fragment([n1(1)], n1(3))  # {1, 2, 3}, cap 3

@@ -21,11 +21,17 @@ from .search import BudgetExceeded
 EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
-def _read_json(path: str):
+def _read_json(path: str, kind=dict):
+    """A JSON file, or stdin for "-", whose top level is an object (a
+    set, space or code) or, for kind=list, a list."""
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(sys.stdin)
+    else:
+        with open(path) as fh:
+            obj = json.load(fh)
+    if not isinstance(obj, kind):
+        raise ValueError(f"{path}: expected a JSON {'object' if kind is dict else 'list'}")
+    return obj
 
 
 def _emit(obj) -> None:
@@ -55,6 +61,14 @@ def _load_ordered_space(path: str, delta=None) -> space.Space:
 
 def _load_code(path: str) -> coding.DvsCode:
     return coding.DvsCode.from_json(_read_json(path))
+
+
+def _load_bijection(path: str) -> list:
+    """The value pairs of a bijection file: a JSON list of [x, y] lists."""
+    pairs = _read_json(path, list)
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ValueError(f"{path}: a bijection is a JSON list of [x, y] pairs")
+    return [(parse(a), parse(b)) for a, b in pairs]
 
 
 def _index(i: int, n: int) -> int:
@@ -106,8 +120,7 @@ def cmd_check_triangle(args) -> int:
 def cmd_check_equiv(args) -> int:
     d1, d2 = _load_set(args.d1), _load_set(args.d2)
     if args.bijection:
-        pairs = [(parse(a), parse(b)) for a, b in _read_json(args.bijection)]
-        ok = equiv.triangle_bijection_check(d1, d2, pairs)
+        ok = equiv.triangle_bijection_check(d1, d2, _load_bijection(args.bijection))
         _emit({"fragment_consistent": ok})
         return EXIT_YES if ok else EXIT_NO
     w = equiv.scaling_witness(d1, d2)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .dvs import DistanceSet, delta_triangle, make_set
+from .dvs import DistanceSet, delta_triangle
 from .exact import ExactReal, MixedRadicands, parse, rational_between
 from .search import BudgetExceeded, injective_maps
 
@@ -46,9 +46,6 @@ class DvsCode:
         for v in self.prefix:
             if v.sign() < 0:
                 raise CodingError("entries must be >= 0")
-
-    def positives(self) -> list[ExactReal]:
-        return [v for v in self.prefix if v.sign() > 0]
 
     def zero_indices(self) -> list[int]:
         return [i for i, v in enumerate(self.prefix) if v.is_zero()]
@@ -111,11 +108,6 @@ def encode_dvs(d: DistanceSet) -> DvsCode:
     return DvsCode(tuple(prefix), d.bounded)
 
 
-def decode_dvs(code: DvsCode, cap: Optional[ExactReal] = None) -> DistanceSet:
-    """The positive entries as a sorted fragment (round trip of encode_dvs)."""
-    return make_set(code.positives(), cap)
-
-
 def sim_check(c: DvsCode, d: DvsCode) -> Optional[tuple[tuple[int, ...], ExactReal]]:
     """A prefix permutation g and ratio r with d[g(i)] = r * c[i], or None.
 
@@ -150,11 +142,15 @@ def sim_check(c: DvsCode, d: DvsCode) -> Optional[tuple[tuple[int, ...], ExactRe
     return tuple(g), r
 
 
+# The node budget of the approx_check and ts_isomorphic searches.
+SEARCH_NODES = 2 * 10 ** 6
+
+
 def _triple_ok(a: ExactReal, b: ExactReal, c: ExactReal) -> bool:
     return abs(b - c) <= a <= b + c
 
 
-def approx_check(c: DvsCode, d: DvsCode, max_nodes: int = 2000000) -> Optional[tuple[int, ...]]:
+def approx_check(c: DvsCode, d: DvsCode) -> Optional[tuple[int, ...]]:
     """A prefix permutation preserving the zero pattern and the triangle
     pattern in both directions, or None."""
     n = len(c.prefix)
@@ -177,7 +173,7 @@ def approx_check(c: DvsCode, d: DvsCode, max_nodes: int = 2000000) -> Optional[t
                 return False
         return True
 
-    assign = next(iter(injective_maps(len(cp), lambda pos: dp, consistent, max_nodes)), None)
+    assign = next(iter(injective_maps(len(cp), lambda pos: dp, consistent, SEARCH_NODES)), None)
     if assign is None:
         return None
     g = [-1] * n
@@ -208,7 +204,7 @@ def triangle_structure(d: DistanceSet) -> TriangleStructure:
     return TriangleStructure(vals, frozenset(rel))
 
 
-def ts_isomorphic(s: TriangleStructure, t: TriangleStructure, max_nodes: int = 2000000) -> Optional[tuple[int, ...]]:
+def ts_isomorphic(s: TriangleStructure, t: TriangleStructure) -> Optional[tuple[int, ...]]:
     """A relation-preserving bijection, by backtracking with
     triple-incidence pruning."""
     n = len(s.universe)
@@ -231,7 +227,7 @@ def ts_isomorphic(s: TriangleStructure, t: TriangleStructure, max_nodes: int = 2
                 return False
         return True
 
-    return next(iter(injective_maps(n, candidates, consistent, max_nodes)), None)
+    return next(iter(injective_maps(n, candidates, consistent, SEARCH_NODES)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +255,6 @@ class EncodedModel:
     def nonzero(self) -> list[int]:
         return list(range(1, len(self.universe)))
 
-    def holds(self, q: Fraction, i: int, j: int) -> bool:
-        return (i, j) in self.rq[q]
-
     def to_json(self) -> dict:
         return {
             "universe": [str(v) for v in self.universe],
@@ -274,21 +267,16 @@ class EncodedModel:
         }
 
 
-def farey(order: int) -> list[Fraction]:
-    """All reduced fractions p/q with 1 <= p, q <= order."""
-    out = set()
-    for q in range(1, order + 1):
-        for p in range(1, order + 1):
-            out.add(Fraction(p, q))
-    return sorted(out)
+# The fixed part of every default sample: p/q for 1 <= p, q <= 8.
+SMALL_RATIONALS = frozenset(Fraction(p, q) for p in range(1, 9) for q in range(1, 9))
 
 
-def default_sample_q(d: DistanceSet, farey_order: int = 8) -> list[Fraction]:
-    """Farey fractions plus every rational pairwise ratio of the fragment,
+def default_sample_q(d: DistanceSet) -> list[Fraction]:
+    """SMALL_RATIONALS plus every rational pairwise ratio of the fragment,
     plus a rational separator between each pair of adjacent distinct
     ratios (so that irrational cuts are still told apart), plus an integer
     above the largest ratio when it is irrational."""
-    qs = set(farey(farey_order))
+    qs = set(SMALL_RATIONALS)
     ratios = set()
     for x in d.values:
         for y in d.values:
@@ -307,15 +295,21 @@ def default_sample_q(d: DistanceSet, farey_order: int = 8) -> list[Fraction]:
 def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_BUDGET) -> EncodedModel:
     """The fragment as a first-order structure: 0, the sup constant, a
     partial addition table, and for each sample rational q the exact
-    table of pairs with q < x/y.  The |sample| * n^2 cells of those tables
-    are charged against budget before any is built."""
+    table of pairs with q < x/y.  The sample must be nonempty and
+    positive.  Without one, the default sample's |d|^2 pair ratios are
+    charged against budget before they are computed; the |sample| * n^2
+    cells of the tables are charged before any is built."""
+    spent = 0
     if sample_q is None:
+        spent = _charge(spent, len(d.values) ** 2, budget)
         sample_q = default_sample_q(d)
     sample_q = sorted(set(Fraction(q) for q in sample_q))
     if not sample_q:
         raise CodingError("sample_q must be nonempty")
+    if sample_q[0] <= 0:
+        raise CodingError(f"sample rationals must be positive, not {sample_q[0]}")
     universe = (ExactReal(0),) + d.values
-    _charge(0, len(sample_q) * len(universe) ** 2, budget)
+    _charge(spent, len(sample_q) * len(universe) ** 2, budget)
     c = d.cap if d.bounded else ExactReal(0)
     model = EncodedModel(universe, c)
     for i, x in enumerate(universe):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dvs import DistanceSet, delta_triangle
-from .exact import DivisionByZero, ExactReal, MixedRadicands
+from .exact import ExactReal, MixedRadicands
 
 
 class EquivError(Exception):
@@ -58,22 +58,6 @@ class RatMatrix:
     def __post_init__(self):
         if self.a * self.d - self.b * self.c == 0:
             raise EquivError("matrix must be invertible")
-
-    @staticmethod
-    def identity() -> "RatMatrix":
-        return RatMatrix(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-    def inverse(self) -> "RatMatrix":
-        # GL2 acts projectively, so the unnormalized adjugate suffices
-        return RatMatrix(self.d, -self.b, -self.c, self.a)
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def to_json(self) -> list[str]:
         return [str(v) for v in (self.a, self.b, self.c, self.d)]
@@ -194,38 +178,3 @@ def gl2_equivalent(alpha: ExactReal, beta: ExactReal) -> Gl2Verdict:
         raise AssertionError("constructed witness failed verification")
     return Gl2Verdict(EQUIVALENT, m)
 
-
-def gl2_search(alpha: ExactReal, beta: ExactReal, height: int) -> Optional[RatMatrix]:
-    """Exhaustive oracle: search all matrices with integer entries of
-    absolute value <= height mapping alpha to beta.
-
-    For each bottom row (c, d) the top row is forced: a*alpha + b must
-    equal beta*(c*alpha + d), which pins (a, b) when beta lies in the
-    field of alpha and has no solution at all otherwise (beta*w stays
-    outside Q(sqrt(D)) for every nonzero w in the field).
-    """
-    for c in range(-height, height + 1):
-        for d in range(-height, height + 1):
-            if c == 0 and d == 0:
-                continue
-            den = alpha * c + d
-            if den.is_zero():
-                continue
-            if alpha.d != beta.d:
-                continue  # beta*(c*alpha+d) cannot lie in Q(sqrt(D))
-            rhs = beta * den  # A + B*sqrt(D)
-            a = rhs.b / alpha.b
-            b = rhs.a - a * alpha.a
-            if a.denominator != 1 or b.denominator != 1:
-                continue
-            if abs(a) > height or abs(b) > height:
-                continue
-            if a * Fraction(d) - b * Fraction(c) == 0:
-                continue
-            m = RatMatrix(a, b, Fraction(c), Fraction(d))
-            try:
-                if gl2_apply(m, alpha) == beta:
-                    return m
-            except (PoleAtAlpha, DivisionByZero):
-                continue
-    return None

@@ -84,10 +84,6 @@ class ExactReal:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def rational(p, q=1) -> "ExactReal":
-        return ExactReal(Fraction(p, q))
-
-    @staticmethod
     def sqrt(d: int) -> "ExactReal":
         return ExactReal(0, 1, d)
 

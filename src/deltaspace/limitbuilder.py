@@ -81,35 +81,6 @@ def _distance_vectors(x: Space, d: DistanceSet):
             yield vec
 
 
-def one_point_extensions(x: Space, d: DistanceSet, max_count: int = 100000) -> list[Space]:
-    """All ordered extensions of x by one point with distances in d,
-    one space per (distance vector, order slot)."""
-    if x.order is None and x.n > 0:
-        raise BuilderError("space must be ordered")
-    out = []
-    label = "z"
-    while label in x.labels:
-        label += "'"
-    for vec in _distance_vectors(x, d):
-        for slot in range(x.n + 1):
-            dist = [list(row) + [vec[i]] for i, row in enumerate(x.dist)]
-            dist.append(list(vec) + [ExactReal(0)])
-            order = list(x.order or ())
-            by_rank_pos = slot
-            order = [*order[:by_rank_pos], x.n, *order[by_rank_pos:]]
-            out.append(
-                Space(
-                    x.labels + (label,),
-                    tuple(tuple(r) for r in dist),
-                    tuple(order),
-                    d,
-                )
-            )
-            if len(out) > max_count:
-                raise BudgetExceeded(f"more than {max_count} extensions")
-    return out
-
-
 def _subset_extensions(m: Space, d: DistanceSet, k: int, source_n: Optional[int] = None):
     """All (subset, extension) pairs over <= k-point subsets drawn from
     the first source_n points of m (all of m when None)."""
@@ -241,17 +212,19 @@ def extend_partial_isometry(
     If no point of m fits, a fresh one is adjoined by amalgamating a
     one-point extension of the range over the range.  Precondition: m is
     a valid space over its fragment m.delta; an unordered m is rejected.
+    The back step, enlarging the range to cover a point y, is this step
+    on p.inverse() with x = y, inverted again.
     """
     if m.order is None:
         raise BuilderError("space must be ordered")
     if not p.is_isometry() or not p.order_preserving:
         raise BuilderError("p must be an order-preserving partial isometry")
-    dom = p.domain()
+    dom = [a for a, _ in p.pairs]
     if x in dom:
         raise BuilderError("x already in the domain")
-    rng = tuple(sorted(p.image(a) for a in dom))
     # profile over the range, aligned to sorted range indices
-    pair_for = {p.image(a): a for a in dom}
+    pair_for = {b: a for a, b in p.pairs}
+    rng = tuple(sorted(pair_for))
     ext_dists = tuple(m.dist[x][pair_for[r]] for r in rng)
     # slot: the rank x takes among the domain, transported to the range
     slot = sum(1 for a in dom if m.before(a, x))
@@ -272,14 +245,6 @@ def extend_partial_isometry(
     if not p2.is_isometry():
         raise AssertionError("extension broke the isometry")
     return cur, p2
-
-
-def extend_partial_isometry_back(
-    m: Space, p: PartialIsometry, y: int, max_points: int = 64
-) -> tuple[Space, PartialIsometry]:
-    """The symmetric back step: enlarge p so its range covers y."""
-    cur, q = extend_partial_isometry(m, p.inverse(), y, max_points)
-    return cur, q.inverse()
 
 
 def density_perturb(

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .search import BudgetExceeded, Search, injective_maps
-from .space import Space, copies_of
+from .search import BudgetExceeded, Search
+from .space import Space, copies_of, isomorphisms
 
 
 class RamseyError(Exception):
@@ -129,20 +129,8 @@ def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
 
 
 def automorphisms(x: Space):
-    """All automorphisms of x (identity included), in lexicographic order.
-    A finite chain has only the identity automorphism, so on an ordered
-    space each point's one candidate image is itself."""
-    n = x.n
-    dist = x.dist
-
-    def candidates(i):
-        return (i,) if x.order is not None else range(n)
-
-    def consistent(m, i):
-        j = m[i]
-        return all(dist[i][t] == dist[j][m[t]] for t in range(i))
-
-    return list(injective_maps(n, candidates, consistent))
+    """All automorphisms of x (identity included), in lexicographic order."""
+    return list(isomorphisms(x, x))
 
 
 def is_rigid(x: Space) -> bool:

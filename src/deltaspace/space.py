@@ -42,9 +42,6 @@ class Space:
     def n(self) -> int:
         return len(self.labels)
 
-    def d(self, i: int, j: int) -> ExactReal:
-        return self.dist[i][j]
-
     def rank(self, i: int) -> int:
         """Position of point i in the order (0 = least)."""
         return self.order.index(i)
@@ -70,9 +67,6 @@ class Space:
             by_rank = sorted(pts, key=self.rank)
             order = tuple(pts.index(i) for i in by_rank)
         return Space(tuple(self.labels[i] for i in pts), dist, order, self.delta)
-
-    def relabel(self, labels) -> "Space":
-        return Space(tuple(labels), self.dist, self.order, self.delta)
 
     def with_delta(self, delta: Optional[DistanceSet]) -> "Space":
         return Space(self.labels, self.dist, self.order, delta)
@@ -177,31 +171,31 @@ def _profile(x: Space, i: int):
     return tuple(row)
 
 
-def isomorphic(x: Space, y: Space) -> Optional[tuple[int, ...]]:
-    """A distance-preserving (and order-preserving, when both ordered)
-    bijection as a tuple m with m[i] in y for point i of x, or None.
+def isomorphisms(x: Space, y: Space):
+    """Every distance-preserving (and order-preserving, when both
+    ordered) bijection, as a tuple m with m[i] in y for point i of x, in
+    lexicographic order.
 
     Ordered spaces admit a single candidate: match by order rank.
-    Unordered spaces fall back to backtracking with distance-profile
+    Unordered spaces are searched by backtracking with distance-profile
     pruning.
     """
-    if x.n != y.n:
-        return None
-    if (x.order is None) != (y.order is None):
-        return None
+    if x.n != y.n or (x.order is None) != (y.order is None):
+        return
     if x.order is not None:
         m = [0] * x.n
         for r in range(x.n):
             m[x.order[r]] = y.order[r]
         for i, j in itertools.combinations(range(x.n), 2):  # valid spaces are symmetric
             if x.dist[i][j] != y.dist[m[i]][m[j]]:
-                return None
-        return tuple(m)
+                return
+        yield tuple(m)
+        return
     # unordered: backtracking with per-point distance multiset pruning
     px = [_profile(x, i) for i in range(x.n)]
     py = [_profile(y, i) for i in range(y.n)]
     if sorted(px) != sorted(py):
-        return None
+        return
     n = x.n
 
     def candidates(i):
@@ -211,7 +205,12 @@ def isomorphic(x: Space, y: Space) -> Optional[tuple[int, ...]]:
         j = m[i]
         return all(x.dist[i][k] == y.dist[j][m[k]] for k in range(i))
 
-    return next(iter(injective_maps(n, candidates, consistent)), None)
+    yield from injective_maps(n, candidates, consistent)
+
+
+def isomorphic(x: Space, y: Space) -> Optional[tuple[int, ...]]:
+    """The first isomorphism from x onto y, or None."""
+    return next(isomorphisms(x, y), None)
 
 
 @dataclass(frozen=True)
@@ -224,15 +223,6 @@ class PartialIsometry:
         rng = [q for _, q in self.pairs]
         if len(set(dom)) != len(dom) or len(set(rng)) != len(rng):
             raise SpaceError("partial map must be injective")
-
-    def domain(self) -> list[int]:
-        return [p for p, _ in self.pairs]
-
-    def image(self, i: int) -> Optional[int]:
-        for p, q in self.pairs:
-            if p == i:
-                return q
-        return None
 
     def is_isometry(self) -> bool:
         for (p1, q1), (p2, q2) in itertools.combinations(self.pairs, 2):
@@ -252,21 +242,3 @@ class PartialIsometry:
 
     def inverse(self) -> "PartialIsometry":
         return PartialIsometry(self.space, tuple((q, p) for p, q in self.pairs))
-
-
-def periodic_fixed(p: PartialIsometry) -> tuple[set[int], set[int]]:
-    """(Z(p), F(p)): points whose forward orbit stays in the domain and
-    returns, and points fixed outright."""
-    fmap = dict(p.pairs)
-    periodic: set[int] = set()
-    for x in fmap:
-        cur = x
-        for _ in range(len(fmap) + 1):
-            if cur not in fmap:
-                break
-            cur = fmap[cur]
-            if cur == x:
-                periodic.add(x)
-                break
-    fixed = {x for x, y in p.pairs if x == y}
-    return periodic, fixed

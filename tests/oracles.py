@@ -1,14 +1,224 @@
 """Slow reference implementations that the property tests compare against.
 
-Each oracle is a library fast path's predecessor, kept verbatim: it is
-simple enough to check by reading, and slow enough that the library no
-longer uses it.
+Every slow path lives here, each simple enough to check by reading:
+the predecessors of library fast paths (validate's full check, the
+Fraction-pair arithmetic, check_theory_T before the bitmasks),
+brute-force enumerations that use no search code, and gl2_search, an
+exhaustive matrix search.  No library code calls them.
 """
 
 import itertools
 from fractions import Fraction
 
 from deltaspace.coding import NOT_FALSIFIABLE, SATISFIED, VIOLATED, ClauseStatus, EncodedModel
+from deltaspace.equiv import PoleAtAlpha, RatMatrix, gl2_apply
+from deltaspace.exact import DivisionByZero, MixedRadicands, _squarefree_split
+from deltaspace.space import OK, Violation
+
+# -- space --------------------------------------------------------------------
+
+
+def validate(x):
+    """The full check over every ordered triple, kinds in validate's order
+    of precedence; it shares no code with validate."""
+    n = x.n
+    for i in range(n):
+        if not x.dist[i][i].is_zero():
+            return Violation("Diagonal", (i,))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if x.dist[i][j] != x.dist[j][i]:
+                return Violation("Symmetry", (i, j))
+            if x.dist[i][j].sign() <= 0:
+                return Violation("Positivity", (i, j))
+    for i, j, k in itertools.permutations(range(n), 3):
+        if x.dist[i][k] > x.dist[i][j] + x.dist[j][k]:
+            return Violation("Triangle", (i, j, k))
+    if x.delta is not None:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if x.dist[i][j] not in x.delta:
+                    return Violation("NotInDelta", (i, j, x.dist[i][j]))
+    if x.order is not None and sorted(x.order) != list(range(n)):
+        return Violation("BadOrder", tuple(x.order))
+    return OK
+
+
+def preserves_distances(x, y, p):
+    return all(x.dist[i][j] == y.dist[p[i]][p[j]] for i in range(x.n) for j in range(x.n))
+
+
+def preserves_order(x, p):
+    rank = {q: r for r, q in enumerate(x.order)}
+    return all((rank[i] < rank[j]) == (rank[p[i]] < rank[p[j]]) for i in range(x.n) for j in range(x.n))
+
+
+def first_bad_coloring(copies_a, copies_b, k):
+    """The first k-coloring of copies_a, copy 0 pinned to color 0, in
+    which no copy of b is monochromatic, or None."""
+    members = [[ai for ai, t in enumerate(copies_a) if set(t) <= set(bc)] for bc in copies_b]
+    for rest in itertools.product(range(k), repeat=len(copies_a) - 1):
+        colors = (0,) + rest
+        if all(len({colors[ai] for ai in ms}) > 1 for ms in members):
+            return colors
+    return None
+
+
+# -- exact: the Fraction-pair formulas of the earlier representation -----------
+#
+# A number is the triple (a, b, d) for a + b*sqrt(d), normalised as the
+# Fraction-based constructor did; ExactReal must agree with it exactly.
+
+def old(a, b=0, d=0):
+    a, b = Fraction(a), Fraction(b)
+    if b == 0:
+        return a, Fraction(0), 0
+    s, m = _squarefree_split(d)
+    if m == 1:
+        return a + b * s, Fraction(0), 0
+    return a, b * s, m
+
+
+def old_radicand(x, y):
+    if x[2] and y[2] and x[2] != y[2]:
+        raise MixedRadicands
+    return x[2] or y[2]
+
+
+def old_add(x, y):
+    return old(x[0] + y[0], x[1] + y[1], old_radicand(x, y))
+
+
+def old_neg(x):
+    return old(-x[0], -x[1], x[2])
+
+
+def old_mul(x, y):
+    d = old_radicand(x, y)
+    return old(x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0], d)
+
+
+def old_inverse(x):
+    a, b, d = x
+    if b == 0:
+        return old(1 / a)
+    norm = a * a - b * b * d
+    return old(a / norm, -b / norm, d)
+
+
+def old_sign(x):
+    a, b, d = x
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * d
+    if a > 0:
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
+
+
+def old_compare(x, y):
+    return old_sign(old_add(x, old_neg(y)))
+
+
+# -- equiv ----------------------------------------------------------------------
+
+def identity_matrix():
+    return RatMatrix(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+
+
+def matrix_inverse(m):
+    # GL2 acts projectively, so the unnormalized adjugate suffices
+    return RatMatrix(m.d, -m.b, -m.c, m.a)
+
+
+def matrix_product(m, n):
+    return RatMatrix(
+        m.a * n.a + m.b * n.c,
+        m.a * n.b + m.b * n.d,
+        m.c * n.a + m.d * n.c,
+        m.c * n.b + m.d * n.d,
+    )
+
+
+def gl2_search(alpha, beta, height):
+    """Exhaustive search of all matrices with integer entries of absolute
+    value <= height mapping alpha to beta.
+
+    For each bottom row (c, d) the top row is forced: a*alpha + b must
+    equal beta*(c*alpha + d), which pins (a, b) when beta lies in the
+    field of alpha and has no solution at all otherwise (beta*w stays
+    outside Q(sqrt(D)) for every nonzero w in the field).
+    """
+    for c in range(-height, height + 1):
+        for d in range(-height, height + 1):
+            if c == 0 and d == 0:
+                continue
+            den = alpha * c + d
+            if den.is_zero():
+                continue
+            if alpha.d != beta.d:
+                continue  # beta*(c*alpha+d) cannot lie in Q(sqrt(D))
+            rhs = beta * den  # A + B*sqrt(D)
+            a = rhs.b / alpha.b
+            b = rhs.a - a * alpha.a
+            if a.denominator != 1 or b.denominator != 1:
+                continue
+            if abs(a) > height or abs(b) > height:
+                continue
+            if a * Fraction(d) - b * Fraction(c) == 0:
+                continue
+            m = RatMatrix(a, b, Fraction(c), Fraction(d))
+            try:
+                if gl2_apply(m, alpha) == beta:
+                    return m
+            except (PoleAtAlpha, DivisionByZero):
+                continue
+    return None
+
+
+# -- coding -------------------------------------------------------------------
+
+def _triangle(a, b, c):
+    return abs(b - c) <= a <= b + c
+
+
+def approx_check(c1, c2):
+    """The first permutation, in index order over the positives, that keeps
+    zeros on zeros (in order) and the triangle pattern of every triple."""
+    u = [Fraction(v.a) for v in c1.prefix]
+    w = [Fraction(v.a) for v in c2.prefix]
+    if len(u) != len(w):
+        return None
+    uz, wz = [i for i, v in enumerate(u) if v == 0], [i for i, v in enumerate(w) if v == 0]
+    up, wp = [i for i, v in enumerate(u) if v > 0], [i for i, v in enumerate(w) if v > 0]
+    if len(uz) != len(wz):
+        return None
+    for images in itertools.permutations(wp):
+        g = dict(zip(uz, wz))
+        g.update(zip(up, images))
+        if all(_triangle(u[a], u[b], u[c]) == _triangle(w[g[a]], w[g[b]], w[g[c]])
+               for a, b, c in itertools.product(up, repeat=3)):
+            return tuple(g[i] for i in range(len(u)))
+    return None
+
+
+def ts_isomorphic(s, t):
+    """The first permutation, in lexicographic order, that maps s's
+    relation exactly onto t's, or None."""
+    n = len(s.universe)
+    if n != len(t.universe):
+        return None
+    for p in itertools.permutations(range(n)):
+        if all(((a, b, c) in s.relation) == ((p[a], p[b], p[c]) in t.relation)
+               for a, b, c in itertools.product(range(n), repeat=3)):
+            return p
+    return None
 
 
 def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
@@ -39,14 +249,14 @@ def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
     status = ClauseStatus(SATISFIED)
     for i in nz:
         for j in nz:
-            cut = [q for q in qs if model.holds(q, i, j)]
+            cut = [q for q in qs if (i, j) in model.rq[q]]
             for q1 in qs:
-                if cut and q1 < max(cut) and not model.holds(q1, i, j):
+                if cut and q1 < max(cut) and (i, j) not in model.rq[q1]:
                     status = ClauseStatus(VIOLATED, (q1, i, j))
             if len(cut) == len(qs):
                 status = ClauseStatus(VIOLATED, ("full cut", i, j))
         for q in qs:
-            if model.holds(q, i, i) != (q < 1):
+            if ((i, i) in model.rq[q]) != (q < 1):
                 status = ClauseStatus(VIOLATED, ("unit cut", q, i))
     report["2"] = status
 
@@ -54,7 +264,7 @@ def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
     status = ClauseStatus(SATISFIED)
     for i, i2 in itertools.combinations(nz, 2):
         for j in nz:
-            if all(model.holds(q, i, j) == model.holds(q, i2, j) for q in qs):
+            if all(((i, j) in model.rq[q]) == ((i2, j) in model.rq[q]) for q in qs):
                 status = ClauseStatus(VIOLATED, (i, i2, j))
     report["3"] = status
 
@@ -66,8 +276,8 @@ def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
         for i in nz:
             for j in nz:
                 for k in nz:
-                    rp, rq_ = model.holds(p, i, j), model.holds(q, j, k)
-                    rpq = model.holds(pq, i, k)
+                    rp, rq_ = (i, j) in model.rq[p], (j, k) in model.rq[q]
+                    rpq = (i, k) in model.rq[pq]
                     if rp and rq_ and not rpq:
                         status = ClauseStatus(VIOLATED, (p, q, i, j, k))
                     if not rp and not rq_ and rpq:
@@ -81,7 +291,7 @@ def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
         for i in nz:
             for j in nz:
                 le = u[i] <= u[j]
-                via_r = (i == j) or model.holds(one, j, i)
+                via_r = (i == j) or (j, i) in model.rq[one]
                 if le != via_r:
                     status = ClauseStatus(VIOLATED, (i, j))
     else:
@@ -96,18 +306,18 @@ def check_theory_T(model: EncodedModel) -> dict[str, ClauseStatus]:
                 # any sample split q = q1 + q2 with both parts in the cuts
                 # forces R_q(x+x', y)
                 forced = any(
-                    model.holds(q1, i, j) and (q - q1) in model.rq and model.holds(q - q1, i2, j)
+                    (i, j) in model.rq[q1] and (q - q1) in model.rq and (i2, j) in model.rq[q - q1]
                     for q1 in qs
                     if q1 < q
                 )
-                if forced and not model.holds(q, k, j):
+                if forced and (k, j) not in model.rq[q]:
                     status = ClauseStatus(VIOLATED, (q, i, i2, j))
     report["6"] = status
 
     # (7) arbitrarily small elements exist: every sample q has x, y with
     # x/y <= q.  The witness is the one for the smallest q.
     witnesses = [
-        next(((q, x, i) for i in nz for x in nz if not model.holds(q, x, i)), None) for q in qs
+        next(((q, x, i) for i in nz for x in nz if (x, i) not in model.rq[q]), None) for q in qs
     ]
     if witnesses and None not in witnesses:
         report["7"] = ClauseStatus(SATISFIED, witnesses[0])

@@ -27,7 +27,6 @@ from deltaspace.equiv import (
     INEQUIVALENT,
     gl2_apply,
     gl2_equivalent,
-    gl2_search,
     linearity_check,
     scaling_witness,
 )
@@ -40,6 +39,7 @@ from deltaspace.limitbuilder import (
 )
 from deltaspace.ramsey import FAILS, HOLDS, arrow, automorphisms, is_rigid, verify_bad_coloring
 from deltaspace.space import OK, PartialIsometry, Space, uniform_space, validate
+from oracles import gl2_search
 from util import closed_fragment, doubled_space, extend_with_random_points, random_space
 
 SQRT2 = ExactReal.sqrt(2)
@@ -197,7 +197,7 @@ def test_criterion_07_back_and_forth():
         base_dist = m.dist
         cur, p = m, PartialIsometry(m, pairs)
         for _ in range(5):
-            candidates = [x for x in range(cur.n) if x not in p.domain()]
+            candidates = [x for x in range(cur.n) if x not in dict(p.pairs)]
             if not candidates:
                 break
             prev_pairs = p.pairs

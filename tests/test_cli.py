@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from deltaspace import coding
 from deltaspace.cli import main
 from deltaspace.dvs import DistanceSet, make_set
 from deltaspace.exact import ExactReal
@@ -233,13 +234,17 @@ def test_saturate_rejects_an_unbounded_fragment(tmp_path, capsys):
     assert_input_error(capsys, ["saturate", "--space", m, "--delta", d, "-k", "1"], "fragment unbounded")
 
 
-def test_check_theory_budget(tmp_path, capsys):
-    # the closure of a Q(sqrt 2) fragment: 87 values and 4982 sample
-    # rationals, tables far past the default budget
+def write_surd_closure(tmp_path, capsys):
+    """The closure of a Q(sqrt 2) fragment: 87 values and 4982 sample
+    rationals, tables far past the default budget."""
     code, out = run(capsys, ["gen-dvs", "--alpha", "1/1*sqrt(2)", "--height", "2", "--bound", "3/1"])
     code, out = run(capsys, ["close", "--set", write_json(tmp_path, "s.json", out), "--bound", "3/1"])
     assert len(out["values"]) == 87
-    d = write_json(tmp_path, "d.json", out)
+    return write_json(tmp_path, "d.json", out)
+
+
+def test_check_theory_budget(tmp_path, capsys):
+    d = write_surd_closure(tmp_path, capsys)
     start = time.perf_counter()
     code, out = run(capsys, ["check-theory", "--set", d])
     assert code == 2 and out is None
@@ -247,6 +252,56 @@ def test_check_theory_budget(tmp_path, capsys):
     small = write_json(tmp_path, "small.json", make_set([n1(1), n1(2), n1(3)], cap=n1(3)).to_json())
     code, out = run(capsys, ["check-theory", "--set", small, "--budget", "100"])
     assert code == 2 and out is None
+
+
+def test_check_theory_budget_stops_before_the_default_sample(tmp_path, capsys, monkeypatch):
+    d = write_surd_closure(tmp_path, capsys)
+
+    def unreachable(*args):
+        raise RuntimeError("default_sample_q was called")
+
+    monkeypatch.setattr(coding, "default_sample_q", unreachable)
+    code, out = run(capsys, ["check-theory", "--set", d, "--budget", "1000"])
+    assert code == 2 and out is None  # 87^2 pair ratios exceed 1000 steps
+
+
+def test_check_theory_rejects_a_non_positive_sample(tmp_path, capsys):
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2)], cap=n1(2)).to_json())
+    for sample in ("0,1", "-1/2", "1,-3"):
+        assert_input_error(capsys, ["check-theory", "--set", d, f"--sample={sample}"], "must be positive")
+    # a lone 1 is a legitimate sample: every cut at (x, x) is full
+    code, out = run(capsys, ["check-theory", "--set", d, "--sample=1"])
+    assert code == 1 and out["clauses"]["2"]["status"] == "Violated"
+
+
+@pytest.mark.parametrize("top", [[], ["1/1"], "1/1", 3, None], ids=repr)
+def test_non_object_json_is_rejected(tmp_path, capsys, top):
+    bad = write_json(tmp_path, "bad.json", top)
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2)]).to_json())
+    c = write_json(tmp_path, "c.json", {"prefix": ["0/1", "1/1"]})
+    for argv in (
+        ["encode-code", "--set", bad],
+        ["check-rigid", "--space", bad],
+        ["check-code", "--code", bad],
+        ["check-sim", "--c1", bad, "--c2", c],
+        ["check-sim", "--c1", c, "--c2", bad],
+        ["check-approx", "--c1", c, "--c2", bad],
+        ["check-equiv", "--d1", d, "--d2", bad],
+    ):
+        assert_input_error(capsys, argv, "expected a JSON object")
+
+
+@pytest.mark.parametrize("pairs, text", [
+    ([1], "list of [x, y] pairs"),
+    ([["1/1"]], "list of [x, y] pairs"),
+    ([["1/1", "2/1", "3/1"]], "list of [x, y] pairs"),
+    ("ab", "expected a JSON list"),
+    ({"1/1": "2/1"}, "expected a JSON list"),
+], ids=repr)
+def test_malformed_bijection_is_rejected(tmp_path, capsys, pairs, text):
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2)]).to_json())
+    b = write_json(tmp_path, "b.json", pairs)
+    assert_input_error(capsys, ["check-equiv", "--d1", d, "--d2", d, "--bijection", b], text)
 
 
 def test_check_arrow_exit_codes(tmp_path, capsys):

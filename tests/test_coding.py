@@ -13,7 +13,6 @@ from deltaspace.coding import (
     DvsCode,
     approx_check,
     check_theory_T,
-    decode_dvs,
     default_sample_q,
     encode_dvs,
     model_encode,
@@ -73,7 +72,9 @@ def test_encode_dvs_interleaves_zeros():
 
 def test_encode_decode_round_trip():
     d = make_set(nums(Fraction(1, 2), 1, 3), cap=ExactReal(3))
-    assert decode_dvs(encode_dvs(d), d.cap).values == d.values
+    c = encode_dvs(d)
+    assert c.prefix[1::2] == d.values and all(v.is_zero() for v in c.prefix[::2])
+    assert c.bounded
 
 
 def test_sim_check_identity_scaling():
@@ -146,16 +147,24 @@ def test_triangle_structure_incidence_mismatch():
 def test_model_rq_is_strict():
     m = model_encode(make_set(nums(1, 2)), [Fraction(1, 2), Fraction(1), Fraction(2)])
     # universe: 0, 1, 2 at indices 0, 1, 2
-    assert not m.holds(Fraction(1, 2), 1, 2)  # 1/2 < 1/2 fails
-    assert m.holds(Fraction(1, 2), 2, 1)  # 1/2 < 2
-    assert not m.holds(Fraction(2), 2, 1)  # 2 < 2 fails
+    assert (1, 2) not in m.rq[Fraction(1, 2)]  # 1/2 < 1/2 fails
+    assert (2, 1) in m.rq[Fraction(1, 2)]  # 1/2 < 2
+    assert (2, 1) not in m.rq[Fraction(2)]  # 2 < 2 fails
 
 
 def test_model_unit_cut():
     m = model_encode(make_set(nums(1, 2, 3)))
     for i in m.nonzero():
         for q in m.rq:
-            assert m.holds(q, i, i) == (q < 1)
+            assert ((i, i) in m.rq[q]) == (q < 1)
+
+
+def test_model_sample_must_be_positive():
+    d = make_set(nums(1, 2))
+    for sample in ([Fraction(0), Fraction(1)], [Fraction(-1, 2)], []):
+        with pytest.raises(CodingError):
+            model_encode(d, sample)
+    assert sorted(model_encode(d, [Fraction(1)]).rq) == [Fraction(1)]
 
 
 def test_theory_T_satisfied_on_clean_models():
@@ -203,9 +212,13 @@ def test_theory_budget_counts_table_steps():
     d = make_set(nums(1, 2, 3), cap=ExactReal(3))
     m = model_encode(d)
     assert check_theory_T(m, budget=None) == check_theory_T(m)
+    # |d|^2 pair ratios for the default sample, then |sample| * n^2 cells, n = 4
     with pytest.raises(BudgetExceeded):
-        model_encode(d, budget=len(m.rq) * 16 - 1)  # |sample| * n^2 cells, n = 4
-    assert model_encode(d, budget=len(m.rq) * 16) == m
+        model_encode(d, budget=9 + len(m.rq) * 16 - 1)
+    assert model_encode(d, budget=9 + len(m.rq) * 16) == m
+    with pytest.raises(BudgetExceeded):
+        model_encode(d, budget=8)  # before the default sample is computed
+    assert model_encode(d, sorted(m.rq), budget=len(m.rq) * 16) == m
     with pytest.raises(BudgetExceeded):
         check_theory_T(m, budget=len(m.rq) * 16)  # the masks alone take that much
 

@@ -16,6 +16,7 @@ from deltaspace.exact import (
     parse,
     rational_between,
 )
+from oracles import old, old_add, old_compare, old_inverse, old_mul, old_neg, old_sign
 
 SQRT2 = ExactReal.sqrt(2)
 
@@ -149,67 +150,8 @@ def test_field_axioms_on_random_triples():
             assert (a * b) / b == a
 
 
-# -- oracle: the Fraction-pair formulas of the earlier representation ------
-#
-# A number is the triple (a, b, d) for a + b*sqrt(d), normalised as the
-# Fraction-based constructor did; ExactReal must agree with it exactly.
-
-def old(a, b=0, d=0):
-    a, b = Fraction(a), Fraction(b)
-    if b == 0:
-        return a, Fraction(0), 0
-    s, m = _squarefree_split(d)
-    if m == 1:
-        return a + b * s, Fraction(0), 0
-    return a, b * s, m
-
-
-def old_radicand(x, y):
-    if x[2] and y[2] and x[2] != y[2]:
-        raise MixedRadicands
-    return x[2] or y[2]
-
-
-def old_add(x, y):
-    return old(x[0] + y[0], x[1] + y[1], old_radicand(x, y))
-
-
-def old_neg(x):
-    return old(-x[0], -x[1], x[2])
-
-
-def old_mul(x, y):
-    d = old_radicand(x, y)
-    return old(x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0], d)
-
-
-def old_inverse(x):
-    a, b, d = x
-    if b == 0:
-        return old(1 / a)
-    norm = a * a - b * b * d
-    return old(a / norm, -b / norm, d)
-
-
-def old_sign(x):
-    a, b, d = x
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs, rhs = a * a, b * b * d
-    if a > 0:
-        return (lhs > rhs) - (lhs < rhs)
-    return (rhs > lhs) - (rhs < lhs)
-
-
-def old_compare(x, y):
-    return old_sign(old_add(x, old_neg(y)))
-
+# -- cross-checks against the Fraction-pair formulas of the earlier
+# representation (tests/oracles.py)
 
 def components(x: ExactReal):
     return x.a, x.b, x.d

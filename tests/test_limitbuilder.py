@@ -15,9 +15,7 @@ from deltaspace.limitbuilder import (
     NoSmallEnoughDelta,
     density_perturb,
     extend_partial_isometry,
-    extend_partial_isometry_back,
     extension_property_check,
-    one_point_extensions,
     realize,
     saturate,
 )
@@ -32,19 +30,23 @@ def n1(v):
 D12 = make_set([n1(1), n1(2)], cap=n1(2))
 
 
+# The one-point extensions of a whole space are those that
+# extension_property_check enumerates at k = n on top of the ones at k = n-1.
+
 def test_one_point_extensions_of_empty():
     empty = Space((), (), (), D12)
-    outs = one_point_extensions(empty, D12)
-    assert len(outs) == 1
-    assert outs[0].n == 1
+    report = extension_property_check(empty, D12, 0)
+    assert report.checked == 1
+    assert [realize(empty, ext, D12).n for ext in report.unrealized] == [1]
 
 
 def test_one_point_extensions_single_point():
     x = uniform_space(1, n1(1), delta=D12)
-    outs = one_point_extensions(x, D12)
-    assert len(outs) == 4  # 2 distances x 2 order slots
-    for out in outs:
-        assert validate(out) == OK
+    report = extension_property_check(x, D12, 1)
+    assert report.checked == 1 + 4  # the empty subset; 2 distances x 2 order slots
+    assert len(report.unrealized) == 4  # the one point cannot realize itself
+    for ext in report.unrealized:
+        assert validate(realize(x, ext, D12)) == OK
 
 
 def test_one_point_extensions_triangle_filter():
@@ -52,8 +54,8 @@ def test_one_point_extensions_triangle_filter():
     # admissible vector is (1, 1), since |1-1| <= 2 <= 1+1
     d1 = make_set([n1(1)], cap=n1(1))
     x = uniform_space(2, n1(2))
-    outs = one_point_extensions(x, d1)
-    assert len(outs) == 3  # the single vector (1, 1) in each of 3 slots
+    pairs = extension_property_check(x, d1, 2).checked - extension_property_check(x, d1, 1).checked
+    assert pairs == 3  # the single vector (1, 1) in each of 3 slots
 
 
 def test_extension_check_unrealized():
@@ -123,7 +125,7 @@ def test_extend_isometry_identity_profile():
     m = random_space(rng, 4, D12)
     p = PartialIsometry(m, ((0, 0), (1, 1)))
     m2, p2 = extend_partial_isometry(m, p, 2)
-    assert p2.image(2) is not None
+    assert 2 in dict(p2.pairs)
     assert p2.is_isometry() and p2.order_preserving
     assert m2.n == m.n  # some existing point realizes the profile
 
@@ -134,7 +136,7 @@ def test_extend_isometry_adds_point():
     m2, p2 = extend_partial_isometry(m, p, 1)
     # the image must sit above point 1 at distance 1; no such point exists
     assert m2.n == 3
-    y = p2.image(1)
+    y = dict(p2.pairs)[1]
     assert m2.dist[1][y] == n1(1)
     assert m2.before(1, y)
     assert p2.is_isometry() and p2.order_preserving
@@ -143,7 +145,8 @@ def test_extend_isometry_adds_point():
 def test_extend_isometry_back_step():
     m = make_space("ab", {(0, 1): n1(1)}, order=(0, 1), delta=D12)
     p = PartialIsometry(m, ((0, 1),))
-    m2, p2 = extend_partial_isometry_back(m, p, 0)
+    m2, q = extend_partial_isometry(m, p.inverse(), 0)
+    p2 = q.inverse()
     assert 0 in [q for _, q in p2.pairs]
     assert p2.is_isometry() and p2.order_preserving
 
@@ -158,7 +161,7 @@ def test_extend_isometry_random_battery():
         base_dist = m.dist
         cur, q = m, p
         for _ in range(2):
-            candidates = [x for x in range(cur.n) if x not in q.domain()]
+            candidates = [x for x in range(cur.n) if x not in dict(q.pairs)]
             if not candidates:
                 break
             cur, q = extend_partial_isometry(cur, q, rng.choice(candidates))

@@ -1,5 +1,5 @@
 """The backtracking engine, and cross-checks of every search built on it
-against brute-force enumeration (the oracles below use no search code)."""
+against brute-force enumeration (tests/oracles.py, no search code)."""
 
 import itertools
 from fractions import Fraction
@@ -14,6 +14,8 @@ from deltaspace.exact import ExactReal
 from deltaspace.ramsey import FAILS, HOLDS, arrow, automorphisms
 from deltaspace.search import BudgetExceeded, Search, injective_maps
 from deltaspace.space import Space, copies_of, isomorphic, make_space
+
+import oracles
 
 
 def product_search(n, k, budget=None):
@@ -66,7 +68,7 @@ def test_injective_maps_are_the_permutations():
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# cross-checks against the brute-force oracles
 
 ONE, TWO = ExactReal(1), ExactReal(2)
 
@@ -80,15 +82,6 @@ def spaces(draw, min_n=0, max_n=6, ordered=None):
         ordered = draw(st.booleans())
     order = draw(st.permutations(range(n))) if ordered else None
     return make_space([f"p{i}" for i in range(n)], dists, order)
-
-
-def preserves_distances(x, y, p):
-    return all(x.dist[i][j] == y.dist[p[i]][p[j]] for i in range(x.n) for j in range(x.n))
-
-
-def preserves_order(x, p):
-    rank = {q: r for r, q in enumerate(x.order)}
-    return all((rank[i] < rank[j]) == (rank[p[i]] < rank[p[j]]) for i in range(x.n) for j in range(x.n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -107,7 +100,7 @@ def test_unordered_isomorphic_matches_brute_force(x, data):
         dist[a][b] = dist[b][a] = dist[c][e] = dist[e][c] = TWO
         dist[a][c] = dist[c][a] = dist[b][e] = dist[e][b] = ONE
     y = Space(x.labels, tuple(tuple(row) for row in dist))
-    valid = [p for p in itertools.permutations(range(x.n)) if preserves_distances(x, y, p)]
+    valid = [p for p in itertools.permutations(range(x.n)) if oracles.preserves_distances(x, y, p)]
     assert isomorphic(x, y) == (valid[0] if valid else None)
 
 
@@ -129,7 +122,7 @@ def test_isomorphic_equal_profiles_not_isomorphic():
 def test_automorphisms_match_brute_force(x):
     expected = [
         p for p in itertools.permutations(range(x.n))
-        if preserves_distances(x, x, p) and (x.order is None or preserves_order(x, p))
+        if oracles.preserves_distances(x, x, p) and (x.order is None or oracles.preserves_order(x, p))
     ]
     assert automorphisms(x) == expected
 
@@ -145,19 +138,7 @@ def test_ts_isomorphic_matches_brute_force(d1, data):
     # a scaled copy has the same triangle structure
     d2 = data.draw(st.one_of(fragments, st.integers(1, 3).map(lambda r: make_set([v * r for v in d1.values]))))
     s, t = triangle_structure(d1), triangle_structure(d2)
-    n = len(s.universe)
-    expected = None
-    if n == len(t.universe):
-        for p in itertools.permutations(range(n)):
-            if all(((a, b, c) in s.relation) == ((p[a], p[b], p[c]) in t.relation)
-                   for a, b, c in itertools.product(range(n), repeat=3)):
-                expected = p
-                break
-    assert ts_isomorphic(s, t) == expected
-
-
-def triangle(a, b, c):
-    return abs(b - c) <= a <= b + c
+    assert ts_isomorphic(s, t) == oracles.ts_isomorphic(s, t)
 
 
 codes = st.lists(st.integers(0, 9), min_size=0, max_size=5).map(
@@ -165,32 +146,12 @@ codes = st.lists(st.integers(0, 9), min_size=0, max_size=5).map(
 )
 
 
-def approx_oracle(c1, c2):
-    """The first permutation, in index order over the positives, that keeps
-    zeros on zeros (in order) and the triangle pattern of every triple."""
-    u = [Fraction(v.a) for v in c1.prefix]
-    w = [Fraction(v.a) for v in c2.prefix]
-    if len(u) != len(w):
-        return None
-    uz, wz = [i for i, v in enumerate(u) if v == 0], [i for i, v in enumerate(w) if v == 0]
-    up, wp = [i for i, v in enumerate(u) if v > 0], [i for i, v in enumerate(w) if v > 0]
-    if len(uz) != len(wz):
-        return None
-    for images in itertools.permutations(wp):
-        g = dict(zip(uz, wz))
-        g.update(zip(up, images))
-        if all(triangle(u[a], u[b], u[c]) == triangle(w[g[a]], w[g[b]], w[g[c]])
-               for a, b, c in itertools.product(up, repeat=3)):
-            return tuple(g[i] for i in range(len(u)))
-    return None
-
-
 @settings(max_examples=200, deadline=None)
 @given(codes, st.data())
 def test_approx_check_matches_brute_force(c1, data):
     shuffled = st.permutations(c1.prefix).map(lambda vs: DvsCode(tuple(vs)))
     c2 = data.draw(st.one_of(codes, shuffled))
-    assert approx_check(c1, c2) == approx_oracle(c1, c2)
+    assert approx_check(c1, c2) == oracles.approx_check(c1, c2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -199,14 +160,8 @@ def test_arrow_matches_brute_force(c, k, data):
     bpts = data.draw(st.lists(st.integers(0, c.n - 1), min_size=1, max_size=min(c.n, 4), unique=True))
     b = c.induced(bpts)
     a = b.induced(data.draw(st.lists(st.integers(0, b.n - 1), min_size=1, max_size=b.n, unique=True)))
-    copies_a, copies_b = copies_of(c, a), copies_of(c, b)
-    members = [[ai for ai, t in enumerate(copies_a) if set(t) <= set(bc)] for bc in copies_b]
-    first_bad = None
-    for rest in itertools.product(range(k), repeat=len(copies_a) - 1):
-        colors = (0,) + rest  # copy 0 pinned to color 0
-        if all(len({colors[ai] for ai in ms}) > 1 for ms in members):
-            first_bad = colors
-            break
+    copies_a = copies_of(c, a)
+    first_bad = oracles.first_bad_coloring(copies_a, copies_of(c, b), k)
     verdict = arrow(c, b, a, k)
     if first_bad is None:
         assert verdict.status == HOLDS

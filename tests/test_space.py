@@ -17,10 +17,10 @@ from deltaspace.space import (
     copies_of,
     isomorphic,
     make_space,
-    periodic_fixed,
     uniform_space,
     validate,
 )
+import oracles
 from util import random_space
 
 
@@ -165,24 +165,6 @@ def test_order_preserving_is_derived_not_passed():
         PartialIsometry(uniform_space(3, n1(1)), ((0, 2), (2, 0)), order_preserving=True)
 
 
-def test_periodic_fixed_identity():
-    x = uniform_space(1, n1(1))
-    p = PartialIsometry(x, ((0, 0),))
-    assert periodic_fixed(p) == ({0}, {0})
-
-
-def test_periodic_fixed_two_cycle():
-    x = uniform_space(2, n1(1))
-    p = PartialIsometry(x, ((0, 1), (1, 0)))
-    assert periodic_fixed(p) == ({0, 1}, set())
-
-
-def test_periodic_fixed_chain_exits_domain():
-    x = uniform_space(2, n1(1))
-    p = PartialIsometry(x, ((0, 1),))
-    assert periodic_fixed(p) == (set(), set())
-
-
 def test_json_round_trip():
     rng = random.Random(41)
     d = make_set([n1(1), n1(2)], cap=n1(2))
@@ -190,32 +172,6 @@ def test_json_round_trip():
     assert Space.from_json(x.to_json()) == x
     y = make_space("ab", {(0, 1): n1(1)})
     assert Space.from_json(y.to_json()) == y
-
-
-def _validate_oracle(x):
-    """The full check over every ordered triple, kinds in validate's order
-    of precedence; it shares no code with validate."""
-    n = x.n
-    for i in range(n):
-        if not x.dist[i][i].is_zero():
-            return Violation("Diagonal", (i,))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x.dist[i][j] != x.dist[j][i]:
-                return Violation("Symmetry", (i, j))
-            if x.dist[i][j].sign() <= 0:
-                return Violation("Positivity", (i, j))
-    for i, j, k in itertools.permutations(range(n), 3):
-        if x.dist[i][k] > x.dist[i][j] + x.dist[j][k]:
-            return Violation("Triangle", (i, j, k))
-    if x.delta is not None:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if x.dist[i][j] not in x.delta:
-                    return Violation("NotInDelta", (i, j, x.dist[i][j]))
-    if x.order is not None and sorted(x.order) != list(range(n)):
-        return Violation("BadOrder", tuple(x.order))
-    return OK
 
 
 # in the fragment {1, 2, 3}, out of it, zero, and irrational
@@ -260,7 +216,7 @@ def test_validate_since_agrees_with_the_full_check(xy):
     full = validate(y)
     # complete: x is valid, so only entries touching the new points can fail
     assert validate(y, since=x.n) == full
-    expected = _validate_oracle(y)
+    expected = oracles.validate(y)
     assert (full == OK) == (expected == OK)
     if full != OK:
         assert full.kind == expected.kind

@@ -122,7 +122,7 @@ def _branch(model, key, st_):
         return key, w[0] if isinstance(w[0], str) else "hole"
     if key == "4":
         p, _, i, j, _ = w
-        return key, "product missing" if model.holds(p, i, j) else "product unforced"
+        return key, "product missing" if (i, j) in model.rq[p] else "product unforced"
     return key, VIOLATED
 
 

@@ -94,7 +94,8 @@ def doubled_space(rng, k, d: DistanceSet):
     labels interleave so that both copies carry the same relative order.
     """
     core = random_space(rng, k, d, ordered=False)
-    amal = free_amalgam(core, core.relabel(tuple(f"p{i}'" for i in range(k))), [])
+    copy = Space(tuple(f"p{i}'" for i in range(k)), core.dist)
+    amal = free_amalgam(core, copy, [])
     if d.bounded:
         amal = cap_distances(amal, d.cap)
     order = tuple(sorted(range(amal.n), key=lambda i: amal.labels[i]))

@@ -10,6 +10,7 @@ verdict.  All numbers use the bit-exact text grammar of the exact module.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -166,13 +167,14 @@ def cmd_check_extension(args) -> int:
     d = _load_set(args.delta)
     m = _load_ordered_space(args.space, d)
     report = limitbuilder.extension_property_check(m, d, args.k, args.max_pairs)
+    text = {v: str(v) for v in d.values}  # every extension distance is a fragment value
     _emit(
         {
             "checked": report.checked,
             "unrealized": [
                 {
                     "subset": list(e.subset),
-                    "dists": [str(v) for v in e.dists],
+                    "dists": [text[v] for v in e.dists],
                     "slot": e.slot,
                 }
                 for e in report.unrealized
@@ -293,7 +295,10 @@ def cmd_check_theory(args) -> int:
     return EXIT_NO if bad else EXIT_YES
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs
+    about forty times as much as one parse."""
     ap = argparse.ArgumentParser(prog="deltaspace")
     sub = ap.add_subparsers(dest="verb", required=True)
 

@@ -55,7 +55,14 @@ class DvsCode:
 
     @staticmethod
     def from_json(obj: dict) -> "DvsCode":
-        return DvsCode(tuple(parse(v) for v in obj["prefix"]), bool(obj.get("bounded", False)))
+        """Parse a code: a prefix list of number strings and an optional
+        boolean `bounded`."""
+        prefix, bounded = obj["prefix"], obj.get("bounded", False)
+        if not isinstance(prefix, list):
+            raise CodingError(f"prefix must be a list of number strings, not {prefix!r}")
+        if not isinstance(bounded, bool):
+            raise CodingError(f"bounded must be true or false, not {bounded!r}")
+        return DvsCode(tuple(parse(v) for v in prefix), bounded)
 
 
 def validate_code(code: DvsCode) -> dict[str, ClauseStatus]:

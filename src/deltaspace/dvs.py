@@ -79,8 +79,15 @@ class DistanceSet:
 
     @staticmethod
     def from_json(obj: dict) -> "DistanceSet":
+        """Parse a set: an object whose values are a list of number strings
+        and whose cap is a number string or "unbounded"."""
+        if not isinstance(obj, dict):
+            raise DvsError(f"a distance set is a JSON object, not {obj!r}")
+        values = obj["values"]
+        if not isinstance(values, list):
+            raise DvsError(f"values must be a list of number strings, not {values!r}")
         cap = None if obj["cap"] == "unbounded" else parse(obj["cap"])
-        return DistanceSet(tuple(parse(v) for v in obj["values"]), cap)
+        return DistanceSet(tuple(parse(v) for v in values), cap)
 
 
 def make_set(values, cap=None) -> DistanceSet:

@@ -66,49 +66,73 @@ class ExtensionReport:
         return not self.unrealized
 
 
-def _distance_vectors(x: Space, d: DistanceSet):
-    """All vectors (d(z, p))_p over d.values satisfying the triangle
-    inequality against x's distances."""
-    pts = range(x.n)
-    for vec in itertools.product(d.values, repeat=x.n):
-        ok = True
-        for i, j in itertools.combinations(pts, 2):
-            dij = x.dist[i][j]
-            if abs(vec[i] - vec[j]) > dij or dij > vec[i] + vec[j]:
-                ok = False
-                break
-        if ok:
-            yield vec
+# The id of a distance outside the value list: no extension vector has it.
+_OFF = -1
 
 
-def _subset_extensions(m: Space, d: DistanceSet, k: int, source_n: Optional[int] = None):
-    """All (subset, extension) pairs over <= k-point subsets drawn from
-    the first source_n points of m (all of m when None)."""
-    pool = range(m.n if source_n is None else source_n)
-    for size in range(0, k + 1):
-        for subset in itertools.combinations(pool, size):
-            sub = m.induced(subset)
-            # subset is sorted by index; align vectors with index order
-            for vec in _distance_vectors(sub, d):
-                for slot in range(size + 1):
-                    yield Extension(subset, vec, slot)
+def _subset_vectors(m: Space, d: DistanceSet, k: int, pool: int):
+    """Each <= k-subset of the first pool points of m, with the id vectors
+    (indices into d.values) of the distance vectors over d that satisfy
+    the triangle inequality against the subset's distances, in
+    itertools.product order."""
+    values = d.values
+    ids = range(len(values))
+    bounds = [(a, b, abs(x - y), x + y)
+              for (a, x), (b, y) in itertools.product(enumerate(values), repeat=2)]
+    admissible = {}  # d(i, j) -> the id pairs (a, b) with |x - y| <= d(i, j) <= x + y
+
+    def pairs_for(dij: ExactReal) -> frozenset:
+        ok = admissible.get(dij)
+        if ok is None:
+            ok = admissible[dij] = frozenset((a, b) for a, b, lo, hi in bounds if lo <= dij <= hi)
+        return ok
+
+    for size in range(k + 1):
+        for subset in itertools.combinations(range(pool), size):
+            checks = [(i, j, pairs_for(m.dist[subset[i]][subset[j]]))
+                      for i, j in itertools.combinations(range(size), 2)]
+            yield subset, [vec for vec in itertools.product(ids, repeat=size)
+                           if all((vec[i], vec[j]) in ok for i, j, ok in checks)]
 
 
-def _realizes(m: Space, ext: Extension, p: int) -> bool:
-    if p in ext.subset:
-        return False
-    for i, s in enumerate(ext.subset):
-        if m.dist[p][s] != ext.dists[i]:
-            return False
-    rank_among = sum(1 for s in ext.subset if m.before(s, p))
-    return rank_among == ext.slot
+def _id_columns(m: Space, ids: dict, subset) -> dict:
+    """cols[s][p]: the id of d(s, p), for each s in subset and each point p."""
+    return {s: [ids.get(v, _OFF) for v in m.dist[s]] for s in subset}
+
+
+def _profile_index(cols, ranks, subset) -> dict:
+    """The profile index of a subset.  A point's profile is the ids of its
+    distances to the subset's points and its rank slot among them; each
+    profile of a point outside the subset maps to the lowest-index point
+    with it, which realizes the extension with those ids and that slot."""
+    n = len(ranks)
+    if not subset:
+        return {((), 0): 0} if n else {}
+    keys = list(zip(zip(*[cols[s] for s in subset]),
+                    map(sum, zip(*[map(ranks[s].__lt__, ranks) for s in subset]))))
+    for s in subset:
+        keys[s] = None
+    index = dict(zip(reversed(keys), range(n - 1, -1, -1)))  # the lowest index is written last
+    index.pop(None, None)
+    return index
 
 
 def find_realizer(m: Space, ext: Extension) -> Optional[int]:
-    for p in range(m.n):
-        if _realizes(m, ext, p):
-            return p
-    return None
+    """The lowest-index point of m realizing ext, or None: a lookup in the
+    profile index of m over ext.subset, keyed on ext's own distances.  For
+    a single extension; the bulk checks build one index per subset."""
+    if m.order is None:
+        raise BuilderError("space must be ordered")
+    ids = {v: i for i, v in enumerate(ext.dists)}
+    cols = _id_columns(m, ids, ext.subset)
+    return _profile_index(cols, m.ranks, ext.subset).get((tuple(ids[v] for v in ext.dists), ext.slot))
+
+
+def _pool(m: Space, source_n: Optional[int]) -> int:
+    """How many leading points of m the subsets are drawn from."""
+    if m.order is None:
+        raise BuilderError("space must be ordered")
+    return m.n if source_n is None else source_n
 
 
 def extension_property_check(
@@ -116,14 +140,22 @@ def extension_property_check(
     source_n: Optional[int] = None,
 ) -> ExtensionReport:
     """For every <= k-subset of m (or of its first source_n points) and
-    every one-point extension over d, look for a realizing point in m."""
+    every one-point extension over d, look for a realizing point in m:
+    one lookup per extension in the subset's profile index."""
+    pool = _pool(m, source_n)
     report = ExtensionReport()
-    for ext in _subset_extensions(m, d, k, source_n):
-        report.checked += 1
+    cols = _id_columns(m, {v: i for i, v in enumerate(d.values)}, range(pool))
+    for subset, vectors in _subset_vectors(m, d, k, pool):
+        slots = range(len(subset) + 1)
+        report.checked += len(vectors) * len(slots)
         if report.checked > max_pairs:
             raise BudgetExceeded(f"more than {max_pairs} (subset, extension) pairs")
-        if find_realizer(m, ext) is None:
-            report.unrealized.append(ext)
+        index = _profile_index(cols, m.ranks, subset)
+        for vec in vectors:
+            missing = [slot for slot in slots if (vec, slot) not in index]
+            if missing:
+                dists = tuple([d.values[a] for a in vec])
+                report.unrealized.extend(Extension(subset, dists, slot) for slot in missing)
     return report
 
 
@@ -175,7 +207,9 @@ def saturate(
     ORIGINAL m.  Existing points are reused before new ones are added, so
     re-saturation at the same k adds nothing.  When the point budget runs
     out, the partial result is returned with the skipped extensions
-    listed in the report.  Precondition: m is a valid ordered space over
+    listed in the report.  Each subset's extensions are looked up in its
+    profile index, built over the space as it stands when the subset's
+    turn comes.  Precondition: m is a valid ordered space over
     d.  d must be bounded, else FragmentUnbounded: an unbounded fragment
     is closed only up to its largest value, and a new distance past it
     would fail realize's final check mid-run.  d must be closed, else
@@ -184,21 +218,28 @@ def saturate(
         raise FragmentUnbounded()
     if not d.closed:
         raise FragmentNotClosed(validate_closure(d))
+    pool = _pool(m, source_n)
     report = ExtensionReport()
+    ids = {v: i for i, v in enumerate(d.values)}
+    cols = _id_columns(m, ids, range(pool))
     cur = m
-    for ext in _subset_extensions(m, d, k, source_n):
-        report.checked += 1
-        if report.checked > max_pairs:
-            report.unrealized.append(ext)
-            continue
-        if find_realizer(cur, ext) is not None:
-            continue
-        if not ext.subset and cur.n > 0:
-            continue  # any point realizes the empty extension
-        if cur.n + 1 > max_points:
-            report.unrealized.append(ext)
-            continue
-        cur = realize(cur, ext, d)
+    for subset, vectors in _subset_vectors(m, d, k, pool):
+        index = _profile_index(cols, cur.ranks, subset)
+        for vec in vectors:
+            for slot in range(len(subset) + 1):
+                report.checked += 1
+                if report.checked <= max_pairs and (vec, slot) in index:
+                    continue  # an existing point realizes it
+                ext = Extension(subset, tuple(d.values[a] for a in vec), slot)
+                if report.checked > max_pairs or cur.n + 1 > max_points:
+                    report.unrealized.append(ext)
+                    continue
+                cur = realize(cur, ext, d)
+                # Each (vec, slot) comes once per subset, so this index is
+                # not asked about the new point; later subsets' indexes are
+                # built over the grown columns.
+                for s in range(pool):
+                    cols[s].append(ids.get(cur.dist[s][-1], _OFF))
     return cur, report
 
 

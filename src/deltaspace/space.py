@@ -2,8 +2,8 @@
 
 Points are indexed 0..n-1 internally; labels are for I/O only.  The order
 is stored as a permutation listing point indices from least to greatest,
-so order-rank matching of two ordered spaces is a single pass; a rank
-lookup is a search of that permutation, O(n).
+so order-rank matching of two ordered spaces is a single pass; its
+inverse, the rank of each point, is computed once per space and cached.
 """
 
 from __future__ import annotations
@@ -42,12 +42,21 @@ class Space:
     def n(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """ranks[i] is the position of point i in the order (0 = least)."""
+        ranks = [0] * self.n
+        for r, i in enumerate(self.order):
+            ranks[i] = r
+        return tuple(ranks)
+
     def rank(self, i: int) -> int:
         """Position of point i in the order (0 = least)."""
-        return self.order.index(i)
+        return self.ranks[i]
 
     def before(self, i: int, j: int) -> bool:
-        return self.rank(i) < self.rank(j)
+        ranks = self.ranks
+        return ranks[i] < ranks[j]
 
     def diameter(self) -> ExactReal:
         best = ExactReal(0)
@@ -64,7 +73,7 @@ class Space:
         dist = tuple(tuple(self.dist[i][j] for j in pts) for i in pts)
         order = None
         if self.order is not None:
-            by_rank = sorted(pts, key=self.rank)
+            by_rank = sorted(pts, key=self.ranks.__getitem__)
             order = tuple(pts.index(i) for i in by_rank)
         return Space(tuple(self.labels[i] for i in pts), dist, order, self.delta)
 
@@ -84,16 +93,21 @@ class Space:
     @staticmethod
     def from_json(obj: dict) -> "Space":
         """Parse a space, rejecting a shape that validate cannot judge:
-        labels that are not strings, a distance matrix that is not n x n
-        for n labels, or an order entry that is not an integer."""
+        labels that are not a list of strings, a distance matrix that is
+        not an n x n list of lists for n labels, or an order that is not a
+        list of integers."""
         labels, rows = obj["labels"], obj["dist"]
-        n = len(labels)
+        if not isinstance(labels, list):
+            raise SpaceError(f"labels must be a list, not {labels!r}")
         if not all(isinstance(lbl, str) for lbl in labels):
             raise SpaceError("labels must be strings")
+        n = len(labels)
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise SpaceError("dist must be a list of rows, each a list")
         if len(rows) != n or any(len(row) != n for row in rows):
             raise SpaceError(f"dist must have one row and one column per label ({n})")
         order = obj.get("order")
-        if order is not None and not all(type(i) is int for i in order):
+        if order is not None and (not isinstance(order, list) or not all(type(i) is int for i in order)):
             raise SpaceError(f"order entries must be point indices: {order}")
         delta = DistanceSet.from_json(obj["delta"]) if obj.get("delta") else None
         return Space(

@@ -3,8 +3,9 @@
 Every slow path lives here, each simple enough to check by reading:
 the predecessors of library fast paths (validate's full check, the
 Fraction-pair arithmetic, check_theory_T before the bitmasks),
-brute-force enumerations that use no search code, and gl2_search, an
-exhaustive matrix search.  No library code calls them.
+brute-force enumerations that use no search code, gl2_search, an
+exhaustive matrix search, and the realizer scan that the profile index
+replaced.  No library code calls them.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from fractions import Fraction
 from deltaspace.coding import NOT_FALSIFIABLE, SATISFIED, VIOLATED, ClauseStatus, EncodedModel
 from deltaspace.equiv import PoleAtAlpha, RatMatrix, gl2_apply
 from deltaspace.exact import DivisionByZero, MixedRadicands, _squarefree_split
+from deltaspace.limitbuilder import Extension, ExtensionReport, realize
 from deltaspace.space import OK, Violation
 
 # -- space --------------------------------------------------------------------
@@ -62,6 +64,64 @@ def first_bad_coloring(copies_a, copies_b, k):
         if all(len({colors[ai] for ai in ms}) > 1 for ms in members):
             return colors
     return None
+
+
+# -- limitbuilder: the realizer scan --------------------------------------------
+
+
+def distance_vectors(x, d):
+    """All vectors (d(z, p))_p over d.values satisfying the triangle
+    inequality against x's distances, one exact test per pair and vector."""
+    for vec in itertools.product(d.values, repeat=x.n):
+        if all(abs(vec[i] - vec[j]) <= x.dist[i][j] <= vec[i] + vec[j]
+               for i, j in itertools.combinations(range(x.n), 2)):
+            yield vec
+
+
+def subset_extensions(m, d, k, source_n=None):
+    pool = range(m.n if source_n is None else source_n)
+    for size in range(k + 1):
+        for subset in itertools.combinations(pool, size):
+            for vec in distance_vectors(m.induced(subset), d):
+                for slot in range(size + 1):
+                    yield Extension(subset, vec, slot)
+
+
+def realizes(m, ext, p):
+    """p sits outside ext.subset, at ext.dists from it, in slot ext.slot."""
+    if p in ext.subset or any(m.dist[p][s] != v for s, v in zip(ext.subset, ext.dists)):
+        return False
+    return sum(1 for s in ext.subset if m.order.index(s) < m.order.index(p)) == ext.slot
+
+
+def find_realizer(m, ext):
+    """The first point of m that realizes ext, trying every point."""
+    return next((p for p in range(m.n) if realizes(m, ext, p)), None)
+
+
+def extension_property_check(m, d, k, source_n=None):
+    report = ExtensionReport()
+    for ext in subset_extensions(m, d, k, source_n):
+        report.checked += 1
+        if find_realizer(m, ext) is None:
+            report.unrealized.append(ext)
+    return report
+
+
+def saturate(m, d, k, max_points=64, max_pairs=1000000, source_n=None):
+    """The scan loop: reuse the first realizer of m so far, else realize."""
+    report = ExtensionReport()
+    cur = m
+    for ext in subset_extensions(m, d, k, source_n):
+        report.checked += 1
+        if report.checked > max_pairs:
+            report.unrealized.append(ext)
+        elif find_realizer(cur, ext) is None:
+            if cur.n + 1 > max_points:
+                report.unrealized.append(ext)
+            else:
+                cur = realize(cur, ext, d)
+    return cur, report
 
 
 # -- exact: the Fraction-pair formulas of the earlier representation -----------

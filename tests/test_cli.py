@@ -1,15 +1,17 @@
+import hashlib
 import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 from deltaspace import coding
-from deltaspace.cli import main
+from deltaspace.cli import build_parser, main
 from deltaspace.dvs import DistanceSet, make_set
 from deltaspace.exact import ExactReal
 from deltaspace.space import Space, make_space, uniform_space
-from util import closed_fragment
+from util import closed_fragment, random_space
 
 
 def n1(v):
@@ -178,6 +180,41 @@ def test_malformed_space_is_rejected(tmp_path, capsys, change, text):
     obj = {**uniform_space(2, n1(1)).to_json(), **change}
     x = write_json(tmp_path, "x.json", obj)
     assert_input_error(capsys, ["check-rigid", "--space", x], text)
+
+
+@pytest.mark.parametrize("space, text", [
+    pytest.param({"labels": 5, "dist": []}, "labels must be a list", id="number-labels"),
+    pytest.param({"labels": "ab", "dist": [["0/1", "1/1"], ["1/1", "0/1"]]}, "labels must be a list",
+                 id="string-labels"),
+    pytest.param({"labels": ["a"], "dist": 5}, "dist must be a list", id="number-dist"),
+    pytest.param({"labels": ["a"], "dist": [5]}, "dist must be a list", id="number-row"),
+    pytest.param({"labels": ["a"], "dist": [["0/1"]], "order": 0}, "order entries", id="number-order"),
+    pytest.param({"labels": ["a"], "dist": [["0/1"]], "delta": 5}, "a distance set is a JSON object",
+                 id="number-delta"),
+])
+def test_space_fields_of_the_wrong_type_are_rejected(tmp_path, capsys, space, text):
+    x = write_json(tmp_path, "x.json", space)
+    assert_input_error(capsys, ["check-rigid", "--space", x], text)
+
+
+@pytest.mark.parametrize("fragment, text", [
+    pytest.param({"values": 5, "cap": "2/1"}, "values must be a list", id="number-values"),
+    pytest.param({"values": "1/1", "cap": "2/1"}, "values must be a list", id="string-values"),
+    pytest.param({"values": ["1/1"], "cap": 2}, "number string", id="number-cap"),
+])
+def test_set_fields_of_the_wrong_type_are_rejected(tmp_path, capsys, fragment, text):
+    d = write_json(tmp_path, "d.json", fragment)
+    assert_input_error(capsys, ["encode-code", "--set", d], text)
+
+
+@pytest.mark.parametrize("code, text", [
+    pytest.param({"prefix": 5}, "prefix must be a list", id="number-prefix"),
+    pytest.param({"prefix": "01"}, "prefix must be a list", id="string-prefix"),
+    pytest.param({"prefix": ["0/1"], "bounded": "yes"}, "bounded must be true or false", id="string-bounded"),
+])
+def test_code_fields_of_the_wrong_type_are_rejected(tmp_path, capsys, code, text):
+    c = write_json(tmp_path, "c.json", code)
+    assert_input_error(capsys, ["check-code", "--code", c], text)
 
 
 def test_constructions_reject_an_unordered_space(tmp_path, capsys):
@@ -386,6 +423,19 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 0
 
 
+def test_the_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    assert main(["check-rigid"]) == 3  # --space is missing
+    assert capsys.readouterr().out == ""
+    x = write_json(tmp_path, "x.json", uniform_space(2, n1(1)).to_json())
+    code, out = run(capsys, ["check-rigid", "--space", x])
+    assert code == 0 and out == {"rigid": True}  # an ordered space is rigid
+    with pytest.raises(SystemExit) as exc:
+        main(["check-rigid", "--help"])
+    assert exc.value.code == 0
+    assert main(["check-rigid", "--space", x, "--extra"]) == 3
+
+
 def test_budget_exit_code(tmp_path, capsys):
     s = write_json(tmp_path, "s.json", make_set([n1(1), n1(3)], cap=n1(3)).to_json())
     code, out = run(capsys, ["close", "--set", s, "--bound", "3/1", "--budget", "2"])
@@ -421,3 +471,21 @@ def test_round_trip_of_emitted_space(tmp_path, capsys):
     code, out = run(capsys, ["amalgamate", "--b", b, "--c", c, "--overlap", "0:0"])
     sp = Space.from_json(out)
     assert sp.to_json() == out
+
+
+def test_extension_stdout_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the stdout of check-extension -k 2 and saturate -k 2 on
+    # one seeded 12-point space over {1, 3/2, 2, 5/2, 3}; saturate stops
+    # at its point budget, so it reports both reused and skipped points
+    d = closed_fragment([n1(1), n1(Fraction(3, 2))], n1(3))
+    m = write_json(tmp_path, "m.json", random_space(random.Random(12), 12, d).to_json())
+    dp = write_json(tmp_path, "d.json", d.to_json())
+    pins = [
+        (["check-extension", "--space", m, "--delta", dp, "-k", "2"], 1,
+         "c99ad52d742f53a1a22f19ca65e2c3d23aeadd6e3364fc283b6aaca64067320e"),
+        (["saturate", "--space", m, "--delta", dp, "-k", "2", "--max-points", "32"], 2,
+         "311f6d620db488cdafbfa87701b834262a483d86a36311ebb0fec1963f813d24"),
+    ]
+    for argv, code, digest in pins:
+        assert main(argv) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv[0]

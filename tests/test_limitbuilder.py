@@ -16,11 +16,14 @@ from deltaspace.limitbuilder import (
     density_perturb,
     extend_partial_isometry,
     extension_property_check,
+    find_realizer,
     realize,
     saturate,
 )
 from deltaspace.space import OK, PartialIsometry, Space, make_space, uniform_space, validate
 from util import closed_fragment, doubled_space, random_space, triangle_ok
+
+import oracles
 
 
 def n1(v):
@@ -227,6 +230,15 @@ def test_extend_isometry_rejects_an_unordered_space():
         extend_partial_isometry(m, PartialIsometry(m, ((0, 1),)), 2)
 
 
+def test_extension_checks_reject_an_unordered_space():
+    m = uniform_space(2, n1(1), ordered=False)
+    for check in (extension_property_check, saturate):
+        with pytest.raises(BuilderError, match="ordered"):
+            check(m, D12, 0)
+    with pytest.raises(BuilderError, match="ordered"):
+        find_realizer(m, Extension((0,), (n1(1),), 0))
+
+
 D13 = closed_fragment([n1(1)], n1(3))  # {1, 2, 3}, cap 3
 
 
@@ -271,3 +283,66 @@ def test_density_perturb_appends_the_images_in_source_order(n, data):
     assert images == list(range(m.n, m.n + len(pairs)))
     by_source = sorted(range(len(pairs)), key=lambda i: m.rank(pairs[i][0]))
     assert out.order == m.order + tuple(images[i] for i in by_source)
+
+
+# -- the profile index against the realizer scan in oracles.py ----------------
+
+
+def with_twins(rng, m: Space, count: int) -> Space:
+    """m plus `count` twins, each of a random earlier point p: at p's
+    distances from the other points, at the least fragment value from p,
+    and directly above p in the order.  A twin and p have the same profile
+    over every subset that avoids both."""
+    for _ in range(count):
+        p = rng.randrange(m.n)
+        near = m.delta.values[0]
+        dist = [list(row) + [near if i == p else row[p]] for i, row in enumerate(m.dist)]
+        dist.append([near if i == p else v for i, v in enumerate(m.dist[p])] + [ExactReal(0)])
+        at = m.rank(p) + 1
+        m = Space(m.labels + (f"t{m.n}",), tuple(tuple(r) for r in dist),
+                  m.order[:at] + (m.n,) + m.order[at:], m.delta)
+    assert validate(m) == OK
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2), st.data())
+def test_profile_index_matches_the_scan(seed, n, twins, k, data):
+    rng = random.Random(seed)
+    d = data.draw(st.sampled_from([D12, D13]))
+    m = with_twins(rng, random_space(rng, n, d), twins)
+    source_n = data.draw(st.integers(0, m.n - 1))
+    assert extension_property_check(m, d, k, source_n=source_n) == oracles.extension_property_check(m, d, k, source_n)
+    # every extension, realized or not, has the scan's lowest-index realizer
+    for ext in oracles.subset_extensions(m, d, k):
+        assert find_realizer(m, ext) == oracles.find_realizer(m, ext)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 3), st.integers(0, 2), st.integers(1, 14),
+       st.integers(1, 400), st.data())
+def test_saturate_matches_the_scan_loop(seed, n, k, max_points, max_pairs, data):
+    rng = random.Random(seed)
+    d = data.draw(st.sampled_from([D12, D13]))
+    m = random_space(rng, n, d)
+    source_n = data.draw(st.one_of(st.none(), st.integers(0, n)))
+    fast = saturate(m, d, k, max_points, max_pairs, source_n)
+    slow = oracles.saturate(m, d, k, max_points, max_pairs, source_n)
+    assert fast[0] == slow[0]  # the same points, distances and order
+    assert fast[1] == slow[1]  # the same checked count and unrealized list
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6), st.integers(1, 2), st.data())
+def test_an_extension_off_the_fragment_stays_unrealized(seed, n, k, data):
+    rng = random.Random(seed)
+    m = random_space(rng, n, D13)
+    # checked over {1, 2}: a point at 3 from a subset point realizes nothing
+    assert extension_property_check(m, D12, k) == oracles.extension_property_check(m, D12, k)
+    # a distance no point of m has is realized by no point
+    subset = tuple(sorted(rng.sample(range(n), k)))
+    dists = [rng.choice(D13.values) for _ in subset]
+    dists[data.draw(st.integers(0, k - 1))] = n1(Fraction(5, 2))
+    ext = Extension(subset, tuple(dists), data.draw(st.integers(0, k)))
+    assert find_realizer(m, ext) is None
+    assert oracles.find_realizer(m, ext) is None

@@ -79,6 +79,15 @@ def _index(i: int, n: int) -> int:
     return i
 
 
+def _non_negative(text: str) -> int:
+    """A count, size or budget flag: a non-negative int.  A negative one
+    is a usage error, not a check of nothing or an exhausted budget."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def _parse_pairs(text: str, left: int, right: int) -> list[tuple[int, int]]:
     """i:j pairs with 0 <= i < left and 0 <= j < right."""
     out = []
@@ -167,21 +176,26 @@ def cmd_check_extension(args) -> int:
     d = _load_set(args.delta)
     m = _load_ordered_space(args.space, d)
     report = limitbuilder.extension_property_check(m, d, args.k, args.max_pairs)
-    text = {v: str(v) for v in d.values}  # every extension distance is a fragment value
-    _emit(
-        {
-            "checked": report.checked,
-            "unrealized": [
-                {
-                    "subset": list(e.subset),
-                    "dists": [text[v] for v in e.dists],
-                    "slot": e.slot,
-                }
-                for e in report.unrealized
-            ],
-        }
-    )
+    print(_extension_report_json(report, d))
     return EXIT_YES if report.empty else EXIT_NO
+
+
+def _extension_report_json(report: limitbuilder.ExtensionReport, d: dvs.DistanceSet) -> str:
+    """json.dumps(..., sort_keys=True) of {"checked": .., "unrealized":
+    [{"dists": [..], "slot": .., "subset": [..]}, ..]}, assembled from
+    text fragments made once per distinct dists and once per distinct
+    subset: a report has far more entries than distinct fragments."""
+    text = {v: json.dumps(str(v)) for v in d.values}  # every extension distance is a fragment value
+    heads, tails, entries = {}, {}, []
+    for e in report.unrealized:
+        head = heads.get(e.dists)
+        if head is None:
+            head = heads[e.dists] = f'{{"dists": [{", ".join([text[v] for v in e.dists])}], "slot": '
+        tail = tails.get(e.subset)
+        if tail is None:
+            tail = tails[e.subset] = f', "subset": {json.dumps(list(e.subset))}}}'
+        entries.append(f"{head}{e.slot}{tail}")
+    return f'{{"checked": {report.checked}, "unrealized": [{", ".join(entries)}]}}'
 
 
 def cmd_perturb(args) -> int:
@@ -311,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("close", help="close a fragment under truncated sums")
     p.add_argument("--set", required=True)
     p.add_argument("--bound", required=True)
-    p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--budget", type=_non_negative, default=4096)
     p.set_defaults(fn=cmd_close)
 
     p = sub.add_parser("check-triangle")
@@ -339,16 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("saturate")
     p.add_argument("--space", required=True)
     p.add_argument("--delta", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--max-points", type=int, default=64)
-    p.add_argument("--max-pairs", type=int, default=1000000)
+    p.add_argument("-k", type=_non_negative, required=True)
+    p.add_argument("--max-points", type=_non_negative, default=64)
+    p.add_argument("--max-pairs", type=_non_negative, default=1000000)
     p.set_defaults(fn=cmd_saturate)
 
     p = sub.add_parser("check-extension")
     p.add_argument("--space", required=True)
     p.add_argument("--delta", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--max-pairs", type=int, default=1000000)
+    p.add_argument("-k", type=_non_negative, required=True)
+    p.add_argument("--max-pairs", type=_non_negative, default=1000000)
     p.set_defaults(fn=cmd_check_extension)
 
     p = sub.add_parser("perturb")
@@ -356,22 +370,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--pairs", required=True, help="source:image index pairs")
     p.add_argument("--eps", required=True)
-    p.add_argument("--max-points", type=int, default=64)
+    p.add_argument("--max-points", type=_non_negative, default=64)
     p.set_defaults(fn=cmd_perturb)
 
     p = sub.add_parser("extend-isometry")
     p.add_argument("--space", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--point", type=int, required=True)
-    p.add_argument("--max-points", type=int, default=64)
+    p.add_argument("--max-points", type=_non_negative, default=64)
     p.set_defaults(fn=cmd_extend_isometry)
 
     p = sub.add_parser("check-arrow")
     p.add_argument("--c", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--a", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("-k", type=_non_negative, required=True)
+    p.add_argument("--budget", type=_non_negative, default=10 ** 7)
     p.set_defaults(fn=cmd_check_arrow)
 
     p = sub.add_parser("check-rigid")
@@ -409,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-theory")
     p.add_argument("--set", required=True)
     p.add_argument("--sample")
-    p.add_argument("--budget", type=int, default=coding.THEORY_BUDGET,
+    p.add_argument("--budget", type=_non_negative, default=coding.THEORY_BUDGET,
                    help="table steps, for the encoding and again for the check")
     p.set_defaults(fn=cmd_check_theory)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .amalgam import cap_distances, free_amalgam
 from .dvs import DistanceSet, validate_closure
@@ -45,8 +45,7 @@ class ZNotInDelta(BuilderError):
         self.value = value
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(NamedTuple):
     """A one-point extension of the substructure on `subset`: the new
     point sits at dists[i] from subset[i] and at order position `slot`
     among the subset's points (0 = before all of them)."""

@@ -110,9 +110,14 @@ class Space:
         if order is not None and (not isinstance(order, list) or not all(type(i) is int for i in order)):
             raise SpaceError(f"order entries must be point indices: {order}")
         delta = DistanceSet.from_json(obj["delta"]) if obj.get("delta") else None
+        parsed = {}  # each distinct entry text is parsed once; parse rejects a non-string
+        for row in rows:
+            for v in row:
+                if not isinstance(v, str) or v not in parsed:
+                    parsed[v] = parse(v)
         return Space(
             tuple(labels),
-            tuple(tuple(parse(v) for v in row) for row in rows),
+            tuple(tuple(map(parsed.__getitem__, row)) for row in rows),
             tuple(order) if order is not None else None,
             delta,
         )
@@ -146,7 +151,14 @@ def validate(x: Space, since: int = 0):
     the entries touching a point of index >= since, by kind: Diagonal,
     Symmetry or Positivity, Triangle (each triple once, at its largest
     index), NotInDelta, BadOrder.  since=0 is the full check; a larger
-    since is complete when the points below it form a valid space."""
+    since is complete when the points below it form a valid space.
+
+    A triangle is tested on the ids of its three distances (one id per
+    distinct value, so one hash per entry), and each id triple's exact
+    verdict is computed the first time it occurs and remembered: the
+    exact sum and comparison run once per distinct triple, in the same
+    loop order, so the witness and any MixedRadicands are those of the
+    triple-by-triple test."""
     n, dist = x.n, x.dist
     for i in range(since, n):
         if not dist[i][i].is_zero():
@@ -157,11 +169,18 @@ def validate(x: Space, since: int = 0):
             return Violation("Symmetry", (i, j))
         if dist[i][j].sign() <= 0:
             return Violation("Positivity", (i, j))
+    first = {}
+    ids = [[first.setdefault(v, len(first)) for v in row] for row in dist]
+    vals = list(first)
+    ok = set()  # id triples (ac, ab, bc) with d(a, c) <= d(a, b) + d(b, c)
     for k in range(max(since, 2), n):
         for i, j in itertools.combinations(range(k), 2):
             for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):  # each point as the middle one
-                if dist[a][c] > dist[a][b] + dist[b][c]:
-                    return Violation("Triangle", (a, b, c))
+                key = (ids[a][c], ids[a][b], ids[b][c])
+                if key not in ok:
+                    if vals[key[0]] > vals[key[1]] + vals[key[2]]:
+                        return Violation("Triangle", (a, b, c))
+                    ok.add(key)
     if x.delta is not None:
         for i, j in pairs:
             if dist[i][j] not in x.delta:

@@ -1,14 +1,16 @@
 """Slow reference implementations that the property tests compare against.
 
 Every slow path lives here, each simple enough to check by reading:
-the predecessors of library fast paths (validate's full check, the
-Fraction-pair arithmetic, check_theory_T before the bitmasks),
-brute-force enumerations that use no search code, gl2_search, an
-exhaustive matrix search, and the realizer scan that the profile index
-replaced.  No library code calls them.
+the predecessors of library fast paths (validate's full check, its
+triple-by-triple exact test, the Fraction-pair arithmetic,
+check_theory_T before the bitmasks, the dict-and-dumps extension
+report), brute-force enumerations that use no search code, gl2_search,
+an exhaustive matrix search, and the realizer scan that the profile
+index replaced.  No library code calls them.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 from deltaspace.coding import NOT_FALSIFIABLE, SATISFIED, VIOLATED, ClauseStatus, EncodedModel
@@ -41,6 +43,33 @@ def validate(x):
             for j in range(i + 1, n):
                 if x.dist[i][j] not in x.delta:
                     return Violation("NotInDelta", (i, j, x.dist[i][j]))
+    if x.order is not None and sorted(x.order) != list(range(n)):
+        return Violation("BadOrder", tuple(x.order))
+    return OK
+
+
+def validate_by_triple(x, since=0):
+    """validate before its triangle memo: one exact sum and comparison
+    per triple, in the same loop order, so the same witness."""
+    n, dist = x.n, x.dist
+    for i in range(since, n):
+        if not dist[i][i].is_zero():
+            return Violation("Diagonal", (i,))
+    pairs = [(i, j) for i in range(n) for j in range(max(i + 1, since), n)]
+    for i, j in pairs:
+        if dist[i][j] != dist[j][i]:
+            return Violation("Symmetry", (i, j))
+        if dist[i][j].sign() <= 0:
+            return Violation("Positivity", (i, j))
+    for k in range(max(since, 2), n):
+        for i, j in itertools.combinations(range(k), 2):
+            for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):  # each point as the middle one
+                if dist[a][c] > dist[a][b] + dist[b][c]:
+                    return Violation("Triangle", (a, b, c))
+    if x.delta is not None:
+        for i, j in pairs:
+            if dist[i][j] not in x.delta:
+                return Violation("NotInDelta", (i, j, dist[i][j]))
     if x.order is not None and sorted(x.order) != list(range(n)):
         return Violation("BadOrder", tuple(x.order))
     return OK
@@ -122,6 +151,22 @@ def saturate(m, d, k, max_points=64, max_pairs=1000000, source_n=None):
             else:
                 cur = realize(cur, ext, d)
     return cur, report
+
+
+# -- cli: the extension report ---------------------------------------------------
+
+def extension_report_json(report):
+    """check-extension's stdout line, built as a dict and dumped."""
+    return json.dumps(
+        {
+            "checked": report.checked,
+            "unrealized": [
+                {"subset": list(e.subset), "dists": [str(v) for v in e.dists], "slot": e.slot}
+                for e in report.unrealized
+            ],
+        },
+        sort_keys=True,
+    )
 
 
 # -- exact: the Fraction-pair formulas of the earlier representation -----------

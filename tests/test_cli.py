@@ -1,16 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltaspace import coding
 from deltaspace.cli import build_parser, main
 from deltaspace.dvs import DistanceSet, make_set
 from deltaspace.exact import ExactReal
+from deltaspace.limitbuilder import extension_property_check
 from deltaspace.space import Space, make_space, uniform_space
+import oracles
 from util import closed_fragment, random_space
 
 
@@ -175,6 +181,10 @@ def test_space_with_more_distances_than_labels_is_rejected(tmp_path, capsys):
     pytest.param({"order": [0, 1.0]}, "order entries", id="float-in-order"),
     pytest.param({"labels": ["a", 2]}, "labels must be strings", id="number-label"),
     pytest.param({"dist": [[0, 1], [1, 0]]}, "number string", id="number-distance"),
+    # after a repeated text, so past the loader's parse cache
+    pytest.param({"dist": [["0/1", "1/1"], ["1/1", [1]]]}, "expected a number string", id="list-distance"),
+    pytest.param({"dist": [["0/1", "1/1"], ["1/1", 5]]}, "expected a number string", id="int-distance"),
+    pytest.param({"dist": [["0/1", "1/1"], ["1/1", None]]}, "expected a number string", id="null-distance"),
 ])
 def test_malformed_space_is_rejected(tmp_path, capsys, change, text):
     obj = {**uniform_space(2, n1(1)).to_json(), **change}
@@ -489,3 +499,79 @@ def test_extension_stdout_bytes_are_pinned(tmp_path, capsys):
     for argv, code, digest in pins:
         assert main(argv) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv[0]
+
+
+def write_count_inputs(tmp_path):
+    """Valid inputs for every verb with a count flag: with any
+    non-negative count each call gives a verdict (exit 0, 1 or 2)."""
+    delta = closed_fragment([n1(Fraction(1, 4))], n1(4))
+    return {
+        "m": write_json(tmp_path, "m.json", uniform_space(2, n1(1), delta=delta).to_json()),
+        "d": write_json(tmp_path, "d.json", delta.to_json()),
+        "s": write_json(tmp_path, "s.json", make_set([n1(1), n1(3)], cap=n1(3)).to_json()),
+        "a": write_json(tmp_path, "a.json", uniform_space(2, n1(1)).to_json()),
+    }
+
+
+NEGATIVE_COUNTS = [
+    ("check-extension", [["--space", "{m}", "--delta", "{d}", "-k", "-1"],
+                         ["--space", "{m}", "--delta", "{d}", "-k", "1", "--max-pairs", "-1"]]),
+    ("saturate", [["--space", "{m}", "--delta", "{d}", "-k", "-1"],
+                  ["--space", "{m}", "--delta", "{d}", "-k", "1", "--max-points", "-1"],
+                  ["--space", "{m}", "--delta", "{d}", "-k", "1", "--max-pairs", "-1"]]),
+    ("extend-isometry", [["--space", "{m}", "--pairs", "0:0", "--point", "1", "--max-points", "-1"]]),
+    ("perturb", [["--space", "{m}", "--delta", "{d}", "--pairs", "0:1", "--eps", "1/2", "--max-points", "-1"]]),
+    ("close", [["--set", "{s}", "--bound", "3/1", "--budget", "-1"]]),
+    ("check-arrow", [["--c", "{a}", "--b", "{a}", "--a", "{a}", "-k", "-1"],
+                     ["--c", "{a}", "--b", "{a}", "--a", "{a}", "-k", "2", "--budget", "-1"]]),
+    ("check-theory", [["--set", "{s}", "--budget", "-1"]]),
+]
+
+
+@pytest.mark.parametrize("verb, calls", NEGATIVE_COUNTS, ids=[verb for verb, _ in NEGATIVE_COUNTS])
+def test_negative_counts_are_usage_errors(tmp_path, capsys, verb, calls):
+    # a negative -k checked nothing and exited 0, and a negative budget
+    # read as a blown one (exit 2)
+    files = write_count_inputs(tmp_path)
+    for flags in calls:
+        argv = [verb] + [f.format(**files) for f in flags]
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be non-negative, not -1" in captured.err, argv
+
+
+def test_zero_counts_keep_their_verdicts(tmp_path, capsys):
+    files = write_count_inputs(tmp_path)
+    code, out = run(capsys, ["check-extension", "--space", files["m"], "--delta", files["d"], "-k", "0"])
+    assert code == 0 and out == {"checked": 1, "unrealized": []}
+    a = files["a"]
+    assert main(["check-arrow", "--c", a, "--b", a, "--a", a, "-k", "0"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+REPORT_FRAGMENTS = [
+    closed_fragment([n1(1), n1(Fraction(3, 2))], n1(3)),
+    # sqrt(2) - 1 and its truncated sums: texts with "+" and "*sqrt("
+    closed_fragment([ExactReal(-1, 1, 2)], n1(1)),
+    closed_fragment([ExactReal.sqrt(2), n1(1)], n1(2)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(0, 7), k=st.integers(0, 2),
+       frag=st.sampled_from(range(len(REPORT_FRAGMENTS))))
+@example(seed=0, n=0, k=0, frag=0)  # one unrealized extension, of the empty subset
+@example(seed=0, n=3, k=0, frag=1)  # an empty report
+@example(seed=5, n=7, k=2, frag=1)
+def test_extension_report_bytes_match_the_dict_writer(tmp_path_factory, seed, n, k, frag):
+    d = REPORT_FRAGMENTS[frag]
+    m = random_space(random.Random(seed), n, d)
+    tmp = tmp_path_factory.mktemp("report")
+    argv = ["check-extension", "--space", write_json(tmp, "m.json", m.to_json()),
+            "--delta", write_json(tmp, "d.json", d.to_json()), "-k", str(k)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report = extension_property_check(m, d, k)
+    assert code == (0 if report.empty else 1)
+    assert out.getvalue() == oracles.extension_report_json(report) + "\n"

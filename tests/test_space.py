@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaspace.dvs import make_set
-from deltaspace.exact import ExactReal
+from deltaspace.exact import ExactReal, MixedRadicands, parse
 from deltaspace.space import (
     OK,
     PartialIsometry,
@@ -233,3 +233,66 @@ def test_validate_since_skips_the_prefix():
                             (0, 3): n1(2), (1, 3): n1(2), (2, 3): n1(2)})
     assert validate(x).kind == "Triangle"
     assert validate(x, since=3) == OK
+
+
+@st.composite
+def distinct_spaces(draw):
+    """A space whose distances are mostly distinct, so the triangle memo
+    mostly misses: rationals in [1/2, 3] with large denominators, some
+    multiples of sqrt(2) and rarely of sqrt(3).  Sometimes asymmetric,
+    with a nonzero diagonal, a broken order or a fragment."""
+    n = draw(st.integers(0, 7))
+    value = st.one_of(
+        st.fractions(Fraction(1, 2), 3, max_denominator=1000).map(ExactReal),
+        st.fractions(Fraction(1, 2), 2, max_denominator=20).map(lambda b: ExactReal(0, b, 2)),
+    )
+    rare = st.integers(0, 15).map(lambda r: r == 0)
+    dist = [[ExactReal(0)] * n for _ in range(n)]
+    for i in range(n):
+        if draw(rare):
+            dist[i][i] = draw(value)
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = ExactReal.sqrt(3) if draw(rare) else draw(value)
+            if draw(rare):
+                dist[j][i] = draw(value)
+    order = None
+    if draw(st.booleans()):
+        order = list(draw(st.permutations(range(n))))
+        if n and draw(rare):
+            order[0] = order[-1]
+    delta = make_set([n1(1), n1(2), n1(3)], cap=n1(3)) if draw(st.booleans()) else None
+    return Space(tuple(f"p{i}" for i in range(n)), tuple(map(tuple, dist)),
+                 tuple(order) if order is not None else None, delta)
+
+
+def outcome(check, y, since):
+    try:
+        return check(y, since)
+    except MixedRadicands as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(grown_spaces().map(lambda xy: xy[1]), distinct_spaces()))
+def test_memoised_validate_matches_the_triple_by_triple_test(y):
+    # equal kind and witness, or the same MixedRadicands, for every since
+    for since in range(y.n + 1):
+        assert outcome(validate, y, since) == outcome(oracles.validate_by_triple, y, since)
+
+
+def test_mixed_radicands_raise_in_both_validates():
+    x = make_space("abc", {(0, 1): ExactReal.sqrt(2), (1, 2): ExactReal.sqrt(3), (0, 2): n1(1)})
+    for check in (validate, oracles.validate_by_triple):
+        with pytest.raises(MixedRadicands):
+            check(x)
+
+
+TEXTS = ["0/1", "1/1", " 1/1", "2/2", "3/2", "1/1*sqrt(2)", "-1/1+1/1*sqrt(2)", "1/1+1/1*sqrt(2)"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from(TEXTS), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_parse_cache_matches_the_uncached_parse(rows):
+    x = Space.from_json({"labels": [f"p{i}" for i in range(len(rows))], "dist": rows})
+    assert x.dist == tuple(tuple(parse(v) for v in row) for row in rows)

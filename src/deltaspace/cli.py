@@ -28,8 +28,11 @@ def _read_json(path: str, kind=dict):
     if path == "-":
         obj = json.load(sys.stdin)
     else:
-        with open(path) as fh:
-            obj = json.load(fh)
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+        except OSError as exc:  # missing, a directory or unreadable: bad input, not a crash
+            raise ValueError(f"{path}: {exc.strerror}") from None
     if not isinstance(obj, kind):
         raise ValueError(f"{path}: expected a JSON {'object' if kind is dict else 'list'}")
     return obj
@@ -292,7 +295,13 @@ def cmd_triangle_structure(args) -> int:
 def _sample_from_arg(text):
     if not text:
         return None
-    return [Fraction(t) for t in text.split(",")]
+    sample = []
+    for term in text.split(","):
+        try:
+            sample.append(Fraction(term))
+        except ZeroDivisionError:
+            raise ValueError(f"--sample: {term!r} has a zero denominator") from None
+    return sample
 
 
 def cmd_encode_model(args) -> int:
@@ -318,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-dvs", help="generate a surd-shift fragment")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--height", type=_non_negative, required=True)
     p.add_argument("--bound", required=True)
     p.set_defaults(fn=cmd_gen_dvs)
 
@@ -446,7 +455,7 @@ def main(argv=None) -> int:
     except (ExactError, dvs.DvsError, space.SpaceError, amalgam.AmalgamError,
             equiv.EquivError, ramsey.RamseyError, coding.CodingError,
             limitbuilder.BuilderError,
-            FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

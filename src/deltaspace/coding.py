@@ -319,14 +319,12 @@ def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_B
     _charge(spent, len(sample_q) * len(universe) ** 2, budget)
     c = d.cap if d.bounded else ExactReal(0)
     model = EncodedModel(universe, c)
-    for i, x in enumerate(universe):
-        for j, y in enumerate(universe):
-            if i == 0 or j == 0:
-                continue
-            s = x + y
-            for k, z in enumerate(universe):
-                if z == s:
-                    model.plus[(i, j)] = k
+    index = {z: k for k, z in enumerate(universe)}  # the values are distinct
+    for i in model.nonzero():
+        for j in model.nonzero():
+            k = index.get(universe[i] + universe[j])
+            if k is not None:
+                model.plus[(i, j)] = k
     for q in sample_q:
         pairs = set()
         for i in model.nonzero():

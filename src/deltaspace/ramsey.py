@@ -54,46 +54,38 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
         verdict.status = HOLDS
         return verdict
 
-    a_sets = [set(t) for t in copies_a]
-    a_in_b = []
-    for bc in copies_b:
-        bset = set(bc)
-        a_in_b.append([i for i, s in enumerate(a_sets) if s <= bset])
-    b_for_a = [[] for _ in copies_a]
-    for bi, members in enumerate(a_in_b):
-        for ai in members:
-            b_for_a[ai].append(bi)
-
     m = len(copies_a)
     if m == 0:
         # the empty coloring is constant on every copy of B
         verdict.status = HOLDS
         return verdict
-    # per-B-copy bookkeeping: how many members colored, which colors seen
-    size_b = [len(members) for members in a_in_b]
-    assigned = [0] * len(copies_b)
-    seen = [set() for _ in copies_b]
-    touched = [None] * m  # touched[i]: (B-copy, color newly seen) pairs of copy i
+    b_sets = [set(t) for t in copies_b]
+    b_for_a = [[bi for bi, s in enumerate(b_sets) if s.issuperset(t)] for t in copies_a]
+    size_b = [sum(map(s.issuperset, copies_a)) for s in b_sets]
+    # left[col][bi]: the members of B-copy bi not yet colored col.  A color
+    # has a row only while a placed copy has that color, so rows <= m for any k.
+    left = {}
+    made = [False] * m  # made[i]: placing copy i made its color's row
 
     def place(i, col):
+        row = left.get(col)
+        made[i] = row is None
+        if made[i]:
+            row = left[col] = size_b.copy()
         alive = True
-        t = touched[i] = []
         for bi in b_for_a[i]:
-            assigned[bi] += 1
-            s = seen[bi]
-            added = col not in s
-            if added:
-                s.add(col)
-            t.append((bi, added))
-            if assigned[bi] == size_b[bi] and len(s) <= 1:
+            row[bi] -= 1
+            if not row[bi]:
                 alive = False  # this B-copy came out monochromatic
         return alive
 
     def undo(i, col):
-        for bi, added in touched[i]:
-            assigned[bi] -= 1
-            if added:
-                seen[bi].discard(col)
+        if made[i]:
+            del left[col]  # the placements after copy i are undone already
+            return
+        row = left[col]
+        for bi in b_for_a[i]:
+            row[bi] += 1
 
     # symmetry reduction: the first copy is pinned to color 0
     first, rest = range(1), range(k)

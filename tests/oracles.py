@@ -3,10 +3,11 @@
 Every slow path lives here, each simple enough to check by reading:
 the predecessors of library fast paths (validate's full check, its
 triple-by-triple exact test, the Fraction-pair arithmetic,
-check_theory_T before the bitmasks, the dict-and-dumps extension
-report), brute-force enumerations that use no search code, gl2_search,
-an exhaustive matrix search, and the realizer scan that the profile
-index replaced.  No library code calls them.
+check_theory_T before the bitmasks, model_encode's addition-table scan,
+the dict-and-dumps extension report), brute-force enumerations that use
+no search code, an arrow search that keeps no incremental state,
+gl2_search, an exhaustive matrix search, and the realizer scan that the
+profile index replaced.  No library code calls them.
 """
 
 import itertools
@@ -93,6 +94,42 @@ def first_bad_coloring(copies_a, copies_b, k):
         if all(len({colors[ai] for ai in ms}) > 1 for ms in members):
             return colors
     return None
+
+
+class OverBudget(Exception):
+    """arrow_search tried more than budget candidates; nodes is the count."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.nodes = nodes
+
+
+def arrow_search(copies_a, copies_b, k, budget=None):
+    """(first bad coloring or None, nodes) for k >= 2 and copies_a nonempty:
+    a recursive search in the order of ramsey.arrow, copy 0 pinned to color
+    0, one node per candidate counted before the budget check.  Each node
+    re-derives from the partial coloring whether some copy of b is fully
+    colored with one color; raises OverBudget past budget nodes."""
+    members = [[ai for ai, t in enumerate(copies_a) if set(t) <= set(bc)] for bc in copies_b]
+    colors, nodes = [], 0
+
+    def monochromatic():
+        return any(all(ai < len(colors) for ai in ms) and len({colors[ai] for ai in ms}) == 1
+                   for ms in members)
+
+    def search(i):
+        nonlocal nodes
+        for col in range(k if i else 1):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise OverBudget(nodes)
+            colors.append(col)
+            if not monochromatic() and (len(colors) == len(copies_a) or search(i + 1)):
+                return True
+            colors.pop()
+        return False
+
+    return (tuple(colors) if search(0) else None), nodes
 
 
 # -- limitbuilder: the realizer scan --------------------------------------------
@@ -288,6 +325,19 @@ def gl2_search(alpha, beta, height):
 
 
 # -- coding -------------------------------------------------------------------
+
+
+def addition_table(universe):
+    """model_encode's partial addition table by the n^3 scan: (i, j) -> k
+    for nonzero indices i, j with universe[i] + universe[j] == universe[k]."""
+    plus = {}
+    for i, x in enumerate(universe):
+        for j, y in enumerate(universe):
+            if i and j:
+                for k, z in enumerate(universe):
+                    if z == x + y:
+                        plus[(i, j)] = k
+    return plus
 
 def _triangle(a, b, c):
     return abs(b - c) <= a <= b + c

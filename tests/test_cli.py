@@ -316,6 +316,9 @@ def test_check_theory_rejects_a_non_positive_sample(tmp_path, capsys):
     d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2)], cap=n1(2)).to_json())
     for sample in ("0,1", "-1/2", "1,-3"):
         assert_input_error(capsys, ["check-theory", "--set", d, f"--sample={sample}"], "must be positive")
+    # Fraction("2/0") raised ZeroDivisionError, which exited 4 as a crash
+    for verb in ("check-theory", "encode-model"):
+        assert_input_error(capsys, [verb, "--set", d, "--sample=1,2/0"], "'2/0' has a zero denominator")
     # a lone 1 is a legitimate sample: every cut at (x, x) is full
     code, out = run(capsys, ["check-theory", "--set", d, "--sample=1"])
     assert code == 1 and out["clauses"]["2"]["status"] == "Violated"
@@ -415,6 +418,8 @@ def test_perturb_verb(tmp_path, capsys):
 def test_input_error_exit_code(capsys, tmp_path):
     code, _ = run(capsys, ["check-rigid", "--space", str(tmp_path / "missing.json")])
     assert code == 3
+    # open() on a directory raised IsADirectoryError, which exited 4
+    assert_input_error(capsys, ["encode-model", "--set", str(tmp_path)], "Is a directory")
     code, _ = run(capsys, ["gen-dvs", "--alpha", "2/1", "--height", "1", "--bound", "2/1"])
     assert code == 3
 
@@ -501,6 +506,25 @@ def test_extension_stdout_bytes_are_pinned(tmp_path, capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv[0]
 
 
+def test_arrow_stdout_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the stdout of check-arrow -k 2 on one seeded 9-point space
+    # over {1, 2}: a Fails with its bad coloring, a Holds, and the same
+    # Holds instance cut short by --budget; each prints its node count
+    c = random_space(random.Random(2), 9, closed_fragment([n1(1)], n1(2)))
+    files = {name: write_json(tmp_path, f"{name}.json", x.to_json()) for name, x in {
+        "c": c, "b_fails": c.induced([0, 2, 3]), "a_fails": c.induced([0, 2]),
+        "b_holds": c.induced([0, 1, 5]), "a_holds": c.induced([0, 5])}.items()}
+    pins = [
+        ("fails", [], 1, "61b4e28bfbfff80c16e9cd7571f46bec85ba277caf2939143ff942f734ff5699"),
+        ("holds", [], 0, "be07fd073c028beae60a22eafa16782c2711c63cced1f9707ab8f6dca0bbad78"),
+        ("holds", ["--budget", "500"], 2, "9ba0ed36c4751f602ee62b446825a4708be733f4129c376db64bafed2863023d"),
+    ]
+    for case, extra, code, digest in pins:
+        argv = ["check-arrow", "--c", files["c"], "--b", files[f"b_{case}"], "--a", files[f"a_{case}"], "-k", "2"]
+        assert main(argv + extra) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (case, extra)
+
+
 def write_count_inputs(tmp_path):
     """Valid inputs for every verb with a count flag: with any
     non-negative count each call gives a verdict (exit 0, 1 or 2)."""
@@ -525,6 +549,7 @@ NEGATIVE_COUNTS = [
     ("check-arrow", [["--c", "{a}", "--b", "{a}", "--a", "{a}", "-k", "-1"],
                      ["--c", "{a}", "--b", "{a}", "--a", "{a}", "-k", "2", "--budget", "-1"]]),
     ("check-theory", [["--set", "{s}", "--budget", "-1"]]),
+    ("gen-dvs", [["--alpha", "1/1*sqrt(2)", "--height", "-1", "--bound", "2/1"]]),
 ]
 
 
@@ -547,6 +572,8 @@ def test_zero_counts_keep_their_verdicts(tmp_path, capsys):
     a = files["a"]
     assert main(["check-arrow", "--c", a, "--b", a, "--a", a, "-k", "0"]) == 3
     assert capsys.readouterr().out == ""
+    code, out = run(capsys, ["gen-dvs", "--alpha", "1/1*sqrt(2)", "--height", "0", "--bound", "2/1"])
+    assert code == 0 and out == {"cap": "2/1", "closed": True, "values": []}
 
 
 REPORT_FRAGMENTS = [

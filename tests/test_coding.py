@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaspace.coding import (
     NOT_FALSIFIABLE,
@@ -24,6 +26,8 @@ from deltaspace.coding import (
 from deltaspace.dvs import gen_delta_alpha, make_set, scale
 from deltaspace.exact import ExactReal
 from deltaspace.search import BudgetExceeded
+
+import oracles
 
 SQRT2 = ExactReal.sqrt(2)
 SQRT3 = ExactReal.sqrt(3)
@@ -150,6 +154,16 @@ def test_model_rq_is_strict():
     assert (1, 2) not in m.rq[Fraction(1, 2)]  # 1/2 < 1/2 fails
     assert (2, 1) in m.rq[Fraction(1, 2)]  # 1/2 < 2
     assert (2, 1) not in m.rq[Fraction(2)]  # 2 < 2 fails
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 6), st.integers(0, 3)).filter(lambda pq: pq[0] + 1.5 * pq[1] > 0),
+                min_size=1, max_size=8, unique=True))
+def test_model_addition_table_matches_the_scan(pqs):
+    # values p + q*sqrt(2): rational sums, surd sums and sums out of the fragment
+    d = make_set([ExactReal(p, q, 2) for p, q in pqs])
+    m = model_encode(d, [Fraction(1)])
+    assert m.plus == oracles.addition_table(m.universe)
 
 
 def test_model_unit_cut():

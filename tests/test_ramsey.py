@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,22 @@ def test_arrow_budget_unknown():
     verdict = arrow(uniform_space(6, n1(1)), uniform_space(3, n1(1)), uniform_space(2, n1(1)), 2, budget=10)
     assert verdict.status == UNKNOWN
     assert verdict.nodes == 11  # the node that crossed the budget is counted
+
+
+def test_arrow_memory_does_not_grow_with_the_colors_tried():
+    # b holds one copy of a, so every color placed on that copy completes
+    # it and the search tries all 20,000 colors there before the budget
+    b = make_space("xyz", {(0, 1): n1(1), (0, 2): n1(2), (1, 2): n1(2)})
+    c = make_space("pqrs", {(0, 1): n1(1), (0, 2): n1(1), (0, 3): n1(1),
+                            (1, 2): n1(1), (1, 3): n1(2), (2, 3): n1(2)})
+    tracemalloc.start()
+    try:
+        verdict = arrow(c, b, b.induced([0, 1]), 10 ** 9, budget=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == UNKNOWN and verdict.nodes == 20001
+    assert peak < 200_000  # a table row per color tried would take over 1 MB
 
 
 def test_arrow_deeper_than_recursion_limit():

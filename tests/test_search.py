@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from deltaspace.coding import DvsCode, approx_check, triangle_structure, ts_isomorphic
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
-from deltaspace.ramsey import FAILS, HOLDS, arrow, automorphisms
+from deltaspace.ramsey import FAILS, HOLDS, UNKNOWN, arrow, automorphisms
 from deltaspace.search import BudgetExceeded, Search, injective_maps
 from deltaspace.space import Space, copies_of, isomorphic, make_space
 
@@ -160,11 +160,20 @@ def test_arrow_matches_brute_force(c, k, data):
     bpts = data.draw(st.lists(st.integers(0, c.n - 1), min_size=1, max_size=min(c.n, 4), unique=True))
     b = c.induced(bpts)
     a = b.induced(data.draw(st.lists(st.integers(0, b.n - 1), min_size=1, max_size=b.n, unique=True)))
-    copies_a = copies_of(c, a)
-    first_bad = oracles.first_bad_coloring(copies_a, copies_of(c, b), k)
+    copies_a, copies_b = copies_of(c, a), copies_of(c, b)
+    first_bad = oracles.first_bad_coloring(copies_a, copies_b, k)
     verdict = arrow(c, b, a, k)
     if first_bad is None:
         assert verdict.status == HOLDS
     else:
         assert verdict.status == FAILS
         assert verdict.bad_coloring == dict(zip(copies_a, first_bad))
+    searched, nodes = oracles.arrow_search(copies_a, copies_b, k)
+    assert searched == first_bad and verdict.nodes == nodes
+    # a budget below the node count is Unknown, counting the node that crossed it
+    budget = data.draw(st.integers(0, nodes - 1))
+    with pytest.raises(oracles.OverBudget) as over:
+        oracles.arrow_search(copies_a, copies_b, k, budget)
+    cut = arrow(c, b, a, k, budget)
+    assert cut.status == UNKNOWN and cut.bad_coloring is None
+    assert cut.nodes == over.value.nodes == budget + 1

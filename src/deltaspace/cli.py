@@ -179,26 +179,31 @@ def cmd_check_extension(args) -> int:
     d = _load_set(args.delta)
     m = _load_ordered_space(args.space, d)
     report = limitbuilder.extension_property_check(m, d, args.k, args.max_pairs)
-    print(_extension_report_json(report, d))
+    print(_extension_report_json(report))
     return EXIT_YES if report.empty else EXIT_NO
 
 
-def _extension_report_json(report: limitbuilder.ExtensionReport, d: dvs.DistanceSet) -> str:
+def _extension_report_json(report: limitbuilder.ExtensionReport) -> str:
     """json.dumps(..., sort_keys=True) of {"checked": .., "unrealized":
     [{"dists": [..], "slot": .., "subset": [..]}, ..]}, assembled from
-    text fragments made once per distinct dists and once per distinct
-    subset: a report has far more entries than distinct fragments."""
-    text = {v: json.dumps(str(v)) for v in d.values}  # every extension distance is a fragment value
-    heads, tails, entries = {}, {}, []
-    for e in report.unrealized:
-        head = heads.get(e.dists)
+    text fragments: the heads of a group's entries, each up to its slot,
+    made once per distinct (id vector, slots), and an entry's tail once
+    per subset.  A group's text is one join of its heads with the tail
+    between them."""
+    text = [json.dumps(str(v)) for v in report.values]
+    heads, groups, last = {}, [], None
+    for subset, vec, slots in report.groups:
+        if subset is not last:  # a subset's groups are consecutive
+            last = subset
+            tail = f', "subset": [{", ".join(map(str, subset))}]}}'
+            sep = f"{tail}, "
+        key = (vec, slots)
+        head = heads.get(key)
         if head is None:
-            head = heads[e.dists] = f'{{"dists": [{", ".join([text[v] for v in e.dists])}], "slot": '
-        tail = tails.get(e.subset)
-        if tail is None:
-            tail = tails[e.subset] = f', "subset": {json.dumps(list(e.subset))}}}'
-        entries.append(f"{head}{e.slot}{tail}")
-    return f'{{"checked": {report.checked}, "unrealized": [{", ".join(entries)}]}}'
+            dists = f'{{"dists": [{", ".join([text[t] for t in vec])}], "slot": '
+            head = heads[key] = [f"{dists}{slot}" for slot in slots]
+        groups.append(f"{sep.join(head)}{tail}")
+    return f'{{"checked": {report.checked}, "unrealized": [{", ".join(groups)}]}}'
 
 
 def cmd_perturb(args) -> int:

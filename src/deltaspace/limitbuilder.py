@@ -9,7 +9,9 @@ step), and the order-preserving perturbation of a partial isometry.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -57,81 +59,121 @@ class Extension(NamedTuple):
 
 @dataclass
 class ExtensionReport:
+    """checked counts the (subset, extension) pairs examined.  groups
+    holds the unrealized ones, one (subset, vec, slots) per subset and
+    distance vector with a missing slot: vec indexes values, and slots
+    is the tuple of missing order slots, increasing.  Groups come in
+    check order."""
+
+    values: tuple[ExactReal, ...]
     checked: int = 0
-    unrealized: list[Extension] = field(default_factory=list)
+    groups: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
+
+    @property
+    def unrealized(self) -> list[Extension]:
+        """The unrealized extensions, one per missing slot, in check order."""
+        values = self.values
+        return [Extension(subset, tuple([values[t] for t in vec]), slot)
+                for subset, vec, slots in self.groups for slot in slots]
 
     @property
     def empty(self) -> bool:
-        return not self.unrealized
-
-
-# The id of a distance outside the value list: no extension vector has it.
-_OFF = -1
+        return not self.groups
 
 
 def _subset_vectors(m: Space, d: DistanceSet, k: int, pool: int):
     """Each <= k-subset of the first pool points of m, with the id vectors
     (indices into d.values) of the distance vectors over d that satisfy
     the triangle inequality against the subset's distances, in
-    itertools.product order."""
+    itertools.product order.  A vector list depends only on the ids of
+    the subset's pair distances, so it is computed once per distinct
+    tuple of them."""
     values = d.values
-    ids = range(len(values))
+    index, ids = m.value_ids
+    vals = list(index)
     bounds = [(a, b, abs(x - y), x + y)
               for (a, x), (b, y) in itertools.product(enumerate(values), repeat=2)]
-    admissible = {}  # d(i, j) -> the id pairs (a, b) with |x - y| <= d(i, j) <= x + y
+    admissible = {}  # id of d(i, j) -> the id pairs (a, b) with |x - y| <= d(i, j) <= x + y
 
-    def pairs_for(dij: ExactReal) -> frozenset:
-        ok = admissible.get(dij)
+    def pairs_for(u: int) -> frozenset:
+        ok = admissible.get(u)
         if ok is None:
-            ok = admissible[dij] = frozenset((a, b) for a, b, lo, hi in bounds if lo <= dij <= hi)
+            dij = vals[u]
+            ok = admissible[u] = frozenset((a, b) for a, b, lo, hi in bounds if lo <= dij <= hi)
         return ok
 
     for size in range(k + 1):
+        pairs = list(itertools.combinations(range(size), 2))
+        memo = {}  # the ids of the subset's pair distances -> its vectors
         for subset in itertools.combinations(range(pool), size):
-            checks = [(i, j, pairs_for(m.dist[subset[i]][subset[j]]))
-                      for i, j in itertools.combinations(range(size), 2)]
-            yield subset, [vec for vec in itertools.product(ids, repeat=size)
-                           if all((vec[i], vec[j]) in ok for i, j, ok in checks)]
+            key = tuple([ids[subset[i]][subset[j]] for i, j in pairs])
+            vectors = memo.get(key)
+            if vectors is None:
+                checks = [(i, j, pairs_for(u)) for (i, j), u in zip(pairs, key)]
+                vectors = memo[key] = [vec for vec in itertools.product(range(len(values)), repeat=size)
+                                       if all((vec[i], vec[j]) in ok for i, j, ok in checks)]
+            yield subset, vectors
 
 
-def _id_columns(m: Space, ids: dict, subset) -> dict:
-    """cols[s][p]: the id of d(s, p), for each s in subset and each point p."""
-    return {s: [ids.get(v, _OFF) for v in m.dist[s]] for s in subset}
+def _rows(m: Space, values, points) -> list[list[int]]:
+    """rows[s][t]: the bitmask of the points of m at distance values[t]
+    from point s, for s in points (0 for a value m does not have)."""
+    index = m.value_ids[0]
+    cols = [index.get(v) for v in values]
+    return [[0 if u is None else mask[u] for u in cols] for mask in map(m.masks.__getitem__, points)]
 
 
-def _profile_index(cols, ranks, subset) -> dict:
-    """The profile index of a subset.  A point's profile is the ids of its
-    distances to the subset's points and its rank slot among them; each
-    profile of a point outside the subset maps to the lowest-index point
-    with it, which realizes the extension with those ids and that slot."""
-    n = len(ranks)
+def _below(m: Space) -> list[int]:
+    """below[r]: the bitmask of the points of rank < r, for r in 0..n."""
+    below = [0]
+    for p in m.order:
+        below.append(below[-1] | 1 << p)
+    return below
+
+
+def _slot_masks(m: Space, below, subset) -> list[int]:
+    """The points in each order slot of subset: slot j holds the points
+    ranked strictly between the subset's j-th and (j+1)-th point by rank,
+    so no point of the subset."""
+    cuts = [-1, *sorted(map(m.ranks.__getitem__, subset)), m.n]
+    return [below[hi] ^ below[lo + 1] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _realizer_masks(rows, subset, vectors) -> list[int]:
+    """For each id vector, the bitmask of the points at distance id
+    vec[i] from subset[i] for every i (-1, every point, for the empty
+    subset).  ANDed with a slot's mask, it holds the realizers of
+    (subset, vec, slot); the lowest set bit is the lowest-index one."""
     if not subset:
-        return {((), 0): 0} if n else {}
-    keys = list(zip(zip(*[cols[s] for s in subset]),
-                    map(sum, zip(*[map(ranks[s].__lt__, ranks) for s in subset]))))
-    for s in subset:
-        keys[s] = None
-    index = dict(zip(reversed(keys), range(n - 1, -1, -1)))  # the lowest index is written last
-    index.pop(None, None)
-    return index
+        return [-1] * len(vectors)
+    sub = [rows[s] for s in subset]
+    return [functools.reduce(operator.and_, map(operator.getitem, sub, vec)) for vec in vectors]
 
 
 def find_realizer(m: Space, ext: Extension) -> Optional[int]:
-    """The lowest-index point of m realizing ext, or None: a lookup in the
-    profile index of m over ext.subset, keyed on ext's own distances.  For
-    a single extension; the bulk checks build one index per subset."""
+    """The lowest-index point of m realizing ext, or None: the lowest set
+    bit of ext's realizer mask over m."""
     if m.order is None:
         raise BuilderError("space must be ordered")
-    ids = {v: i for i, v in enumerate(ext.dists)}
-    cols = _id_columns(m, ids, ext.subset)
-    return _profile_index(cols, m.ranks, ext.subset).get((tuple(ids[v] for v in ext.dists), ext.slot))
+    below = _below(m)
+    # the ids index ext.dists itself, so the id vector is 0, 1, ...
+    rows = dict(zip(ext.subset, _rows(m, ext.dists, ext.subset)))
+    (mask,) = _realizer_masks(rows, ext.subset, [range(len(ext.dists))])
+    mask &= _slot_masks(m, below, ext.subset)[ext.slot]
+    return (mask & -mask).bit_length() - 1 if mask else None
 
 
-def _pool(m: Space, source_n: Optional[int]) -> int:
+def _pool(m: Space, k: int, source_n: Optional[int]) -> int:
     """How many leading points of m the subsets are drawn from."""
     if m.order is None:
         raise BuilderError("space must be ordered")
-    return m.n if source_n is None else source_n
+    if k < 0:
+        raise BuilderError(f"k must be non-negative, not {k}")
+    if source_n is None:
+        return m.n
+    if not 0 <= source_n <= m.n:
+        raise BuilderError(f"source_n must be in 0..{m.n}, not {source_n}")
+    return source_n
 
 
 def extension_property_check(
@@ -140,21 +182,25 @@ def extension_property_check(
 ) -> ExtensionReport:
     """For every <= k-subset of m (or of its first source_n points) and
     every one-point extension over d, look for a realizing point in m:
-    one lookup per extension in the subset's profile index."""
-    pool = _pool(m, source_n)
-    report = ExtensionReport()
-    cols = _id_columns(m, {v: i for i, v in enumerate(d.values)}, range(pool))
+    one AND of neighbourhood masks per distance vector, then one per
+    order slot."""
+    pool = _pool(m, k, source_n)
+    report = ExtensionReport(d.values)
+    rows = _rows(m, d.values, range(pool))
+    below = _below(m)
     for subset, vectors in _subset_vectors(m, d, k, pool):
-        slots = range(len(subset) + 1)
+        slots = _slot_masks(m, below, subset)
         report.checked += len(vectors) * len(slots)
         if report.checked > max_pairs:
             raise BudgetExceeded(f"more than {max_pairs} (subset, extension) pairs")
-        index = _profile_index(cols, m.ranks, subset)
-        for vec in vectors:
-            missing = [slot for slot in slots if (vec, slot) not in index]
+        every_slot = tuple(range(len(slots)))
+        for vec, mask in zip(vectors, _realizer_masks(rows, subset, vectors)):
+            if not mask:
+                report.groups.append((subset, vec, every_slot))
+                continue
+            missing = tuple([slot for slot, sm in enumerate(slots) if not mask & sm])
             if missing:
-                dists = tuple([d.values[a] for a in vec])
-                report.unrealized.extend(Extension(subset, dists, slot) for slot in missing)
+                report.groups.append((subset, vec, missing))
     return report
 
 
@@ -206,10 +252,9 @@ def saturate(
     ORIGINAL m.  Existing points are reused before new ones are added, so
     re-saturation at the same k adds nothing.  When the point budget runs
     out, the partial result is returned with the skipped extensions
-    listed in the report.  Each subset's extensions are looked up in its
-    profile index, built over the space as it stands when the subset's
-    turn comes.  Precondition: m is a valid ordered space over
-    d.  d must be bounded, else FragmentUnbounded: an unbounded fragment
+    listed in the report.  Each subset's extensions are looked up on
+    neighbourhood masks, kept up to date as points are added.
+    Precondition: m is a valid ordered space over d.  d must be bounded, else FragmentUnbounded: an unbounded fragment
     is closed only up to its largest value, and a new distance past it
     would fail realize's final check mid-run.  d must be closed, else
     FragmentNotClosed, since the new distances are truncated sums."""
@@ -217,28 +262,34 @@ def saturate(
         raise FragmentUnbounded()
     if not d.closed:
         raise FragmentNotClosed(validate_closure(d))
-    pool = _pool(m, source_n)
-    report = ExtensionReport()
-    ids = {v: i for i, v in enumerate(d.values)}
-    cols = _id_columns(m, ids, range(pool))
-    cur = m
+    pool = _pool(m, k, source_n)
+    report = ExtensionReport(d.values)
+    ids = {v: t for t, v in enumerate(d.values)}
+    rows = _rows(m, d.values, range(pool))
+    cur, below = m, _below(m)
     for subset, vectors in _subset_vectors(m, d, k, pool):
-        index = _profile_index(cols, cur.ranks, subset)
-        for vec in vectors:
-            for slot in range(len(subset) + 1):
+        if len(below) <= cur.n:  # cur grew since below was built
+            below = _below(cur)
+        # Each (vec, slot) comes once per subset, so the masks made at the
+        # subset's turn need no point realized for the same subset.
+        slots = _slot_masks(cur, below, subset)
+        for vec, mask in zip(vectors, _realizer_masks(rows, subset, vectors)):
+            missing = []
+            for slot, sm in enumerate(slots):
                 report.checked += 1
-                if report.checked <= max_pairs and (vec, slot) in index:
+                if report.checked <= max_pairs and mask & sm:
                     continue  # an existing point realizes it
-                ext = Extension(subset, tuple(d.values[a] for a in vec), slot)
                 if report.checked > max_pairs or cur.n + 1 > max_points:
-                    report.unrealized.append(ext)
+                    missing.append(slot)
                     continue
-                cur = realize(cur, ext, d)
-                # Each (vec, slot) comes once per subset, so this index is
-                # not asked about the new point; later subsets' indexes are
-                # built over the grown columns.
-                for s in range(pool):
-                    cols[s].append(ids.get(cur.dist[s][-1], _OFF))
+                cur = realize(cur, Extension(subset, tuple([d.values[t] for t in vec]), slot), d)
+                z = cur.n - 1
+                for s, row in enumerate(rows):
+                    t = ids.get(cur.dist[s][z])
+                    if t is not None:
+                        row[t] |= 1 << z
+            if missing:
+                report.groups.append((subset, vec, tuple(missing)))
     return cur, report
 
 

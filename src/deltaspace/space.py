@@ -3,7 +3,9 @@
 Points are indexed 0..n-1 internally; labels are for I/O only.  The order
 is stored as a permutation listing point indices from least to greatest,
 so order-rank matching of two ordered spaces is a single pass; its
-inverse, the rank of each point, is computed once per space and cached.
+inverse, the rank of each point, is computed once per space and cached,
+as are the ids of the distinct distances and each point's neighbourhood
+masks.
 """
 
 from __future__ import annotations
@@ -49,6 +51,29 @@ class Space:
         for r, i in enumerate(self.order):
             ranks[i] = r
         return tuple(ranks)
+
+    @functools.cached_property
+    def value_ids(self) -> tuple[dict[ExactReal, int], tuple[tuple[int, ...], ...]]:
+        """(index, ids): index gives each distinct distance a small int, in
+        order of first occurrence row by row, and ids[i][j] is the int of
+        dist[i][j].  One hash per entry."""
+        index = {}
+        ids = tuple(tuple([index.setdefault(v, len(index)) for v in row]) for row in self.dist)
+        return index, ids
+
+    @functools.cached_property
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """masks[a][u] is the bitmask of the points at distance id u from
+        point a: bit p is set when value_ids[1][a][p] == u."""
+        index, ids = self.value_ids
+        bits = [1 << p for p in range(self.n)]
+        out = []
+        for row in ids:
+            mask = [0] * len(index)
+            for bit, u in zip(bits, row):
+                mask[u] |= bit
+            out.append(tuple(mask))
+        return tuple(out)
 
     def rank(self, i: int) -> int:
         """Position of point i in the order (0 = least)."""
@@ -153,12 +178,13 @@ def validate(x: Space, since: int = 0):
     index), NotInDelta, BadOrder.  since=0 is the full check; a larger
     since is complete when the points below it form a valid space.
 
-    A triangle is tested on the ids of its three distances (one id per
-    distinct value, so one hash per entry), and each id triple's exact
-    verdict is computed the first time it occurs and remembered: the
-    exact sum and comparison run once per distinct triple, in the same
-    loop order, so the witness and any MixedRadicands are those of the
-    triple-by-triple test."""
+    A triangle is tested on the ids of its three distances (Space.value_ids),
+    and each id triple's exact verdict is computed the first time it
+    occurs and remembered: the exact sum and comparison run once per
+    distinct triple, in the same loop order, so the witness and any
+    MixedRadicands are those of the triple-by-triple test.  The full
+    check first asks the masks (_no_broken_triangle) and runs that loop
+    only on a hit, to find the witness."""
     n, dist = x.n, x.dist
     for i in range(since, n):
         if not dist[i][i].is_zero():
@@ -169,18 +195,18 @@ def validate(x: Space, since: int = 0):
             return Violation("Symmetry", (i, j))
         if dist[i][j].sign() <= 0:
             return Violation("Positivity", (i, j))
-    first = {}
-    ids = [[first.setdefault(v, len(first)) for v in row] for row in dist]
-    vals = list(first)
-    ok = set()  # id triples (ac, ab, bc) with d(a, c) <= d(a, b) + d(b, c)
-    for k in range(max(since, 2), n):
-        for i, j in itertools.combinations(range(k), 2):
-            for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):  # each point as the middle one
-                key = (ids[a][c], ids[a][b], ids[b][c])
-                if key not in ok:
-                    if vals[key[0]] > vals[key[1]] + vals[key[2]]:
-                        return Violation("Triangle", (a, b, c))
-                    ok.add(key)
+    index, ids = x.value_ids
+    vals = list(index)
+    if since or not _no_broken_triangle(x, vals):
+        ok = set()  # id triples (ac, ab, bc) with d(a, c) <= d(a, b) + d(b, c)
+        for k in range(max(since, 2), n):
+            for i, j in itertools.combinations(range(k), 2):
+                for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):  # each point as the middle one
+                    key = (ids[a][c], ids[a][b], ids[b][c])
+                    if key not in ok:
+                        if vals[key[0]] > vals[key[1]] + vals[key[2]]:
+                            return Violation("Triangle", (a, b, c))
+                        ok.add(key)
     if x.delta is not None:
         for i, j in pairs:
             if dist[i][j] not in x.delta:
@@ -188,6 +214,41 @@ def validate(x: Space, since: int = 0):
     if x.order is not None and sorted(x.order) != list(range(n)):
         return Violation("BadOrder", tuple(x.order))
     return OK
+
+
+def _no_broken_triangle(x: Space, vals) -> bool:
+    """True when the masks show that no triple of x breaks the triangle
+    inequality; x is symmetric with a zero diagonal and positive entries
+    off it.  The id pairs (u, v) with vals[w] > vals[u] + vals[v] are
+    found once, and a pair of points (a, c) at distance id w breaks a
+    triangle exactly when masks[a][u] & masks[c][v] is nonzero for one
+    of them.  False on a hit, and when the masks are not used: values
+    over more than one radicand (only the loop raises MixedRadicands
+    where the triple-by-triple test does), or |V|^3 > n(n-1)(n-2), the
+    number of ordered triples (the table would cost more exact checks
+    than the loop)."""
+    n, size = x.n, len(vals)
+    if size ** 3 > n * (n - 1) * (n - 2) or len({v.d for v in vals if v.d}) > 1:
+        return False
+    # b = a or b = c never breaks a triangle, so the zero id is left out
+    pos = [u for u in range(size) if not vals[u].is_zero()]
+    bad = [[] for _ in range(size)]
+    for u, v in itertools.combinations_with_replacement(pos, 2):
+        total = vals[u] + vals[v]
+        for w in pos:
+            if vals[w] > total:
+                bad[w].append((u, v))
+                if u != v:
+                    bad[w].append((v, u))
+    masks, ids = x.masks, x.value_ids[1]
+    for a in range(n):
+        ma, row = masks[a], ids[a]
+        for c in range(a + 1, n):
+            mc = masks[c]
+            for u, v in bad[row[c]]:
+                if ma[u] & mc[v]:
+                    return False
+    return True
 
 
 def copies_of(c: Space, a: Space) -> list[tuple[int, ...]]:

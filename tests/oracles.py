@@ -6,18 +6,20 @@ triple-by-triple exact test, the Fraction-pair arithmetic,
 check_theory_T before the bitmasks, model_encode's addition-table scan,
 the dict-and-dumps extension report), brute-force enumerations that use
 no search code, an arrow search that keeps no incremental state,
-gl2_search, an exhaustive matrix search, and the realizer scan that the
-profile index replaced.  No library code calls them.
+gl2_search, an exhaustive matrix search, the realizer scan that the
+profile index replaced, and the profile index that the neighbourhood
+masks replaced.  No library code calls them.
 """
 
 import itertools
 import json
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from deltaspace.coding import NOT_FALSIFIABLE, SATISFIED, VIOLATED, ClauseStatus, EncodedModel
 from deltaspace.equiv import PoleAtAlpha, RatMatrix, gl2_apply
 from deltaspace.exact import DivisionByZero, MixedRadicands, _squarefree_split
-from deltaspace.limitbuilder import Extension, ExtensionReport, realize
+from deltaspace.limitbuilder import Extension, realize
 from deltaspace.space import OK, Violation
 
 # -- space --------------------------------------------------------------------
@@ -165,8 +167,16 @@ def find_realizer(m, ext):
     return next((p for p in range(m.n) if realizes(m, ext, p)), None)
 
 
+@dataclass
+class ScanReport:
+    """A report as the flat list that ExtensionReport.unrealized derives."""
+
+    checked: int = 0
+    unrealized: list = field(default_factory=list)
+
+
 def extension_property_check(m, d, k, source_n=None):
-    report = ExtensionReport()
+    report = ScanReport()
     for ext in subset_extensions(m, d, k, source_n):
         report.checked += 1
         if find_realizer(m, ext) is None:
@@ -176,7 +186,7 @@ def extension_property_check(m, d, k, source_n=None):
 
 def saturate(m, d, k, max_points=64, max_pairs=1000000, source_n=None):
     """The scan loop: reuse the first realizer of m so far, else realize."""
-    report = ExtensionReport()
+    report = ScanReport()
     cur = m
     for ext in subset_extensions(m, d, k, source_n):
         report.checked += 1
@@ -188,6 +198,54 @@ def saturate(m, d, k, max_points=64, max_pairs=1000000, source_n=None):
             else:
                 cur = realize(cur, ext, d)
     return cur, report
+
+
+# -- limitbuilder: the profile index --------------------------------------------
+#
+# The check before the neighbourhood masks: fast enough for spaces of a
+# hundred points, where the scan is not.
+
+_OFF = -1  # the id of a distance outside the value list: no extension vector has it
+
+
+def id_columns(m, ids, subset):
+    """cols[s][p]: the id of d(s, p), for each s in subset and each point p."""
+    return {s: [ids.get(v, _OFF) for v in m.dist[s]] for s in subset}
+
+
+def profile_index(cols, ranks, subset):
+    """The profile index of a subset.  A point's profile is the ids of its
+    distances to the subset's points and its rank slot among them; each
+    profile of a point outside the subset maps to the lowest-index point
+    with it, which realizes the extension with those ids and that slot."""
+    n = len(ranks)
+    if not subset:
+        return {((), 0): 0} if n else {}
+    keys = list(zip(zip(*[cols[s] for s in subset]),
+                    map(sum, zip(*[map(ranks[s].__lt__, ranks) for s in subset]))))
+    for s in subset:
+        keys[s] = None
+    index = dict(zip(reversed(keys), range(n - 1, -1, -1)))  # the lowest index is written last
+    index.pop(None, None)
+    return index
+
+
+def profile_extension_property_check(m, d, k, source_n=None):
+    """One profile index per subset, one lookup per extension."""
+    ids = {v: i for i, v in enumerate(d.values)}
+    pool = m.n if source_n is None else source_n
+    cols = id_columns(m, ids, range(pool))
+    report = ScanReport()
+    for size in range(k + 1):
+        for subset in itertools.combinations(range(pool), size):
+            index = profile_index(cols, m.ranks, subset)
+            for vec in distance_vectors(m.induced(subset), d):
+                key = tuple(ids[v] for v in vec)
+                for slot in range(size + 1):
+                    report.checked += 1
+                    if (key, slot) not in index:
+                        report.unrealized.append(Extension(subset, vec, slot))
+    return report
 
 
 # -- cli: the extension report ---------------------------------------------------

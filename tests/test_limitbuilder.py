@@ -285,7 +285,13 @@ def test_density_perturb_appends_the_images_in_source_order(n, data):
     assert out.order == m.order + tuple(images[i] for i in by_source)
 
 
-# -- the profile index against the realizer scan in oracles.py ----------------
+# -- the neighbourhood masks against the realizer scan and the profile index --
+
+
+def flat(report):
+    """What a report says: how many pairs were checked, and the ordered
+    list of unrealized extensions."""
+    return report.checked, report.unrealized
 
 
 def with_twins(rng, m: Space, count: int) -> Space:
@@ -307,12 +313,13 @@ def with_twins(rng, m: Space, count: int) -> Space:
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2), st.data())
-def test_profile_index_matches_the_scan(seed, n, twins, k, data):
+def test_mask_check_matches_the_scan(seed, n, twins, k, data):
     rng = random.Random(seed)
     d = data.draw(st.sampled_from([D12, D13]))
     m = with_twins(rng, random_space(rng, n, d), twins)
     source_n = data.draw(st.integers(0, m.n - 1))
-    assert extension_property_check(m, d, k, source_n=source_n) == oracles.extension_property_check(m, d, k, source_n)
+    assert flat(extension_property_check(m, d, k, source_n=source_n)) == \
+        flat(oracles.extension_property_check(m, d, k, source_n))
     # every extension, realized or not, has the scan's lowest-index realizer
     for ext in oracles.subset_extensions(m, d, k):
         assert find_realizer(m, ext) == oracles.find_realizer(m, ext)
@@ -329,7 +336,7 @@ def test_saturate_matches_the_scan_loop(seed, n, k, max_points, max_pairs, data)
     fast = saturate(m, d, k, max_points, max_pairs, source_n)
     slow = oracles.saturate(m, d, k, max_points, max_pairs, source_n)
     assert fast[0] == slow[0]  # the same points, distances and order
-    assert fast[1] == slow[1]  # the same checked count and unrealized list
+    assert flat(fast[1]) == flat(slow[1])  # the same checked count and unrealized list
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,7 +345,7 @@ def test_an_extension_off_the_fragment_stays_unrealized(seed, n, k, data):
     rng = random.Random(seed)
     m = random_space(rng, n, D13)
     # checked over {1, 2}: a point at 3 from a subset point realizes nothing
-    assert extension_property_check(m, D12, k) == oracles.extension_property_check(m, D12, k)
+    assert flat(extension_property_check(m, D12, k)) == flat(oracles.extension_property_check(m, D12, k))
     # a distance no point of m has is realized by no point
     subset = tuple(sorted(rng.sample(range(n), k)))
     dists = [rng.choice(D13.values) for _ in subset]
@@ -346,3 +353,45 @@ def test_an_extension_off_the_fragment_stays_unrealized(seed, n, k, data):
     ext = Extension(subset, tuple(dists), data.draw(st.integers(0, k)))
     assert find_realizer(m, ext) is None
     assert oracles.find_realizer(m, ext) is None
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(65, 72), st.data())
+def test_masks_wider_than_a_machine_word_match_the_oracles(seed, n, data):
+    # masks of 65 or more points span more than one 64-bit word
+    rng = random.Random(seed)
+    d = data.draw(st.sampled_from([D12, D13]))
+    m = with_twins(rng, random_space(rng, 20, d), n - 20)  # twins are cheap to add
+    source_n = data.draw(st.integers(n - 8, n))
+    report = extension_property_check(m, d, 2, source_n=source_n)
+    assert flat(report) == flat(oracles.profile_extension_property_check(m, d, 2, source_n))
+    # random extensions, mostly realized, and some unrealized ones, against the scan
+    exts = report.unrealized[:20]
+    for _ in range(60):
+        subset = tuple(sorted(rng.sample(range(m.n), rng.randint(0, 2))))
+        vec = rng.choice(list(oracles.distance_vectors(m.induced(subset), d)))
+        exts.append(Extension(subset, vec, rng.randint(0, len(subset))))
+    for ext in exts:
+        assert find_realizer(m, ext) == oracles.find_realizer(m, ext)
+
+
+def test_saturate_matches_the_scan_past_a_machine_word():
+    # saturation from 5 points runs out of its 68-point budget, so the
+    # masks it keeps up to date span more than one word
+    m = random_space(random.Random(61), 5, D13)
+    fast = saturate(m, D13, 2, max_points=68)
+    slow = oracles.saturate(m, D13, 2, max_points=68)
+    assert fast[0].n > 64
+    assert fast[0] == slow[0] and flat(fast[1]) == flat(slow[1])
+
+
+@pytest.mark.parametrize("k, source_n, what", [
+    (-1, None, "k must be non-negative, not -1"),
+    (1, 5, "source_n must be in 0..3, not 5"),
+    (1, -1, "source_n must be in 0..3, not -1"),
+])
+def test_extension_checks_reject_bad_bounds(k, source_n, what):
+    m = uniform_space(3, n1(1), delta=D12)
+    for check in (extension_property_check, saturate):
+        with pytest.raises(BuilderError, match=what):
+            check(m, D12, k, source_n=source_n)

@@ -280,6 +280,75 @@ def test_memoised_validate_matches_the_triple_by_triple_test(y):
         assert outcome(validate, y, since) == outcome(oracles.validate_by_triple, y, since)
 
 
+SQRT2 = ExactReal.sqrt(2)
+# (values of a valid start, values an entry may change to): few distinct
+# values, so the full check decides triangles on masks unless the
+# values span two radicands
+VALUE_KINDS = [
+    ([n1(1), n1(2), n1(3)], [n1(1), n1(5)]),
+    ([n1(1), SQRT2, 2 * SQRT2], [n1(3), 3 * SQRT2]),
+    ([n1(1), n1(2)], [SQRT2, ExactReal.sqrt(3), n1(4)]),
+]
+
+
+@st.composite
+def few_value_spaces(draw):
+    """A valid random space over few values with one to three entries
+    changed, symmetrically: few broken triangles, or none, so a mask
+    test that misses one shows."""
+    start, extra = draw(st.sampled_from(VALUE_KINDS))
+    n = draw(st.integers(6, 10))
+    x = random_space(random.Random(draw(st.integers(0, 10 ** 6))), n, make_set(start),
+                     ordered=draw(st.booleans()), delta_bound=False)
+    dist = [list(row) for row in x.dist]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        dist[i][j] = dist[j][i] = draw(st.sampled_from(start + extra))
+    return Space(x.labels, tuple(map(tuple, dist)), x.order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(few_value_spaces())
+def test_mask_validate_matches_the_loops(y):
+    # the full check on masks, and every incremental one on the memo
+    # loop, give the triple-by-triple test's verdict, witness or exception
+    for since in range(y.n + 1):
+        assert outcome(validate, y, since) == outcome(oracles.validate_by_triple, y, since)
+    if len({v.d for v in y.value_ids[0] if v.d}) <= 1:
+        full, expected = validate(y), oracles.validate(y)
+        assert (full == OK) == (expected == OK)
+        assert full == OK or full.kind == expected.kind == "Triangle"
+
+
+def test_validate_falls_back_to_the_loop_on_many_values():
+    # 4 points and 6 distinct distances besides 0: |V|^3 = 343 > 4 * 3 * 2
+    x = make_space("abcd", {(0, 1): n1(1), (0, 2): n1(2), (1, 2): n1(Fraction(7, 2)),
+                            (0, 3): n1(3), (1, 3): n1(4), (2, 3): n1(5)})
+    assert len(x.value_ids[0]) ** 3 > x.n * (x.n - 1) * (x.n - 2)
+    assert validate(x) == oracles.validate_by_triple(x) == Violation("Triangle", (1, 0, 2))
+
+
+def test_masks_list_the_points_at_each_distance():
+    x = make_space("abc", {(0, 1): n1(1), (0, 2): n1(2), (1, 2): n1(1)})
+    index, ids = x.value_ids
+    assert list(index) == [n1(0), n1(1), n1(2)]
+    assert ids == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    assert x.masks == ((0b001, 0b010, 0b100), (0b010, 0b101, 0), (0b100, 0b010, 0b001))
+
+
+def test_two_radicands_keep_the_loop_witness():
+    # few enough values for masks, but sqrt(2) and sqrt(3) cannot meet in
+    # the table: the loop finds the broken triangle at points 0-2 before
+    # any triple that mixes them
+    dists = {(i, j): n1(2) for i, j in itertools.combinations(range(8), 2)}
+    dists[0, 1] = dists[1, 2] = n1(1)
+    dists[0, 2] = n1(3)
+    dists[5, 7], dists[6, 7] = SQRT2, ExactReal.sqrt(3)
+    x = make_space("abcdefgh", dists)
+    assert len(x.value_ids[0]) ** 3 <= x.n * (x.n - 1) * (x.n - 2)
+    assert validate(x) == oracles.validate_by_triple(x) == Violation("Triangle", (0, 1, 2))
+
+
 def test_mixed_radicands_raise_in_both_validates():
     x = make_space("abc", {(0, 1): ExactReal.sqrt(2), (1, 2): ExactReal.sqrt(3), (0, 2): n1(1)})
     for check in (validate, oracles.validate_by_triple):

@@ -1,13 +1,15 @@
-"""Free amalgamation and distance capping.
+"""Free amalgamation.
 
-These are the two metric primitives out of which the larger
-constructions (saturation, back-and-forth steps, density perturbation)
-are assembled.  The free amalgam carries no order: the order amalgamates
-freely too, so each construction places its new points in the order
-itself.
+`adjoin` writes the rows of new points glued to a space over some of its
+points: it is the one row builder of `free_amalgam` and of every
+construction that grows the ordered limit.  Neither carries an order: the
+order amalgamates freely too, so each construction places its new points
+in the order itself.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from .exact import ExactReal
 from .space import Space
@@ -26,20 +28,54 @@ class DegenerateAmalgam(AmalgamError):
     formula degenerates to 0, which no metric allows."""
 
 
+def adjoin(b: Space, anchors, to_anchors, among, labels, bound: Optional[ExactReal]):
+    """The labels and distance rows of b with one new point per label
+    appended, glued to b over the anchor points.
+
+    New point j is at to_anchors[j][i] from anchors[i], at among[j][k]
+    from new point k, and from any other point a of b at the shortest
+    route through the anchors, min_i d(a, anchors[i]) + to_anchors[j][i],
+    truncated at bound unless bound is None (with no anchors, at bound).
+    A label gets a prime added while it is taken.  Nothing is checked:
+    the caller's inputs must make the result a metric space."""
+    names = list(b.labels)
+    for lbl in labels:
+        while lbl in names:
+            lbl += "'"
+        names.append(lbl)
+    at = {a: i for i, a in enumerate(anchors)}
+    cols = []  # cols[j][a]: new point j's distance to point a of b
+    for to in to_anchors:
+        col = []
+        for a, row in enumerate(b.dist):
+            i = at.get(a)
+            if i is not None:
+                col.append(to[i])
+                continue
+            v = min((row[s] + t for s, t in zip(anchors, to)), default=bound)
+            col.append(bound if bound is not None and v > bound else v)
+        cols.append(col)
+    rows = [row + tuple([col[a] for col in cols]) for a, row in enumerate(b.dist)]
+    rows += [tuple(col) + tuple(near) for col, near in zip(cols, among)]
+    return tuple(names), tuple(rows)
+
+
 def free_amalgam(b: Space, c: Space, overlap) -> Space:
     """Glue b and c along the overlap [(index in b, index in c), ...].
 
     Points are b's points followed by c's non-overlap points.  Cross
-    distances take the shortest route through the overlap, or the sum of
-    the two diameters when the overlap is empty.  The result carries no
-    order and no Delta binding.  Precondition: b and c are valid spaces;
-    the free amalgam of metric spaces over an isometric overlap is then a
+    distances take the shortest route through the overlap, truncated at
+    the sum of the two diameters: no route is longer, and with an empty
+    overlap that sum is the cross distance.  The result carries no order
+    and no Delta binding.  Precondition: b and c are valid spaces; the
+    free amalgam of metric spaces over an isometric overlap is then a
     metric space, so it is not checked again.
     """
     overlap = list(overlap)
     b_side = [i for i, _ in overlap]
     c_side = [j for _, j in overlap]
-    if len(set(b_side)) != len(b_side) or len(set(c_side)) != len(c_side):
+    taken = set(c_side)
+    if len(set(b_side)) != len(b_side) or len(taken) != len(c_side):
         raise AmalgamError("overlap map must be injective")
     for (i1, j1) in overlap:
         for (i2, j2) in overlap:
@@ -47,57 +83,15 @@ def free_amalgam(b: Space, c: Space, overlap) -> Space:
                 raise OverlapNotIsometric(
                     f"d_B({i1},{i2}) = {b.dist[i1][i2]} != {c.dist[j1][j2]} = d_C({j1},{j2})"
                 )
-    cross_default = None
-    if not overlap:
-        cross_default = b.diameter() + c.diameter()
-        if cross_default.is_zero():
-            raise DegenerateAmalgam("two singletons with empty overlap")
-
-    c_to_b = {j: i for i, j in overlap}
-    fresh = [j for j in range(c.n) if j not in c_to_b]
-    n = b.n + len(fresh)
-    labels = list(b.labels)
-    for j in fresh:
-        lbl = c.labels[j]
-        while lbl in labels:
-            lbl += "'"
-        labels.append(lbl)
-    # index map: c point -> amalgam index
-    c_idx = dict(c_to_b)
-    for k, j in enumerate(fresh):
-        c_idx[j] = b.n + k
-
-    zero = ExactReal(0)
-    dist = [[zero] * n for _ in range(n)]
-    for i1 in range(b.n):
-        for i2 in range(b.n):
-            dist[i1][i2] = b.dist[i1][i2]
-    for j1 in range(c.n):
-        for j2 in range(c.n):
-            dist[c_idx[j1]][c_idx[j2]] = c.dist[j1][j2]
-    for x in range(b.n):
-        if x in c_to_b.values():
-            continue
-        for j in fresh:
-            y = c_idx[j]
-            if overlap:
-                v = min(b.dist[x][i] + c.dist[jj][j] for i, jj in overlap)
-            else:
-                v = cross_default
-            dist[x][y] = v
-            dist[y][x] = v
-
-    return Space(tuple(labels), tuple(tuple(row) for row in dist))
-
-
-def cap_distances(x: Space, cap: ExactReal) -> Space:
-    """Replace every distance by min(d, cap).  Precondition: x is a metric
-    space; truncation at a positive cap keeps the triangle inequality, so
-    the result is one too."""
-    if cap.sign() <= 0:
-        raise AmalgamError("cap must be positive")
-    dist = tuple(
-        tuple(v if (i == j or v <= cap) else cap for j, v in enumerate(row))
-        for i, row in enumerate(x.dist)
+    bound = b.diameter() + c.diameter()
+    if not overlap and bound.is_zero():
+        raise DegenerateAmalgam("two singletons with empty overlap")
+    fresh = [j for j in range(c.n) if j not in taken]
+    labels, dist = adjoin(
+        b, b_side,
+        [[c.dist[jj][j] for jj in c_side] for j in fresh],
+        [[c.dist[j][k] for k in fresh] for j in fresh],
+        [c.labels[j] for j in fresh],
+        bound,
     )
-    return Space(x.labels, dist, x.order, x.delta)
+    return Space(labels, dist)

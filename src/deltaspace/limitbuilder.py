@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .amalgam import cap_distances, free_amalgam
+from .amalgam import adjoin
 from .dvs import DistanceSet, validate_closure
 from .exact import ExactReal
 from .search import BudgetExceeded
@@ -150,11 +150,23 @@ def _realizer_masks(rows, subset, vectors) -> list[int]:
     return [functools.reduce(operator.and_, map(operator.getitem, sub, vec)) for vec in vectors]
 
 
+def _check_extension(m: Space, ext: Extension) -> None:
+    """Reject an extension that does not fit m: a subset index repeated
+    or outside 0..m.n-1, a distance count other than the subset's size,
+    or a slot outside 0..len(subset)."""
+    sub = ext.subset
+    if (len(set(sub)) != len(sub) or not all(0 <= s < m.n for s in sub)
+            or len(ext.dists) != len(sub) or not 0 <= ext.slot <= len(sub)):
+        raise BuilderError(f"extension does not fit {m.n} points: subset {sub}, "
+                           f"{len(ext.dists)} distances, slot {ext.slot}")
+
+
 def find_realizer(m: Space, ext: Extension) -> Optional[int]:
     """The lowest-index point of m realizing ext, or None: the lowest set
     bit of ext's realizer mask over m."""
     if m.order is None:
         raise BuilderError("space must be ordered")
+    _check_extension(m, ext)
     below = _below(m)
     # the ids index ext.dists itself, so the id vector is 0, 1, ...
     rows = dict(zip(ext.subset, _rows(m, ext.dists, ext.subset)))
@@ -204,15 +216,12 @@ def extension_property_check(
     return report
 
 
-def _adjoin(m: Space, block: Space, overlap, order, d: DistanceSet, what: str) -> Space:
-    """Free amalgam of m with block over the overlap, capped at d's cap,
-    with the given total order and bound to d.  The order lists m.order
-    with block's new points placed in it; of the result, only those new
-    points are checked."""
-    amal = free_amalgam(m, block, overlap)
-    if d.bounded:
-        amal = cap_distances(amal, d.cap)
-    out = Space(amal.labels, amal.dist, order, d)
+def _adjoin(m: Space, anchors, to_anchors, among, labels, order, d: DistanceSet, what: str) -> Space:
+    """m with new points glued over the anchors by amalgam.adjoin,
+    truncated at d's cap, with the given total order and bound to d.  The
+    order lists m.order with the new points placed in it; of the result,
+    only those new points are checked."""
+    out = Space(*adjoin(m, anchors, to_anchors, among, labels, d.cap), order, d)
     verdict = validate(out, since=m.n)
     if verdict != OK:
         raise BuilderError(f"{what} space invalid: {verdict}")
@@ -221,27 +230,19 @@ def _adjoin(m: Space, block: Space, overlap, order, d: DistanceSet, what: str) -
 
 def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     """Adjoin a point realizing ext to m: free amalgam of m with the
-    extension space over the subset, capped at the fragment's cap.  The
-    new point goes directly below the subset point of rank ext.slot, or
-    on top when the slot is past the last one.  Precondition: m is a
-    valid ordered space over d; only the new point is checked."""
+    extension over the subset, capped at the fragment's cap.  The new
+    point goes directly below the subset point of rank ext.slot, or on
+    top when the slot is past the last one.  Precondition: m is a valid
+    ordered space over d; ext and the new point are checked."""
+    _check_extension(m, ext)
     if not ext.subset and m.n > 0:
         raise BuilderError("empty-subset extension is realized by any point")
     if m.n == 0:
         return Space(("z",), ((ExactReal(0),),), (0,), d)
-    sub = m.induced(ext.subset)
-    # extension space: subset points then z
-    dist = [list(row) + [ext.dists[i]] for i, row in enumerate(sub.dist)]
-    dist.append(list(ext.dists) + [ExactReal(0)])
-    ext_space = Space(
-        sub.labels + ("z*",),
-        tuple(tuple(r) for r in dist),
-    )
-    overlap = [(s, i) for i, s in enumerate(ext.subset)]
     by_rank = sorted(ext.subset, key=m.rank)
     at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
     order = m.order[:at] + (m.n,) + m.order[at:]
-    return _adjoin(m, ext_space, overlap, order, d, "realized")
+    return _adjoin(m, ext.subset, [ext.dists], [[ExactReal(0)]], ["z*"], order, d, "realized")
 
 
 def saturate(
@@ -352,10 +353,13 @@ def density_perturb(
     copies z_i with d(y_i, z_j) = delta + d(y_i, y_j), orders the z block
     above the y block with the z's in the source order, realizes it over
     m, and returns the new space with the indices of the perturbed
-    images.  Precondition: m is a valid space over d; the double space is
-    checked in full, and of the result only the new points.
+    images.  With no pairs there is nothing to move: (m, []).
+    Precondition: m is a valid space over d; the double space is checked
+    in full, and of the result only the new points.
     """
     pairs = list(pairs)
+    if not pairs:
+        return m, []
     pi = PartialIsometry(m, tuple(pairs))
     if not pi.is_isometry():
         raise BuilderError("pairs must form a partial isometry")
@@ -393,9 +397,9 @@ def density_perturb(
 
     if m.n + n > max_points:
         raise BudgetExceeded("point budget")
-    overlap = [(ys[i], i) for i in range(n)]
-    # the z's follow m's points in amalgam order, and go on top of m's
-    # order in the source order
+    # the z's follow m's points, glued over the y's, and go on top of
+    # m's order in the source order
     order = m.order + tuple(m.n + i for i in z_by_rank)
-    out = _adjoin(m, z_space, overlap, order, d, "perturbed")
+    zs = dist[n:]
+    out = _adjoin(m, ys, [row[:n] for row in zs], [row[n:] for row in zs], labels[n:], order, d, "perturbed")
     return out, list(range(m.n, m.n + n))

@@ -7,8 +7,10 @@ check_theory_T before the bitmasks, model_encode's addition-table scan,
 the dict-and-dumps extension report), brute-force enumerations that use
 no search code, an arrow search that keeps no incremental state,
 gl2_search, an exhaustive matrix search, the realizer scan that the
-profile index replaced, and the profile index that the neighbourhood
-masks replaced.  No library code calls them.
+profile index replaced, the profile index that the neighbourhood
+masks replaced, and the whole-matrix free amalgam and cap that
+amalgam.adjoin replaced, with the realize and density_perturb built on
+them.  No library code calls them.
 """
 
 import itertools
@@ -16,11 +18,14 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from deltaspace import space
+from deltaspace.amalgam import AmalgamError, DegenerateAmalgam, OverlapNotIsometric
 from deltaspace.coding import NOT_FALSIFIABLE, SATISFIED, VIOLATED, ClauseStatus, EncodedModel
 from deltaspace.equiv import PoleAtAlpha, RatMatrix, gl2_apply
-from deltaspace.exact import DivisionByZero, MixedRadicands, _squarefree_split
-from deltaspace.limitbuilder import Extension, realize
-from deltaspace.space import OK, Violation
+from deltaspace.exact import DivisionByZero, ExactReal, MixedRadicands, _squarefree_split
+from deltaspace.limitbuilder import BuilderError, Extension, NoSmallEnoughDelta, ZNotInDelta
+from deltaspace.search import BudgetExceeded
+from deltaspace.space import OK, PartialIsometry, Space, Violation
 
 # -- space --------------------------------------------------------------------
 
@@ -132,6 +137,143 @@ def arrow_search(copies_a, copies_b, k, budget=None):
         return False
 
     return (tuple(colors) if search(0) else None), nodes
+
+
+# -- amalgam: the whole-matrix constructions --------------------------------------
+#
+# Before amalgam.adjoin, every construction copied all n^2 entries into a
+# free amalgam and compared all of them with the cap.
+
+
+def free_amalgam(b, c, overlap):
+    overlap = list(overlap)
+    b_side = [i for i, _ in overlap]
+    c_side = [j for _, j in overlap]
+    if len(set(b_side)) != len(b_side) or len(set(c_side)) != len(c_side):
+        raise AmalgamError("overlap map must be injective")
+    for (i1, j1) in overlap:
+        for (i2, j2) in overlap:
+            if b.dist[i1][i2] != c.dist[j1][j2]:
+                raise OverlapNotIsometric(
+                    f"d_B({i1},{i2}) = {b.dist[i1][i2]} != {c.dist[j1][j2]} = d_C({j1},{j2})"
+                )
+    cross_default = None
+    if not overlap:
+        cross_default = b.diameter() + c.diameter()
+        if cross_default.is_zero():
+            raise DegenerateAmalgam("two singletons with empty overlap")
+    c_to_b = {j: i for i, j in overlap}
+    fresh = [j for j in range(c.n) if j not in c_to_b]
+    n = b.n + len(fresh)
+    labels = list(b.labels)
+    for j in fresh:
+        lbl = c.labels[j]
+        while lbl in labels:
+            lbl += "'"
+        labels.append(lbl)
+    c_idx = dict(c_to_b)
+    for k, j in enumerate(fresh):
+        c_idx[j] = b.n + k
+    zero = ExactReal(0)
+    dist = [[zero] * n for _ in range(n)]
+    for i1 in range(b.n):
+        for i2 in range(b.n):
+            dist[i1][i2] = b.dist[i1][i2]
+    for j1 in range(c.n):
+        for j2 in range(c.n):
+            dist[c_idx[j1]][c_idx[j2]] = c.dist[j1][j2]
+    for x in range(b.n):
+        if x in c_to_b.values():
+            continue
+        for j in fresh:
+            y = c_idx[j]
+            if overlap:
+                v = min(b.dist[x][i] + c.dist[jj][j] for i, jj in overlap)
+            else:
+                v = cross_default
+            dist[x][y] = v
+            dist[y][x] = v
+    return Space(tuple(labels), tuple(tuple(row) for row in dist))
+
+
+def cap_distances(x, cap):
+    """Replace every distance by min(d, cap)."""
+    if cap.sign() <= 0:
+        raise AmalgamError("cap must be positive")
+    dist = tuple(
+        tuple(v if (i == j or v <= cap) else cap for j, v in enumerate(row))
+        for i, row in enumerate(x.dist)
+    )
+    return Space(x.labels, dist, x.order, x.delta)
+
+
+def _adjoin(m, block, overlap, order, d, what):
+    amal = free_amalgam(m, block, overlap)
+    if d.bounded:
+        amal = cap_distances(amal, d.cap)
+    out = Space(amal.labels, amal.dist, order, d)
+    verdict = space.validate(out, since=m.n)
+    if verdict != OK:
+        raise BuilderError(f"{what} space invalid: {verdict}")
+    return out
+
+
+def realize(m, ext, d):
+    """The free amalgam of m with the extension space on subset + z*."""
+    if not ext.subset and m.n > 0:
+        raise BuilderError("empty-subset extension is realized by any point")
+    if m.n == 0:
+        return Space(("z",), ((ExactReal(0),),), (0,), d)
+    sub = m.induced(ext.subset)
+    dist = [list(row) + [ext.dists[i]] for i, row in enumerate(sub.dist)]
+    dist.append(list(ext.dists) + [ExactReal(0)])
+    ext_space = Space(sub.labels + ("z*",), tuple(tuple(r) for r in dist))
+    overlap = [(s, i) for i, s in enumerate(ext.subset)]
+    by_rank = sorted(ext.subset, key=m.rank)
+    at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
+    order = m.order[:at] + (m.n,) + m.order[at:]
+    return _adjoin(m, ext_space, overlap, order, d, "realized")
+
+
+def density_perturb(m, pairs, eps, d, max_points=64):
+    """The double space on the y's and z's, amalgamated with m over the y's."""
+    pairs = list(pairs)
+    if not PartialIsometry(m, tuple(pairs)).is_isometry():
+        raise BuilderError("pairs must form a partial isometry")
+    below = [v for v in d.values if v < eps]
+    if not below:
+        raise NoSmallEnoughDelta(f"no fragment value below {eps}")
+    delta = below[-1]
+    xs = [a for a, _ in pairs]
+    ys = [b for _, b in pairs]
+    n = len(pairs)
+    zero = ExactReal(0)
+    dist = [[zero] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            dyy = m.dist[ys[i]][ys[j]]
+            dist[i][j] = dyy
+            dist[n + i][n + j] = dyy
+            cross = delta + dyy
+            if d.bounded and cross > d.cap:
+                cross = d.cap
+            if cross not in d:
+                raise ZNotInDelta(cross)
+            dist[i][n + j] = cross
+            dist[n + j][i] = cross
+    labels = tuple(f"y{i}" for i in range(n)) + tuple(f"z{i}" for i in range(n))
+    y_by_rank = sorted(range(n), key=lambda i: m.rank(ys[i]))
+    z_by_rank = sorted(range(n), key=lambda i: m.rank(xs[i]))
+    order = tuple(y_by_rank) + tuple(n + i for i in z_by_rank)
+    z_space = Space(labels, tuple(tuple(r) for r in dist), order, d)
+    verdict = space.validate(z_space)
+    if verdict != OK:
+        raise BuilderError(f"perturbation space invalid: {verdict}")
+    if m.n + n > max_points:
+        raise BudgetExceeded("point budget")
+    order = m.order + tuple(m.n + i for i in z_by_rank)
+    out = _adjoin(m, z_space, [(ys[i], i) for i in range(n)], order, d, "perturbed")
+    return out, list(range(m.n, m.n + n))
 
 
 # -- limitbuilder: the realizer scan --------------------------------------------

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from deltaspace.amalgam import cap_distances, free_amalgam
+from deltaspace.amalgam import free_amalgam
 from deltaspace.coding import (
     SATISFIED,
     VIOLATED,
@@ -39,7 +39,7 @@ from deltaspace.limitbuilder import (
 )
 from deltaspace.ramsey import FAILS, HOLDS, arrow, automorphisms, is_rigid, verify_bad_coloring
 from deltaspace.space import OK, PartialIsometry, Space, uniform_space, validate
-from oracles import gl2_search
+from oracles import cap_distances, gl2_search
 from util import closed_fragment, doubled_space, extend_with_random_points, random_space
 
 SQRT2 = ExactReal.sqrt(2)

@@ -2,17 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deltaspace.amalgam import (
-    DegenerateAmalgam,
-    OverlapNotIsometric,
-    cap_distances,
-    free_amalgam,
-)
+import oracles
+from deltaspace.amalgam import DegenerateAmalgam, OverlapNotIsometric, free_amalgam
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
+from deltaspace.limitbuilder import Extension, density_perturb, realize
 from deltaspace.space import OK, Space, make_space, uniform_space, validate
-from util import extend_with_random_points, random_space
+from oracles import cap_distances
+from util import closed_fragment, doubled_space, extend_with_random_points, random_space
 
 
 def n1(v):
@@ -111,3 +111,66 @@ def test_cap_idempotent_and_metric_preserving():
         once = cap_distances(x, cap)
         assert validate(once) == OK
         assert cap_distances(once, cap).dist == once.dist
+
+
+# -- the row builder against the whole-matrix constructions -----------------
+
+FRAGMENTS = [
+    closed_fragment([n1(1)], n1(3)),  # {1, 2, 3}, cap 3
+    closed_fragment([n1(Fraction(1, 4))], n1(2)),  # {1/4, ..., 2}, cap 2
+    closed_fragment([n1(1), ExactReal.sqrt(2)], n1(3)),  # over Q(sqrt 2), cap 3
+    make_set([n1(1), n1(2), n1(3), n1(4)]),  # unbounded: nothing is truncated
+]
+
+
+def outcome(fn, *args):
+    """What a call gives: its result, or its exception's type and text."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 6), st.sampled_from(FRAGMENTS), st.booleans(), st.data())
+def test_realize_matches_the_whole_matrix_amalgam(seed, n, d, admissible, data):
+    rng = random.Random(seed)
+    m = random_space(rng, n, d)
+    subset = tuple(sorted(rng.sample(range(n), data.draw(st.integers(0, min(n, 3))))))
+    vectors = list(oracles.distance_vectors(m.induced(subset), d)) if admissible else []
+    vec = rng.choice(vectors) if vectors else tuple(rng.choice(d.values) for _ in subset)
+    ext = Extension(subset, vec, data.draw(st.integers(0, len(subset))))
+    assert outcome(realize, m, ext, d) == outcome(oracles.realize, m, ext, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.sampled_from(FRAGMENTS), st.data())
+def test_density_perturb_matches_the_whole_matrix_amalgam(seed, k, d, data):
+    rng = random.Random(seed)
+    kind = data.draw(st.sampled_from(["copy", "identity", "any"] if d.bounded and k > 1 else ["identity", "any"]))
+    if kind == "copy":  # part of the copy map of a doubled space, in any order
+        m, pairs = doubled_space(rng, k, d)
+        pairs = rng.sample(pairs, rng.randint(1, k))
+    else:  # the identity on some points, or any injective map (often no isometry)
+        m = random_space(rng, rng.randint(k, 5), d)
+        xs = rng.sample(range(m.n), k)
+        pairs = list(zip(xs, xs if kind == "identity" else rng.sample(range(m.n), k)))
+    eps = data.draw(st.sampled_from(d.values[1:]))  # some value lies below it
+    max_points = m.n + len(pairs) + 3 - data.draw(st.integers(0, 4))  # 4: one point short
+    assert outcome(density_perturb, m, pairs, eps, d, max_points) == \
+        outcome(oracles.density_perturb, m, pairs, eps, d, max_points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 3), st.sampled_from(FRAGMENTS), st.data())
+def test_free_amalgam_matches_the_whole_matrix_amalgam(seed, a_n, d, data):
+    rng = random.Random(seed)
+    a = random_space(rng, a_n, d, ordered=False)
+    b = extend_with_random_points(rng, a, rng.randint(0, 3), d)
+    c = extend_with_random_points(rng, a, rng.randint(0, 3), d)
+    shared = rng.sample(range(a_n), rng.randint(0, a_n))
+    overlap = data.draw(st.sampled_from([
+        [(i, i) for i in shared],  # isometric: any part of the common base
+        [(i, rng.randrange(c.n)) for i in shared] if c.n else [],  # often not isometric or injective
+    ]))
+    assert outcome(free_amalgam, b, c, overlap) == outcome(oracles.free_amalgam, b, c, overlap)

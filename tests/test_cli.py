@@ -17,7 +17,7 @@ from deltaspace.exact import ExactReal
 from deltaspace.limitbuilder import extension_property_check
 from deltaspace.space import Space, make_space, uniform_space
 import oracles
-from util import closed_fragment, random_space
+from util import closed_fragment, doubled_space, extend_with_random_points, random_space
 
 
 def n1(v):
@@ -504,6 +504,35 @@ def test_extension_stdout_bytes_are_pinned(tmp_path, capsys):
     for argv, code, digest in pins:
         assert main(argv) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv[0]
+
+
+def test_construction_stdout_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the stdout of the other constructions on seeded inputs:
+    # perturb on a doubled 3-point space over {1/4, ..., 2} (the new rows
+    # reach the cap), extend-isometry that must grow a point, and
+    # amalgamate with a 2-point overlap and with none (primed labels)
+    d = closed_fragment([n1(1), n1(Fraction(3, 2))], n1(3))
+    quarter = closed_fragment([n1(Fraction(1, 4))], n1(2))
+    doubled, pairs = doubled_space(random.Random(5), 3, quarter)
+    rng = random.Random(7)
+    a = random_space(rng, 2, d, ordered=False)
+    b, c = extend_with_random_points(rng, a, 3, d), extend_with_random_points(rng, a, 3, d)
+    files = {name: write_json(tmp_path, f"{name}.json", x.to_json()) for name, x in {
+        "m": random_space(random.Random(2), 6, d), "doubled": doubled, "quarter": quarter, "b": b, "c": c}.items()}
+    pins = [
+        (["perturb", "--space", files["doubled"], "--delta", files["quarter"],
+          "--pairs", ",".join(f"{x}:{y}" for x, y in pairs), "--eps", "1/2"],
+         "59cd2f2142f3dbe8804a9bcf8775ee2cdd7aa0f17032b46d4e02bf286fd28ac5"),
+        (["extend-isometry", "--space", files["m"], "--pairs", "0:1,2:3", "--point", "4"],
+         "e4a3823873ed57f0c676b94d35fd999a9a14a09ae23436d5980e6dcbf8bda7c2"),
+        (["amalgamate", "--b", files["b"], "--c", files["c"], "--overlap", "0:0,1:1"],
+         "61157bfbf75484164e7f09ebcc92a213223aa1b9940fddac476d395683c1fd86"),
+        (["amalgamate", "--b", files["b"], "--c", files["c"]],
+         "98cde6ec36cab381fd7b29cbb6f53b5b5912c5416bd2d14be25fa20b18d2c767"),
+    ]
+    for argv, digest in pins:
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv[:2]
 
 
 def test_arrow_stdout_bytes_are_pinned(tmp_path, capsys):

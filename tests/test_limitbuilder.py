@@ -395,3 +395,33 @@ def test_extension_checks_reject_bad_bounds(k, source_n, what):
     for check in (extension_property_check, saturate):
         with pytest.raises(BuilderError, match=what):
             check(m, D12, k, source_n=source_n)
+
+
+# Each way an Extension can fail to fit a 3-point space.
+BAD_EXTENSIONS = {
+    "slot -1": Extension((0, 1), (n1(1), n1(1)), -1),
+    "slot past the last": Extension((0, 1), (n1(1), n1(1)), 3),
+    "negative index": Extension((-1,), (n1(1),), 0),
+    "index out of range": Extension((0, 3), (n1(1), n1(1)), 0),
+    "repeated index": Extension((0, 0), (n1(1), n1(1)), 0),
+    "too few distances": Extension((0, 1), (n1(1),), 0),
+    "too many distances": Extension((0,), (n1(1), n1(2)), 0),
+}
+
+
+@pytest.mark.parametrize("case", BAD_EXTENSIONS)
+def test_realize_and_find_realizer_reject_an_extension_that_does_not_fit(case):
+    m = uniform_space(3, n1(1), delta=D12)
+    ext = BAD_EXTENSIONS[case]
+    with pytest.raises(BuilderError, match="extension does not fit 3 points"):
+        realize(m, ext, D12)
+    with pytest.raises(BuilderError, match="extension does not fit 3 points"):
+        find_realizer(m, ext)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_density_perturb_with_no_pairs_returns_the_space(n):
+    m = uniform_space(n, n1(1), delta=D_QUARTERS)
+    # nothing moves, so no fragment value need lie below eps
+    for eps in (n1(Fraction(1, 2)), n1(Fraction(1, 4))):
+        assert density_perturb(m, [], eps, D_QUARTERS) == (m, [])

@@ -3,10 +3,11 @@ fragments, spaces and partial isometries."""
 
 from fractions import Fraction
 
-from deltaspace.amalgam import cap_distances, free_amalgam
+from deltaspace.amalgam import free_amalgam
 from deltaspace.dvs import DistanceSet, close, make_set
 from deltaspace.exact import ExactReal
 from deltaspace.space import OK, Space, validate
+from oracles import cap_distances
 
 
 def rat(p, q=1) -> ExactReal:

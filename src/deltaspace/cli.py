@@ -169,7 +169,7 @@ def cmd_saturate(args) -> int:
         {
             "space": result.to_json(),
             "checked": report.checked,
-            "skipped": len(report.unrealized),
+            "skipped": sum(len(slots) for _, _, slots in report.groups),
         }
     )
     return EXIT_YES if report.empty else EXIT_UNKNOWN

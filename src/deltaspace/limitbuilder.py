@@ -216,16 +216,15 @@ def extension_property_check(
     return report
 
 
-def _adjoin(m: Space, anchors, to_anchors, among, labels, order, d: DistanceSet, what: str) -> Space:
-    """m with new points glued over the anchors by amalgam.adjoin,
-    truncated at d's cap, with the given total order and bound to d.  The
-    order lists m.order with the new points placed in it; of the result,
-    only those new points are checked."""
-    out = Space(*adjoin(m, anchors, to_anchors, among, labels, d.cap), order, d)
-    verdict = validate(out, since=m.n)
-    if verdict != OK:
-        raise BuilderError(f"{what} space invalid: {verdict}")
-    return out
+def _grow(m: Space, ext: Extension, d: DistanceSet) -> Space:
+    """m with one point realizing ext, built as realize says; nothing is
+    checked."""
+    if m.n == 0:
+        return Space(("z",), ((ExactReal(0),),), (0,), d)
+    by_rank = sorted(ext.subset, key=m.rank)
+    at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
+    order = m.order[:at] + (m.n,) + m.order[at:]
+    return Space(*adjoin(m, ext.subset, [ext.dists], [[ExactReal(0)]], ["z*"], d.cap), order, d)
 
 
 def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
@@ -237,12 +236,11 @@ def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     _check_extension(m, ext)
     if not ext.subset and m.n > 0:
         raise BuilderError("empty-subset extension is realized by any point")
-    if m.n == 0:
-        return Space(("z",), ((ExactReal(0),),), (0,), d)
-    by_rank = sorted(ext.subset, key=m.rank)
-    at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
-    order = m.order[:at] + (m.n,) + m.order[at:]
-    return _adjoin(m, ext.subset, [ext.dists], [[ExactReal(0)]], ["z*"], order, d, "realized")
+    out = _grow(m, ext, d)
+    verdict = validate(out, since=m.n)
+    if verdict != OK:
+        raise BuilderError(f"realized space invalid: {verdict}")
+    return out
 
 
 def saturate(
@@ -255,10 +253,13 @@ def saturate(
     out, the partial result is returned with the skipped extensions
     listed in the report.  Each subset's extensions are looked up on
     neighbourhood masks, kept up to date as points are added.
-    Precondition: m is a valid ordered space over d.  d must be bounded, else FragmentUnbounded: an unbounded fragment
-    is closed only up to its largest value, and a new distance past it
-    would fail realize's final check mid-run.  d must be closed, else
-    FragmentNotClosed, since the new distances are truncated sums."""
+    Precondition: m is a valid ordered space over d.  d must be bounded,
+    else FragmentUnbounded: an unbounded fragment is closed only up to
+    its largest value, and a new distance past it would fail the final
+    check.  d must be closed, else FragmentNotClosed, since the new
+    distances are truncated sums.  The new points are built unchecked
+    and checked once, at the end; their vectors are admissible, so a
+    failure there is an internal error (AssertionError)."""
     if not d.bounded:
         raise FragmentUnbounded()
     if not d.closed:
@@ -283,7 +284,7 @@ def saturate(
                 if report.checked > max_pairs or cur.n + 1 > max_points:
                     missing.append(slot)
                     continue
-                cur = realize(cur, Extension(subset, tuple([d.values[t] for t in vec]), slot), d)
+                cur = _grow(cur, Extension(subset, tuple([d.values[t] for t in vec]), slot), d)
                 z = cur.n - 1
                 for s, row in enumerate(rows):
                     t = ids.get(cur.dist[s][z])
@@ -291,6 +292,9 @@ def saturate(
                         row[t] |= 1 << z
             if missing:
                 report.groups.append((subset, vec, tuple(missing)))
+    verdict = validate(cur, since=m.n)
+    if verdict != OK:
+        raise AssertionError(f"saturated space invalid: {verdict}")
     return cur, report
 
 
@@ -350,12 +354,12 @@ def density_perturb(
     position, moving each by exactly the largest fragment value below eps.
 
     Builds the double space on the current images y_i and their shifted
-    copies z_i with d(y_i, z_j) = delta + d(y_i, y_j), orders the z block
-    above the y block with the z's in the source order, realizes it over
-    m, and returns the new space with the indices of the perturbed
-    images.  With no pairs there is nothing to move: (m, []).
-    Precondition: m is a valid space over d; the double space is checked
-    in full, and of the result only the new points.
+    copies z_i with d(y_i, z_j) = delta + d(y_i, y_j), glues the z's to
+    m over the y's, on top of m's order in the source order, and returns
+    the new space with the indices of the perturbed images.  With no
+    pairs there is nothing to move: (m, []).  Precondition: m is a valid
+    space over d.  Only the new points are checked, which covers each
+    triangle of the double space that touches a z; the rest are m's.
     """
     pairs = list(pairs)
     if not pairs:
@@ -371,35 +375,16 @@ def density_perturb(
     ys = [b for _, b in pairs]
     n = len(pairs)
 
-    zero = ExactReal(0)
-    dist = [[zero] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            dyy = m.dist[ys[i]][ys[j]]
-            dist[i][j] = dyy
-            dist[n + i][n + j] = dyy
-            cross = delta + dyy
-            if d.bounded and cross > d.cap:
-                cross = d.cap
-            if cross not in d:
-                raise ZNotInDelta(cross)
-            dist[i][n + j] = cross
-            dist[n + j][i] = cross
-    labels = tuple(f"y{i}" for i in range(n)) + tuple(f"z{i}" for i in range(n))
-    # order: y's as in m, all y's below all z's, z's in the x order
-    y_by_rank = sorted(range(n), key=lambda i: m.rank(ys[i]))
-    z_by_rank = sorted(range(n), key=lambda i: m.rank(xs[i]))
-    order = tuple(y_by_rank) + tuple(n + i for i in z_by_rank)
-    z_space = Space(labels, tuple(tuple(r) for r in dist), order, d)
-    verdict = validate(z_space)
-    if verdict != OK:
-        raise BuilderError(f"perturbation space invalid: {verdict}")
-
+    among = [[m.dist[y][b] for b in ys] for y in ys]  # d(z_i, z_j) = d(y_i, y_j)
+    to_ys = [[min(delta + v, d.cap) if d.bounded else delta + v for v in row] for row in among]
+    for v in itertools.chain.from_iterable(to_ys):
+        if v not in d:
+            raise ZNotInDelta(v)
     if m.n + n > max_points:
         raise BudgetExceeded("point budget")
-    # the z's follow m's points, glued over the y's, and go on top of
-    # m's order in the source order
-    order = m.order + tuple(m.n + i for i in z_by_rank)
-    zs = dist[n:]
-    out = _adjoin(m, ys, [row[:n] for row in zs], [row[n:] for row in zs], labels[n:], order, d, "perturbed")
+    order = m.order + tuple(m.n + i for i in sorted(range(n), key=lambda i: m.rank(xs[i])))
+    out = Space(*adjoin(m, ys, to_ys, among, [f"z{i}" for i in range(n)], d.cap), order, d)
+    verdict = validate(out, since=m.n)
+    if verdict != OK:
+        raise BuilderError(f"perturbed space invalid: {verdict}")
     return out, list(range(m.n, m.n + n))

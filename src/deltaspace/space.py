@@ -178,13 +178,10 @@ def validate(x: Space, since: int = 0):
     index), NotInDelta, BadOrder.  since=0 is the full check; a larger
     since is complete when the points below it form a valid space.
 
-    A triangle is tested on the ids of its three distances (Space.value_ids),
-    and each id triple's exact verdict is computed the first time it
-    occurs and remembered: the exact sum and comparison run once per
-    distinct triple, in the same loop order, so the witness and any
-    MixedRadicands are those of the triple-by-triple test.  The full
-    check first asks the masks (_no_broken_triangle) and runs that loop
-    only on a hit, to find the witness."""
+    Triangles go to the masks first (_no_broken_triangle).  On a hit, or
+    when the masks are not used, a loop tests them on value ids and runs
+    each distinct id triple's exact check once, in the triple-by-triple
+    test's order: same witness, same MixedRadicands."""
     n, dist = x.n, x.dist
     for i in range(since, n):
         if not dist[i][i].is_zero():
@@ -197,7 +194,7 @@ def validate(x: Space, since: int = 0):
             return Violation("Positivity", (i, j))
     index, ids = x.value_ids
     vals = list(index)
-    if since or not _no_broken_triangle(x, vals):
+    if not _no_broken_triangle(x, vals, since):
         ok = set()  # id triples (ac, ab, bc) with d(a, c) <= d(a, b) + d(b, c)
         for k in range(max(since, 2), n):
             for i, j in itertools.combinations(range(k), 2):
@@ -216,22 +213,26 @@ def validate(x: Space, since: int = 0):
     return OK
 
 
-def _no_broken_triangle(x: Space, vals) -> bool:
-    """True when the masks show that no triple of x breaks the triangle
-    inequality; x is symmetric with a zero diagonal and positive entries
-    off it.  The id pairs (u, v) with vals[w] > vals[u] + vals[v] are
-    found once, and a pair of points (a, c) at distance id w breaks a
-    triangle exactly when masks[a][u] & masks[c][v] is nonzero for one
-    of them.  False on a hit, and when the masks are not used: values
-    over more than one radicand (only the loop raises MixedRadicands
-    where the triple-by-triple test does), or |V|^3 > n(n-1)(n-2), the
-    number of ordered triples (the table would cost more exact checks
-    than the loop)."""
+def _no_broken_triangle(x: Space, vals, since: int) -> bool:
+    """True when the masks show that no triple with a point at or above
+    since breaks the triangle inequality (validate has checked the
+    entries touching those points).  The id pairs (u, v) with vals[w] >
+    vals[u] + vals[v] are found once; points a < c at distance id w
+    break a triangle exactly when masks[a][u] & masks[c][v] is nonzero
+    for one of them, counting only middle points at or above since when
+    c is below it.  False on a hit, and when the masks are not used:
+    values over two radicands (only the loop raises MixedRadicands where
+    the triple-by-triple test does), a zero off the diagonal below since
+    (the table has no zero id), or |V|^3 > n(n-1)(n-2), the number of
+    ordered triples (the table would cost more exact checks than the
+    loop)."""
     n, size = x.n, len(vals)
     if size ** 3 > n * (n - 1) * (n - 2) or len({v.d for v in vals if v.d}) > 1:
         return False
-    # b = a or b = c never breaks a triangle, so the zero id is left out
-    pos = [u for u in range(size) if not vals[u].is_zero()]
+    masks, ids = x.masks, x.value_ids[1]
+    pos = [u for u in range(size) if not vals[u].is_zero()]  # b = a or b = c breaks none
+    if any(masks[a][u] != 1 << a for u in range(size) if u not in pos for a in range(since)):
+        return False
     bad = [[] for _ in range(size)]
     for u, v in itertools.combinations_with_replacement(pos, 2):
         total = vals[u] + vals[v]
@@ -240,11 +241,12 @@ def _no_broken_triangle(x: Space, vals) -> bool:
                 bad[w].append((u, v))
                 if u != v:
                     bad[w].append((v, u))
-    masks, ids = x.masks, x.value_ids[1]
+    high = -1 << since  # a pair below since needs its middle point at or above it
+    cols = [tuple([mask & high for mask in masks[c]]) for c in range(since)] + list(masks[since:])
     for a in range(n):
         ma, row = masks[a], ids[a]
         for c in range(a + 1, n):
-            mc = masks[c]
+            mc = cols[c]
             for u, v in bad[row[c]]:
                 if ma[u] & mc[v]:
                     return False

@@ -471,6 +471,31 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.err == "internal: RuntimeError: boom\n"
 
 
+def test_a_failed_final_check_of_saturate_is_internal(tmp_path, capsys, monkeypatch):
+    # the input is valid and the vectors admissible, so a realized point
+    # that breaks the space is a bug in the library, not bad input
+    from deltaspace import limitbuilder
+
+    real = limitbuilder.adjoin
+
+    def one_wrong_entry(*args):  # the new point's distance to point 0, in its own row only
+        labels, rows = real(*args)
+        last = rows[-1]
+        return labels, rows[:-1] + ((last[0] + n1(1),) + last[1:],)
+
+    monkeypatch.setattr(limitbuilder, "adjoin", one_wrong_entry)
+    delta = make_set([n1(1), n1(2), n1(3)], cap=n1(3))
+    m = uniform_space(3, n1(1), delta=delta)
+    with pytest.raises(AssertionError, match=r"saturated space invalid: .*Symmetry.*\(0, 3\)"):
+        limitbuilder.saturate(m, delta, 1)
+    d = write_json(tmp_path, "d.json", delta.to_json())
+    s = write_json(tmp_path, "m.json", m.to_json())
+    assert main(["saturate", "--space", s, "--delta", d, "-k", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal: AssertionError: saturated space invalid:")
+
+
 def test_determinism(tmp_path, capsys):
     d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2), n1(3)], cap=n1(3)).to_json())
     main(["check-theory", "--set", d])

@@ -310,14 +310,38 @@ def few_value_spaces(draw):
 @settings(max_examples=150, deadline=None)
 @given(few_value_spaces())
 def test_mask_validate_matches_the_loops(y):
-    # the full check on masks, and every incremental one on the memo
-    # loop, give the triple-by-triple test's verdict, witness or exception
+    # the check on masks, full or from any since, gives the
+    # triple-by-triple test's verdict, witness or exception
     for since in range(y.n + 1):
         assert outcome(validate, y, since) == outcome(oracles.validate_by_triple, y, since)
     if len({v.d for v in y.value_ids[0] if v.d}) <= 1:
         full, expected = validate(y), oracles.validate(y)
         assert (full == OK) == (expected == OK)
         assert full == OK or full.kind == expected.kind == "Triangle"
+
+
+def test_mask_validate_tests_old_pairs_through_a_new_middle_point():
+    # over {1, 2, 3}: the one broken triangle is 0-5-1, its long side
+    # d(0, 1) = 3 between points below every since from 2 to 5
+    dists = {(i, j): n1(2) for i, j in itertools.combinations(range(6), 2)}
+    dists[0, 1], dists[0, 5], dists[1, 5] = n1(3), n1(1), n1(1)
+    x = make_space("abcdef", dists)
+    assert len(x.value_ids[0]) ** 3 <= x.n * (x.n - 1) * (x.n - 2)  # the masks decide
+    for since in range(x.n + 1):
+        assert validate(x, since) == oracles.validate_by_triple(x, since)
+    assert validate(x, 5) == Violation("Triangle", (0, 5, 1))
+    assert validate(x, 6) == OK
+
+
+def test_mask_validate_leaves_an_old_zero_to_the_loop():
+    # d(0, 1) = 0 below since breaks 0-1-5 (2 > 0 + 1); the table has no
+    # zero id, so the loop decides
+    dists = {(i, j): n1(2) for i, j in itertools.combinations(range(6), 2)}
+    dists[0, 1], dists[1, 5] = ExactReal(0), n1(1)
+    x = make_space("abcdef", dists)
+    for since in range(x.n + 1):
+        assert validate(x, since) == oracles.validate_by_triple(x, since)
+    assert validate(x, 5) == Violation("Triangle", (0, 1, 5))
 
 
 def test_validate_falls_back_to_the_loop_on_many_values():

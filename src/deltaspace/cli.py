@@ -298,7 +298,7 @@ def cmd_triangle_structure(args) -> int:
 
 
 def _sample_from_arg(text):
-    if not text:
+    if text is None:
         return None
     sample = []
     for term in text.split(","):
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-theory")
     p.add_argument("--set", required=True)
-    p.add_argument("--sample")
+    p.add_argument("--sample", help="comma-separated positive rationals")
     p.add_argument("--budget", type=_non_negative, default=coding.THEORY_BUDGET,
                    help="table steps, for the encoding and again for the check")
     p.set_defaults(fn=cmd_check_theory)

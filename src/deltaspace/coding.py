@@ -10,12 +10,14 @@ reported as not falsifiable rather than silently asserted.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Optional
 
-from .dvs import DistanceSet, delta_triangle
+from .dvs import DistanceSet
 from .exact import ExactReal, MixedRadicands, parse, rational_between
 from .search import BudgetExceeded, injective_maps
 
@@ -202,12 +204,19 @@ class TriangleStructure:
 
 def triangle_structure(d: DistanceSet) -> TriangleStructure:
     """The ternary structure whose relation holds exactly on the triangle
-    triples of the fragment."""
+    triples of the fragment: (i, j, k) with |x - y| <= z <= x + y for
+    x, y, z the values at i, j, k.  Every value lies in d, so this is
+    delta_triangle's test.  The values are sorted, so for each pair
+    i <= j the k form one run, found by bisection between y - x and
+    x + y: about n^2 exact sums and n^2 log n comparisons."""
     vals = d.values
     rel = set()
-    for i, j, k in itertools.product(range(len(vals)), repeat=3):
-        if delta_triangle(vals[i], vals[j], vals[k], d):
-            rel.add((i, j, k))
+    for i, x in enumerate(vals):
+        for j in range(i, len(vals)):
+            y = vals[j]
+            ks = range(bisect_left(vals, y - x), bisect_right(vals, x + y))
+            rel.update((i, j, k) for k in ks)
+            rel.update((j, i, k) for k in ks)
     return TriangleStructure(vals, frozenset(rel))
 
 
@@ -278,24 +287,34 @@ class EncodedModel:
 SMALL_RATIONALS = frozenset(Fraction(p, q) for p in range(1, 9) for q in range(1, 9))
 
 
+def _pair_ratios(values) -> list[tuple[ExactReal, tuple[int, int]]]:
+    """The |values|^2 pair ratios values[i] / values[j], each with its
+    index pair (i, j), sorted exactly by ratio; equal ratios keep (i, j)
+    order."""
+    n = len(values)
+    ratios = [(values[i] / values[j], (i, j)) for i in range(n) for j in range(n)]
+    ratios.sort(key=itemgetter(0))
+    return ratios
+
+
 def default_sample_q(d: DistanceSet) -> list[Fraction]:
     """SMALL_RATIONALS plus every rational pairwise ratio of the fragment,
     plus a rational separator between each pair of adjacent distinct
     ratios (so that irrational cuts are still told apart), plus an integer
-    above the largest ratio when it is irrational."""
+    above the largest ratio when it is irrational.  The ratios are read
+    once, in the sorted order of _pair_ratios."""
     qs = set(SMALL_RATIONALS)
-    ratios = set()
-    for x in d.values:
-        for y in d.values:
-            r = x / y
-            ratios.add(r)
-            if r.is_rational:
-                qs.add(Fraction(r.a))
-    ordered = sorted(ratios)
-    for lo, hi in zip(ordered, ordered[1:]):
-        qs.add(rational_between(lo, hi))
-    if ordered and not ordered[-1].is_rational:
-        qs.add(Fraction(ordered[-1].floor() + 1))  # a sample above every ratio
+    last = None
+    for r, _ in _pair_ratios(d.values):
+        if r == last:
+            continue
+        if r.is_rational:
+            qs.add(Fraction(r.a))
+        if last is not None:
+            qs.add(rational_between(last, r))
+        last = r
+    if last is not None and not last.is_rational:
+        qs.add(Fraction(last.floor() + 1))  # a sample above every ratio
     return sorted(qs)
 
 
@@ -305,7 +324,13 @@ def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_B
     table of pairs with q < x/y.  The sample must be nonempty and
     positive.  Without one, the default sample's |d|^2 pair ratios are
     charged against budget before they are computed; the |sample| * n^2
-    cells of the tables are charged before any is built."""
+    cells of the tables are charged before any is built.
+
+    The tables come from the sorted pair ratios of _pair_ratios: along
+    the sorted sample one pointer passes the ratios at most q, and
+    rq[q] is the set of the pairs after it, so a ratio equal to q stays
+    out.  That is |d|^2 divisions and about |sample| + |d|^2 exact
+    comparisons, not one product and comparison per cell."""
     spent = 0
     if sample_q is None:
         spent = _charge(spent, len(d.values) ** 2, budget)
@@ -325,28 +350,31 @@ def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_B
             k = index.get(universe[i] + universe[j])
             if k is not None:
                 model.plus[(i, j)] = k
+    ratios = _pair_ratios(d.values)
+    pairs = [(i + 1, j + 1) for _, (i, j) in ratios]  # universe indices
+    p = 0
     for q in sample_q:
-        pairs = set()
-        for i in model.nonzero():
-            for j in model.nonzero():
-                if universe[i] > universe[j] * q:  # q < x/y
-                    pairs.add((i, j))
-        model.rq[q] = frozenset(pairs)
+        while p < len(ratios) and ratios[p][0] <= q:
+            p += 1
+        model.rq[q] = frozenset(pairs[p:])
     return model
 
 
 def _sample_tables(qs) -> tuple[list[tuple[int, int, int]], list[list[tuple[int, int]]]]:
     """Position tables of the sorted sample: the triples (a, b, c) with
     qs[a] * qs[b] == qs[c], in (a, b) order, and for each position t the
-    splits (t1, t2) with qs[t1] + qs[t2] == qs[t] and t1 < t.  Built on
-    reduced (numerator, denominator) pairs, so no Fraction is hashed."""
+    splits (t1, t2) with qs[t1] + qs[t2] == qs[t] and t1 < t, in (t1, t2)
+    order.  Built on reduced (numerator, denominator) pairs, so no
+    Fraction is hashed.  Products and sums are symmetric, so only b >= a
+    is computed, (b, a) is added beside (a, b), and the lists are then
+    sorted into that order."""
     frac = [(q.numerator, q.denominator) for q in qs]
     where = {f: t for t, f in enumerate(frac)}
     top_n, top_d = frac[-1]
     triples = []
     splits = [[] for _ in frac]
     for a, (na, da) in enumerate(frac):
-        for b, (nb, db) in enumerate(frac):
+        for b, (nb, db) in enumerate(frac[a:], a):
             num, den = na * nb, da * db
             if na > 0 and num * top_d > top_n * den:
                 break  # the products only grow along the row
@@ -354,14 +382,22 @@ def _sample_tables(qs) -> tuple[list[tuple[int, int, int]], list[list[tuple[int,
             c = where.get((num // g, den // g))
             if c is not None:
                 triples.append((a, b, c))
-        for b, (nb, db) in enumerate(frac):
+                if a != b:
+                    triples.append((b, a, c))
+        for b, (nb, db) in enumerate(frac[a:], a):
             num, den = na * db + nb * da, da * db
             if num * top_d > top_n * den:
                 break
             g = gcd(num, den)
             t = where.get((num // g, den // g))
-            if t is not None and a < t:
-                splits[t].append((a, b))
+            if t is not None:
+                if a < t:
+                    splits[t].append((a, b))
+                if a != b and b < t:
+                    splits[t].append((b, a))
+    triples.sort()
+    for split in splits:
+        split.sort()
     return triples, splits
 
 

@@ -3,9 +3,11 @@
 Every slow path lives here, each simple enough to check by reading:
 the predecessors of library fast paths (validate's full check, its
 triple-by-triple exact test, the Fraction-pair arithmetic,
-check_theory_T before the bitmasks, model_encode's addition-table scan,
-the dict-and-dumps extension report), brute-force enumerations that use
-no search code, an arrow search that keeps no incremental state,
+check_theory_T before the bitmasks, model_encode's addition-table scan
+and per-cell rq tables, default_sample_q on a set of ratios, the
+sample tables over every position pair, the n^3 triangle-structure
+scan, the dict-and-dumps extension report), brute-force enumerations
+that use no search code, an arrow search that keeps no incremental state,
 gl2_search, an exhaustive matrix search, the realizer scan that the
 profile index replaced, the profile index that the neighbourhood
 masks replaced, and the whole-matrix free amalgam and cap that
@@ -15,14 +17,17 @@ them.  No library code calls them.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from deltaspace import space
 from deltaspace.amalgam import AmalgamError, DegenerateAmalgam, OverlapNotIsometric
-from deltaspace.coding import NOT_FALSIFIABLE, SATISFIED, VIOLATED, ClauseStatus, EncodedModel
+from deltaspace.coding import (NOT_FALSIFIABLE, SATISFIED, SMALL_RATIONALS, VIOLATED, ClauseStatus,
+                               EncodedModel)
+from deltaspace.dvs import delta_triangle
 from deltaspace.equiv import PoleAtAlpha, RatMatrix, gl2_apply
-from deltaspace.exact import DivisionByZero, ExactReal, MixedRadicands, _squarefree_split
+from deltaspace.exact import DivisionByZero, ExactReal, MixedRadicands, _squarefree_split, rational_between
 from deltaspace.limitbuilder import BuilderError, Extension, NoSmallEnoughDelta, ZNotInDelta
 from deltaspace.search import BudgetExceeded
 from deltaspace.space import OK, PartialIsometry, Space, Violation
@@ -538,6 +543,64 @@ def addition_table(universe):
                     if z == x + y:
                         plus[(i, j)] = k
     return plus
+
+
+def rq_table(universe, sample):
+    """model_encode's rq tables by the per-cell scan: for each q of the
+    sample, the nonzero index pairs (i, j) with universe[i] > universe[j] * q."""
+    nz = range(1, len(universe))
+    return {q: frozenset((i, j) for i in nz for j in nz if universe[i] > universe[j] * q) for q in sample}
+
+
+def default_sample_q(d):
+    """default_sample_q on a set of ratios: SMALL_RATIONALS, the rational
+    pair ratios, a rational between each two adjacent distinct ratios,
+    and an integer above the largest ratio when it is irrational."""
+    qs = set(SMALL_RATIONALS)
+    ratios = set()
+    for x in d.values:
+        for y in d.values:
+            r = x / y
+            ratios.add(r)
+            if r.is_rational:
+                qs.add(Fraction(r.a))
+    ordered = sorted(ratios)
+    for lo, hi in zip(ordered, ordered[1:]):
+        qs.add(rational_between(lo, hi))
+    if ordered and not ordered[-1].is_rational:
+        qs.add(Fraction(ordered[-1].floor() + 1))
+    return sorted(qs)
+
+
+def sample_tables(qs):
+    """check_theory_T's position tables over every ordered pair (a, b),
+    each sum or product reduced by gcd and looked up in a dict: the
+    triples (a, b, c) with qs[a] * qs[b] == qs[c], and for each t the
+    splits (a, b) with qs[a] + qs[b] == qs[t] and a < t."""
+    frac = [(q.numerator, q.denominator) for q in qs]
+    where = {f: t for t, f in enumerate(frac)}
+    triples = []
+    splits = [[] for _ in frac]
+    for (a, (na, da)), (b, (nb, db)) in itertools.product(enumerate(frac), repeat=2):
+        num, den = na * nb, da * db
+        g = math.gcd(num, den)
+        c = where.get((num // g, den // g))
+        if c is not None:
+            triples.append((a, b, c))
+        num, den = na * db + nb * da, da * db
+        g = math.gcd(num, den)
+        t = where.get((num // g, den // g))
+        if t is not None and a < t:
+            splits[t].append((a, b))
+    return triples, splits
+
+
+def triangle_relation(d):
+    """triangle_structure's relation by the n^3 delta_triangle scan."""
+    vals = d.values
+    return frozenset((i, j, k) for i, j, k in itertools.product(range(len(vals)), repeat=3)
+                     if delta_triangle(vals[i], vals[j], vals[k], d))
+
 
 def _triangle(a, b, c):
     return abs(b - c) <= a <= b + c

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -324,6 +325,12 @@ def test_check_theory_rejects_a_non_positive_sample(tmp_path, capsys):
     assert code == 1 and out["clauses"]["2"]["status"] == "Violated"
 
 
+@pytest.mark.parametrize("verb", ["check-theory", "encode-model"])
+def test_empty_sample_is_rejected(tmp_path, capsys, verb):
+    # an empty --sample once gave the default sample's answer, exit 0
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2)], cap=n1(2)).to_json())
+    assert_input_error(capsys, [verb, "--set", d, "--sample", ""], "Invalid literal for Fraction: ''")
+
 @pytest.mark.parametrize("top", [[], ["1/1"], "1/1", 3, None], ids=repr)
 def test_non_object_json_is_rejected(tmp_path, capsys, top):
     bad = write_json(tmp_path, "bad.json", top)
@@ -577,6 +584,73 @@ def test_arrow_stdout_bytes_are_pinned(tmp_path, capsys):
         argv = ["check-arrow", "--c", files["c"], "--b", files[f"b_{case}"], "--a", files[f"a_{case}"], "-k", "2"]
         assert main(argv + extra) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (case, extra)
+
+
+
+def _seeded_fragment(rng, radicand, size):
+    """`size` distinct positive values: a on a grid of 1/6, or for about
+    half of them over Q(sqrt D) a + b*(sqrt(D) - isqrt(D)) with b in
+    {1/3, 1/2}; capped at the largest."""
+    vals = set()
+    while len(vals) < size:
+        a = Fraction(rng.randrange(1, 24), 6)
+        b = Fraction(1, rng.choice((2, 3))) if radicand and rng.random() < 0.5 else 0
+        vals.add(ExactReal(a - b * math.isqrt(radicand), b, radicand))
+    return make_set(vals, cap=max(vals))
+
+
+def test_theory_stdout_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the stdout of encode-model, check-theory and
+    # triangle-structure (alone and against a rescaling by 3/2) on seeded
+    # fragments: rational, over Q(sqrt 2), over Q(sqrt 1000003), and one
+    # whose max/min is irrational and above 8; then encode-model and
+    # check-theory on the rational one with a user sample holding its
+    # exact pair ratios 2/1 and 3/2 (so a ratio equals a sample rational)
+    sets = {
+        "rational": make_set([n1(1), n1(Fraction(3, 2)), n1(2), n1(3)], cap=n1(3)),
+        "sqrt2": _seeded_fragment(random.Random(3), 2, 4),
+        "sqrt1000003": _seeded_fragment(random.Random(3), 1000003, 4),
+        "wide": _seeded_fragment(random.Random(4), 2, 5),
+    }
+    wide = sets["wide"].values
+    ratio = wide[-1] / wide[0]
+    assert not ratio.is_rational and ratio > n1(8)
+    files = {}
+    for name, d in sets.items():
+        files[name] = write_json(tmp_path, f"{name}.json", d.to_json())
+        scaled = make_set([v * n1(Fraction(3, 2)) for v in d.values], cap=d.cap * n1(Fraction(3, 2)))
+        files[f"{name}*3/2"] = write_json(tmp_path, f"{name}_scaled.json", scaled.to_json())
+    theory = [["encode-model"], ["check-theory"], ["triangle-structure"]]
+    pins = {
+        "rational": ("9c479d4735220ee42907d1779c5007e8491547c10b74ffa26f32ec5948264bb7",
+                     "e34d08390751eb9d5930b4a8da72d9db6391b2e6e24eb3d1dd3ebedf7523a2e8",
+                     "e9ab3a5da5a01dcd1fd3740c42d763e747e7518cf7693866d3d735d7adf6cecb",
+                     "b9c6c7f7ec59d787a965cfadd41b82c915d6c275a0cbc845496103dacd72e770"),
+        "sqrt2": ("83968151db9c17096b1e7ceedd6a821f66b5ee17c217f1219cb5d9c9dd7ce770",
+                  "e34d08390751eb9d5930b4a8da72d9db6391b2e6e24eb3d1dd3ebedf7523a2e8",
+                  "9fd08d64ff21a015015cc5d07a6310325f5b1260812ffa9dc30285834314b63f",
+                  "b9c6c7f7ec59d787a965cfadd41b82c915d6c275a0cbc845496103dacd72e770"),
+        "sqrt1000003": ("e46b378256401c33abc3fb5d1e34390f4e7ea9bb76e995bc630cbc7c99eacc2a",
+                        "e34d08390751eb9d5930b4a8da72d9db6391b2e6e24eb3d1dd3ebedf7523a2e8",
+                        "e50a93ce3d10c2646c574fbdbfbd1b1fb82491972906484a55d8fdfca41b40eb",
+                        "b9c6c7f7ec59d787a965cfadd41b82c915d6c275a0cbc845496103dacd72e770"),
+        "wide": ("e3ace6b6fa5868163603765d7dddb1be35d430bf735bf3af2976186b1e22a7bf",
+                 "5e6708a0b6575ab6f481033b3a263fcc49cb81089775c8ea3d342640892bd750",
+                 "4bae75baf569653e31a05c04959581a5b8beb3052ae47478a13f4d10b56271f9",
+                 "53bf44bbb84c14ce3cd93f81943e1ba68d49bccacd4ff1022bfa5d9197ecb415"),
+    }
+    calls = []
+    for name, digests in pins.items():
+        extras = theory + [["triangle-structure", "--other", files[f"{name}*3/2"]]]
+        calls += [(name, extra, 0, digest) for extra, digest in zip(extras, digests)]
+    sample = ["--sample", "1/2,1,4/3,3/2,2,5/2"]
+    calls += [("rational", ["encode-model"] + sample, 0,
+               "5b05056194b5d04a2c71ce075f28ae34336a6da66aad2c9c28ca337e506ab545"),
+              ("rational", ["check-theory"] + sample, 1,
+               "eb0805e69297dc145d1d1348fa8443fc1e5bd2159dee48275db33b14d679e486")]
+    for name, extra, code, digest in calls:
+        assert main(extra[:1] + ["--set", files[name]] + extra[1:]) == code, (name, extra)
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (name, extra)
 
 
 def write_count_inputs(tmp_path):

@@ -13,6 +13,7 @@ from deltaspace.coding import (
     ClauseStatus,
     CodingError,
     DvsCode,
+    _sample_tables,
     approx_check,
     check_theory_T,
     default_sample_q,
@@ -164,6 +165,63 @@ def test_model_addition_table_matches_the_scan(pqs):
     d = make_set([ExactReal(p, q, 2) for p, q in pqs])
     m = model_encode(d, [Fraction(1)])
     assert m.plus == oracles.addition_table(m.universe)
+
+
+# Values c * base for c on a grid and base 1 or 1 + sqrt(D): values on one
+# base have rational ratios, often one of the grid, across bases irrational.
+GRID = [Fraction(p, q) for p in range(1, 7) for q in (1, 2, 3)]
+
+
+@st.composite
+def fragments(draw):
+    radicand = draw(st.sampled_from((0, 2, 1000003)))
+    bases = [ExactReal(1)] + ([ExactReal(1, 1, radicand)] if radicand else [])
+    values = draw(st.lists(st.builds(lambda c, base: base * ExactReal(c), st.sampled_from(GRID),
+                                     st.sampled_from(bases)), min_size=1, max_size=5))
+    return make_set(values, cap=max(values) if draw(st.booleans()) else None)
+
+
+@st.composite
+def fragments_and_samples(draw):
+    """A fragment and None (the default sample), or a user sample of grid
+    rationals, half of the time with some of the fragment's rational pair
+    ratios added, at which the strict q < x/y has to leave the pair out."""
+    d = draw(fragments())
+    kind = draw(st.sampled_from(("default", "ratios", "grid")))
+    if kind == "default":
+        return d, None
+    extra = [Fraction(1, 7), Fraction(9)]
+    sample = draw(st.lists(st.sampled_from(GRID + extra), min_size=1 if kind == "grid" else 0))
+    if kind == "ratios":
+        ratios = sorted({Fraction((x / y).a) for x in d.values for y in d.values if (x / y).is_rational})
+        sample += draw(st.lists(st.sampled_from(ratios), min_size=1))
+    return d, sample
+
+
+@settings(max_examples=200, deadline=None)
+@given(fragments_and_samples())
+def test_model_rq_matches_the_scan(d_sample):
+    d, sample = d_sample
+    m = model_encode(d, sample)
+    qs = oracles.default_sample_q(d) if sample is None else sorted(set(sample))
+    assert sorted(m.rq) == qs
+    assert m.rq == oracles.rq_table(m.universe, qs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    fragments_and_samples().map(lambda d_sample: sorted(model_encode(*d_sample).rq)),
+    # zero and negative entries too, which no model_encode sample holds
+    st.lists(st.fractions(-3, 9, max_denominator=6), min_size=1, unique=True).map(sorted),
+))
+def test_sample_tables_match_the_scan(qs):
+    assert _sample_tables(qs) == oracles.sample_tables(qs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fragments())
+def test_triangle_structure_matches_the_scan(d):
+    assert triangle_structure(d).relation == oracles.triangle_relation(d)
 
 
 def test_model_unit_cut():

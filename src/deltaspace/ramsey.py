@@ -4,16 +4,24 @@ structures, plus rigidity checking.
 A verdict of Holds is only ever produced by a completed search over all
 colorings (backtracking counts as complete when its tree is exhausted);
 anything cut short by the budget is Unknown.  A verdict of Fails carries
-the bad coloring and is re-verified before being returned.
+the bad coloring and is re-verified, by code the search does not use,
+before being returned.
+
+The search colors the copies of a in index order, so a copy of b can
+come out monochromatic only when its last copy of a is colored.  Each
+copy of a keeps the bitmasks of the copies of b it closes, and each color
+in use keeps the bitmask of the copies that have it; a node is dead when
+one closing mask lies inside its color's mask.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .search import BudgetExceeded, Search
-from .space import Space, copies_of, isomorphisms
+from .space import Space, copies_of, isomorphic, isomorphisms
 
 
 class RamseyError(Exception):
@@ -59,33 +67,31 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
         # the empty coloring is constant on every copy of B
         verdict.status = HOLDS
         return verdict
-    b_sets = [set(t) for t in copies_b]
-    b_for_a = [[bi for bi, s in enumerate(b_sets) if s.issuperset(t)] for t in copies_a]
-    size_b = [sum(map(s.issuperset, copies_a)) for s in b_sets]
-    # left[col][bi]: the members of B-copy bi not yet colored col.  A color
-    # has a row only while a placed copy has that color, so rows <= m for any k.
-    left = {}
-    made = [False] * m  # made[i]: placing copy i made its color's row
+    # closing[i]: the masks (bit j for A-copy j) of the B-copies whose
+    # highest-index member is i, the copy whose placement can complete them
+    index = {t: i for i, t in enumerate(copies_a)}
+    closing = [[] for _ in range(m)]
+    for bc in copies_b:
+        members = [index[s] for s in itertools.combinations(bc, a.n) if s in index]
+        if members:
+            closing[max(members)].append(sum(1 << j for j in members))
+    # masks[col]: the placed copies of color col.  A color has a mask only
+    # while a placed copy has that color, so masks <= m for any k.
+    masks = {}
 
     def place(i, col):
-        row = left.get(col)
-        made[i] = row is None
-        if made[i]:
-            row = left[col] = size_b.copy()
-        alive = True
-        for bi in b_for_a[i]:
-            row[bi] -= 1
-            if not row[bi]:
-                alive = False  # this B-copy came out monochromatic
-        return alive
+        mask = masks[col] = masks.get(col, 0) | 1 << i
+        for bm in closing[i]:
+            if bm & mask == bm:
+                return False  # this B-copy came out monochromatic
+        return True
 
     def undo(i, col):
-        if made[i]:
-            del left[col]  # the placements after copy i are undone already
-            return
-        row = left[col]
-        for bi in b_for_a[i]:
-            row[bi] += 1
+        mask = masks[col] ^ 1 << i
+        if mask:
+            masks[col] = mask
+        else:
+            del masks[col]
 
     # symmetry reduction: the first copy is pinned to color 0
     first, rest = range(1), range(k)
@@ -109,10 +115,15 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
 
 def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
     """Independent re-check that a coloring witnesses failure: every copy
-    of b contains two differently colored copies of a."""
-    copies_b = copies_of(c, b)
+    of b contains two differently colored copies of a.
+
+    It calls neither the arrow search nor copies_of: the copies of b are
+    found by testing every subset with `isomorphic`, and the copies of a
+    inside each one by a set test on the coloring's keys."""
     copies_a = list(coloring)
-    for bc in copies_b:
+    for bc in itertools.combinations(range(c.n), b.n):
+        if isomorphic(c.induced(bc), b) is None:
+            continue
         bset = set(bc)
         cols = {coloring[t] for t in copies_a if set(t) <= bset}
         if len(cols) <= 1:
@@ -128,5 +139,5 @@ def automorphisms(x: Space):
 def is_rigid(x: Space) -> bool:
     """True iff the identity is the only automorphism.  Ordered spaces
     are rigid a priori (a finite linear order has no nontrivial
-    automorphism)."""
-    return all(m == tuple(range(x.n)) for m in automorphisms(x))
+    automorphism).  The search stops at the second automorphism."""
+    return all(m == tuple(range(x.n)) for m in itertools.islice(isomorphisms(x, x), 2))

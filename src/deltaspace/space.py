@@ -17,7 +17,7 @@ from typing import Optional
 
 from .dvs import DistanceSet
 from .exact import ExactReal, parse
-from .search import injective_maps
+from .search import Search, injective_maps
 
 
 class SpaceError(Exception):
@@ -254,12 +254,33 @@ def _no_broken_triangle(x: Space, vals, since: int) -> bool:
 
 
 def copies_of(c: Space, a: Space) -> list[tuple[int, ...]]:
-    """All point subsets of c inducing a substructure isomorphic to a."""
-    out = []
-    for subset in itertools.combinations(range(c.n), a.n):
-        if isomorphic(c.induced(subset), a) is not None:
-            out.append(subset)
-    return out
+    """All point subsets of c inducing a substructure isomorphic to a, as
+    sorted tuples in itertools.combinations order.
+
+    When c and a are both ordered, an embedding is a search: c's points
+    are picked in increasing rank, the r-th pick standing for a.order[r],
+    and each pick's distances to the earlier picks are compared on c's
+    value ids.  Otherwise every subset is tested with `isomorphic`."""
+    if c.order is None or a.order is None:
+        return [s for s in itertools.combinations(range(c.n), a.n) if isomorphic(c.induced(s), a) is not None]
+    index, ids = c.value_ids
+    k, ranks = a.n, c.ranks
+    try:  # want[r][t]: c's id of the distance between a's r-th and t-th points
+        want = [[index[a.dist[a.order[r]][a.order[t]]] for t in range(r)] for r in range(k)]
+    except KeyError:  # a has a distance that c lacks
+        return []
+    pts = [0] * k  # pts[r]: the point of the r-th pick
+
+    def choices(r):  # the points ranked above the last pick, leaving room for the rest
+        return c.order[ranks[pts[r - 1]] + 1 if r else 0:c.n - k + r + 1]
+
+    def place(r, p):
+        pts[r] = p
+        row = ids[p]
+        return all(row[s] == w for s, w in zip(pts, want[r]))
+
+    search = Search(k, choices, place, lambda r, p: None)
+    return sorted(tuple(sorted(picks)) for picks in search)
 
 
 def _profile(x: Space, i: int):

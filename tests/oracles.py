@@ -6,13 +6,13 @@ triple-by-triple exact test, the Fraction-pair arithmetic,
 check_theory_T before the bitmasks, model_encode's addition-table scan
 and per-cell rq tables, default_sample_q on a set of ratios, the
 sample tables over every position pair, the n^3 triangle-structure
-scan, the dict-and-dumps extension report), brute-force enumerations
-that use no search code, an arrow search that keeps no incremental state,
-gl2_search, an exhaustive matrix search, the realizer scan that the
-profile index replaced, the profile index that the neighbourhood
-masks replaced, and the whole-matrix free amalgam and cap that
-amalgam.adjoin replaced, with the realize and density_perturb built on
-them.  No library code calls them.
+scan, the dict-and-dumps extension report, the copies_of subset scan),
+brute-force enumerations that use no search code, an arrow search that
+keeps no incremental state, gl2_search, an exhaustive matrix search,
+the realizer scan that the profile index replaced, the profile index
+that the neighbourhood masks replaced, and the whole-matrix free
+amalgam and cap that amalgam.adjoin replaced, with the realize and
+density_perturb built on them.  No library code calls them.
 """
 
 import itertools
@@ -86,6 +86,12 @@ def validate_by_triple(x, since=0):
     if x.order is not None and sorted(x.order) != list(range(n)):
         return Violation("BadOrder", tuple(x.order))
     return OK
+
+
+def copies_of(c, a):
+    """copies_of before the rank-order search: every subset of c, in
+    itertools.combinations order, tested with isomorphic."""
+    return [s for s in itertools.combinations(range(c.n), a.n) if space.isomorphic(c.induced(s), a) is not None]
 
 
 def preserves_distances(x, y, p):

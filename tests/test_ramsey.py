@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -108,6 +109,21 @@ def test_bad_coloring_verifier_rejects_good_coloring():
     assert not verify_bad_coloring(c, b, a, constant)
 
 
+def test_bad_coloring_verifier_does_not_use_copies_of(monkeypatch):
+    # the re-check of a Fails finds the copies of b on its own
+    from deltaspace import ramsey
+    c, b, a = uniform_space(5, n1(1)), uniform_space(3, n1(1)), uniform_space(2, n1(1))
+    verdict = arrow(c, b, a, 2)
+    assert verdict.status == FAILS
+
+    def refuse(*args):
+        raise AssertionError("verify_bad_coloring called copies_of")
+
+    monkeypatch.setattr(ramsey, "copies_of", refuse)
+    assert verify_bad_coloring(c, b, a, verdict.bad_coloring)
+    assert not verify_bad_coloring(c, b, a, dict.fromkeys(verdict.bad_coloring, 0))
+
+
 def test_ordered_spaces_are_rigid():
     rng = random.Random(61)
     d = make_set([n1(1), n1(2), n1(3)], cap=n1(3))
@@ -132,6 +148,13 @@ def test_ordered_uniform_rigid_at_64_points():
 def test_unordered_uniform_pair_not_rigid():
     assert not is_rigid(uniform_space(2, n1(1), ordered=False))
     assert not is_rigid(uniform_space(3, n1(1), ordered=False))
+
+
+def test_unordered_uniform_not_rigid_without_enumerating_automorphisms():
+    # 12! automorphisms; the verdict needs only the second one
+    start = time.perf_counter()
+    assert not is_rigid(uniform_space(12, n1(1), ordered=False))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_unordered_scalene_triangle_rigid():

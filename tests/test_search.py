@@ -70,14 +70,15 @@ def test_injective_maps_are_the_permutations():
 # ---------------------------------------------------------------------------
 # cross-checks against the brute-force oracles
 
-ONE, TWO = ExactReal(1), ExactReal(2)
+ONE, TWO, THREE = ExactReal(1), ExactReal(2), ExactReal(3)
 
 
 @st.composite
-def spaces(draw, min_n=0, max_n=6, ordered=None):
-    """Spaces over {1, 2}: every distance assignment is a metric."""
+def spaces(draw, min_n=0, max_n=6, ordered=None, values=(ONE, TWO)):
+    """Spaces over {1, 2}, or over values where every distance assignment
+    is a metric too ({2, 3}, say)."""
     n = draw(st.integers(min_n, max_n))
-    dists = {(i, j): draw(st.sampled_from((ONE, TWO))) for i in range(n) for j in range(i + 1, n)}
+    dists = {(i, j): draw(st.sampled_from(values)) for i in range(n) for j in range(i + 1, n)}
     if ordered is None:
         ordered = draw(st.booleans())
     order = draw(st.permutations(range(n))) if ordered else None
@@ -154,13 +155,34 @@ def test_approx_check_matches_brute_force(c1, data):
     assert approx_check(c1, c2) == oracles.approx_check(c1, c2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(spaces(max_n=7), st.data())
+def test_copies_of_matches_subset_scan(c, data):
+    # a is a substructure of c, reordered or not, or a random space whose
+    # values may be missing from c; its order is drawn apart from c's, so
+    # ordered, unordered and mixed pairs all occur
+    n = data.draw(st.integers(0, c.n + 1))
+    kind = data.draw(st.sampled_from(("induced", "random", "foreign")))
+    if kind == "induced" and n <= c.n:
+        a = c.induced(data.draw(st.permutations(range(c.n)))[:n])
+    else:
+        a = data.draw(spaces(n, n, values=(TWO, THREE) if kind == "foreign" else (ONE, TWO)))
+    if data.draw(st.booleans()):
+        a = Space(a.labels, a.dist, tuple(data.draw(st.permutations(range(a.n)))))
+    elif data.draw(st.booleans()):
+        a = Space(a.labels, a.dist)
+    assert copies_of(c, a) == oracles.copies_of(c, a)
+
+
 @settings(max_examples=100, deadline=None)
 @given(spaces(min_n=1, max_n=5), st.sampled_from((2, 3)), st.data())
 def test_arrow_matches_brute_force(c, k, data):
     bpts = data.draw(st.lists(st.integers(0, c.n - 1), min_size=1, max_size=min(c.n, 4), unique=True))
     b = c.induced(bpts)
-    a = b.induced(data.draw(st.lists(st.integers(0, b.n - 1), min_size=1, max_size=b.n, unique=True)))
-    copies_a, copies_b = copies_of(c, a), copies_of(c, b)
+    # a may be empty: then every copy of b closes at the one copy of a
+    a = b.induced(data.draw(st.lists(st.integers(0, b.n - 1), min_size=0, max_size=b.n, unique=True)))
+    # the copies come from the subset scan, which shares no enumeration with arrow
+    copies_a, copies_b = oracles.copies_of(c, a), oracles.copies_of(c, b)
     first_bad = oracles.first_bad_coloring(copies_a, copies_b, k)
     verdict = arrow(c, b, a, k)
     if first_bad is None:

@@ -115,11 +115,9 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
 
 def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
     """Independent re-check that a coloring witnesses failure: every copy
-    of b contains two differently colored copies of a.
-
-    It calls neither the arrow search nor copies_of: the copies of b are
-    found by testing every subset with `isomorphic`, and the copies of a
-    inside each one by a set test on the coloring's keys."""
+    of b contains two differently colored copies of a.  It shares no code
+    with the arrow search or copies_of, so a fault there cannot certify
+    its own output."""
     copies_a = list(coloring)
     for bc in itertools.combinations(range(c.n), b.n):
         if isomorphic(c.induced(bc), b) is None:
@@ -129,11 +127,6 @@ def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
         if len(cols) <= 1:
             return False
     return True
-
-
-def automorphisms(x: Space):
-    """All automorphisms of x (identity included), in lexicographic order."""
-    return list(isomorphisms(x, x))
 
 
 def is_rigid(x: Space) -> bool:

@@ -263,8 +263,10 @@ def copies_of(c: Space, a: Space) -> list[tuple[int, ...]]:
     value ids.  Otherwise every subset is tested with `isomorphic`."""
     if c.order is None or a.order is None:
         return [s for s in itertools.combinations(range(c.n), a.n) if isomorphic(c.induced(s), a) is not None]
-    index, ids = c.value_ids
     k, ranks = a.n, c.ranks
+    if k > c.n:  # no room, and the slice bound in choices would count from the end
+        return []
+    index, ids = c.value_ids
     try:  # want[r][t]: c's id of the distance between a's r-th and t-th points
         want = [[index[a.dist[a.order[r]][a.order[t]]] for t in range(r)] for r in range(k)]
     except KeyError:  # a has a distance that c lacks

@@ -13,11 +13,10 @@ from deltaspace.ramsey import (
     UNKNOWN,
     NotEmbeddable,
     arrow,
-    automorphisms,
     is_rigid,
     verify_bad_coloring,
 )
-from deltaspace.space import make_space, uniform_space
+from deltaspace.space import isomorphisms, make_space, uniform_space
 from util import random_space
 
 
@@ -65,6 +64,16 @@ def test_arrow_monotone_in_c():
 def test_arrow_not_embeddable():
     with pytest.raises(NotEmbeddable):
         arrow(uniform_space(2, n1(1)), uniform_space(3, n1(1)), uniform_space(2, n1(1)), 2)
+
+
+def test_arrow_not_embeddable_when_a_is_larger_than_c():
+    c = uniform_space(30, n1(1))
+    start = time.perf_counter()
+    with pytest.raises(NotEmbeddable):
+        arrow(c, c, uniform_space(45, n1(1)), 2)
+    with pytest.raises(NotEmbeddable):
+        arrow(c, uniform_space(45, n1(1)), uniform_space(2, n1(1)), 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_arrow_budget_unknown():
@@ -130,14 +139,14 @@ def test_ordered_spaces_are_rigid():
     for _ in range(40):
         x = random_space(rng, rng.randint(1, 6), d)
         assert is_rigid(x)
-        assert automorphisms(x) == [tuple(range(x.n))]
+        assert list(isomorphisms(x, x)) == [tuple(range(x.n))]
 
 
 def test_ordered_uniform_rigid_without_enumerating_distance_automorphisms():
     # all 12! permutations preserve the distances; the order prunes at once
     x = uniform_space(12, n1(1))
     assert is_rigid(x)
-    assert automorphisms(x) == [tuple(range(12))]
+    assert list(isomorphisms(x, x)) == [tuple(range(12))]
 
 
 def test_ordered_uniform_rigid_at_64_points():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,13 @@ def test_copies_absent_distance():
     c = uniform_space(3, n1(1))
     a = uniform_space(2, n1(5))
     assert copies_of(c, a) == []
+
+
+def test_copies_of_a_larger_space_is_empty_at_once():
+    # every distance matches, so only the size stops the rank-order search
+    start = time.perf_counter()
+    assert copies_of(uniform_space(30, n1(1)), uniform_space(45, n1(1))) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_copies_path():

@@ -9,6 +9,7 @@ reported as not falsifiable rather than silently asserted.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -57,14 +58,21 @@ class DvsCode:
 
     @staticmethod
     def from_json(obj: dict) -> "DvsCode":
-        """Parse a code: a prefix list of number strings and an optional
-        boolean `bounded`."""
+        """Parse a code: a prefix list of number strings, all in one field,
+        and an optional boolean `bounded`."""
+        if "prefix" not in obj:
+            raise CodingError("a code needs a prefix, a list of number strings")
         prefix, bounded = obj["prefix"], obj.get("bounded", False)
         if not isinstance(prefix, list):
             raise CodingError(f"prefix must be a list of number strings, not {prefix!r}")
         if not isinstance(bounded, bool):
             raise CodingError(f"bounded must be true or false, not {bounded!r}")
-        return DvsCode(tuple(parse(v) for v in prefix), bounded)
+        values = tuple(parse(v) for v in prefix)
+        radicands = sorted({v.d for v in values if v.d})
+        if len(radicands) > 1:
+            raise CodingError(f"prefix mixes sqrt({radicands[0]}) and sqrt({radicands[1]}); "
+                              "a code's entries lie in one field")
+        return DvsCode(values, bounded)
 
 
 def validate_code(code: DvsCode) -> dict[str, ClauseStatus]:
@@ -283,8 +291,8 @@ class EncodedModel:
         }
 
 
-# The fixed part of every default sample: p/q for 1 <= p, q <= 8.
-SMALL_RATIONALS = frozenset(Fraction(p, q) for p in range(1, 9) for q in range(1, 9))
+# The fixed part of every default sample: p/q for 1 <= p, q <= 8, sorted.
+SMALL_RATIONALS = tuple(sorted({Fraction(p, q) for p in range(1, 9) for q in range(1, 9)}))
 
 
 def _pair_ratios(values) -> list[tuple[ExactReal, tuple[int, int]]]:
@@ -301,21 +309,27 @@ def default_sample_q(d: DistanceSet) -> list[Fraction]:
     """SMALL_RATIONALS plus every rational pairwise ratio of the fragment,
     plus a rational separator between each pair of adjacent distinct
     ratios (so that irrational cuts are still told apart), plus an integer
-    above the largest ratio when it is irrational.  The ratios are read
-    once, in the sorted order of _pair_ratios."""
-    qs = set(SMALL_RATIONALS)
+    above the largest ratio when it is irrational, sorted.  The ratios are
+    read once, in the sorted order of _pair_ratios, so the separators and
+    rational ratios come out ascending and are merged into
+    SMALL_RATIONALS without a sort."""
+    found = []
     last = None
     for r, _ in _pair_ratios(d.values):
         if r == last:
             continue
-        if r.is_rational:
-            qs.add(Fraction(r.a))
         if last is not None:
-            qs.add(rational_between(last, r))
+            found.append(rational_between(last, r))
+        if r.is_rational:
+            found.append(Fraction(r.a))
         last = r
     if last is not None and not last.is_rational:
-        qs.add(Fraction(last.floor() + 1))  # a sample above every ratio
-    return sorted(qs)
+        found.append(Fraction(last.floor() + 1))  # a sample above every ratio
+    qs = []
+    for q in heapq.merge(SMALL_RATIONALS, found):
+        if not qs or q != qs[-1]:
+            qs.append(q)
+    return qs
 
 
 def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_BUDGET) -> EncodedModel:
@@ -330,12 +344,14 @@ def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_B
     the sorted sample one pointer passes the ratios at most q, and
     rq[q] is the set of the pairs after it, so a ratio equal to q stays
     out.  That is |d|^2 divisions and about |sample| + |d|^2 exact
-    comparisons, not one product and comparison per cell."""
+    comparisons, not one product and comparison per cell.  The default
+    sample comes sorted and distinct; only a user sample is sorted here."""
     spent = 0
     if sample_q is None:
         spent = _charge(spent, len(d.values) ** 2, budget)
-        sample_q = default_sample_q(d)
-    sample_q = sorted(set(Fraction(q) for q in sample_q))
+        sample_q = default_sample_q(d)  # already sorted and distinct
+    else:
+        sample_q = sorted(set(Fraction(q) for q in sample_q))
     if not sample_q:
         raise CodingError("sample_q must be nonempty")
     if sample_q[0] <= 0:
@@ -360,19 +376,16 @@ def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_B
     return model
 
 
-def _sample_tables(qs) -> tuple[list[tuple[int, int, int]], list[list[tuple[int, int]]]]:
-    """Position tables of the sorted sample: the triples (a, b, c) with
-    qs[a] * qs[b] == qs[c], in (a, b) order, and for each position t the
-    splits (t1, t2) with qs[t1] + qs[t2] == qs[t] and t1 < t, in (t1, t2)
-    order.  Built on reduced (numerator, denominator) pairs, so no
-    Fraction is hashed.  Products and sums are symmetric, so only b >= a
-    is computed, (b, a) is added beside (a, b), and the lists are then
-    sorted into that order."""
+def _sample_products(qs) -> list[tuple[int, int, int]]:
+    """The position triples (a, b, c) of the sorted sample with
+    qs[a] * qs[b] == qs[c], in (a, b) order.  Built on reduced
+    (numerator, denominator) pairs, so no Fraction is hashed.  Products
+    are symmetric, so only b >= a is computed, (b, a) is added beside
+    (a, b), and the list is then sorted into that order."""
     frac = [(q.numerator, q.denominator) for q in qs]
     where = {f: t for t, f in enumerate(frac)}
     top_n, top_d = frac[-1]
     triples = []
-    splits = [[] for _ in frac]
     for a, (na, da) in enumerate(frac):
         for b, (nb, db) in enumerate(frac[a:], a):
             num, den = na * nb, da * db
@@ -384,10 +397,23 @@ def _sample_tables(qs) -> tuple[list[tuple[int, int, int]], list[list[tuple[int,
                 triples.append((a, b, c))
                 if a != b:
                     triples.append((b, a, c))
+    triples.sort()
+    return triples
+
+
+def _sample_splits(qs) -> list[list[tuple[int, int]]]:
+    """For each position t of the sorted sample, the splits (t1, t2) with
+    qs[t1] + qs[t2] == qs[t] and t1 < t, in (t1, t2) order; built as
+    _sample_products builds its triples."""
+    frac = [(q.numerator, q.denominator) for q in qs]
+    where = {f: t for t, f in enumerate(frac)}
+    top_n, top_d = frac[-1]
+    splits = [[] for _ in frac]
+    for a, (na, da) in enumerate(frac):
         for b, (nb, db) in enumerate(frac[a:], a):
             num, den = na * db + nb * da, da * db
             if num * top_d > top_n * den:
-                break
+                break  # the sums only grow along the row
             g = gcd(num, den)
             t = where.get((num // g, den // g))
             if t is not None:
@@ -395,10 +421,45 @@ def _sample_tables(qs) -> tuple[list[tuple[int, int, int]], list[list[tuple[int,
                     splits[t].append((a, b))
                 if a != b and b < t:
                     splits[t].append((b, a))
-    triples.sort()
     for split in splits:
         split.sort()
-    return triples, splits
+    return splits
+
+
+def _role_prefixes(triples, width) -> list[list[int]]:
+    """For each role r of the sorted triples (a, b, c), the prefix table
+    pre[t], t = 0..width: the mask (bit k = triple k) of the triples whose
+    role-r position is below t.  The a positions are contiguous in the
+    sorted list, so that table is counts alone."""
+    tables = [[(1 << bisect_left(triples, (t,))) - 1 for t in range(width + 1)]]
+    for r in (1, 2):
+        at = [0] * width
+        for k, triple in enumerate(triples):
+            at[triple[r]] |= 1 << k
+        pre = [0]
+        for m in at:
+            pre.append(pre[-1] | m)
+        tables.append(pre)
+    return tables
+
+
+def _lift(M, nz, pre) -> list[list[int]]:
+    """Each cut M[x][y] of the nonzero pairs lifted to the mask of the
+    triples whose position in one role it holds: a run [s, e) of set bits
+    selects pre[e] ^ pre[s]."""
+    lifted = [[0] * len(M) for _ in M]
+    for x in nz:
+        Mx, Lx = M[x], lifted[x]
+        for y in nz:
+            m = Mx[y]
+            out = 0
+            while m:
+                low = m & -m
+                carry = m + low  # clears the lowest run, sets the bit above it
+                out |= pre[(carry & -carry).bit_length() - 1] ^ pre[low.bit_length() - 1]
+                m &= carry
+            Lx[y] = out
+    return lifted
 
 
 def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -> dict[str, ClauseStatus]:
@@ -415,10 +476,13 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     The clauses run on int bitmasks that are derived from model.rq on
     every call, so rq stays the one table: for qs the sorted sample,
     M[i][j] has bit t set iff (i, j) is in rq[qs[t]], and rows[i][t] has
-    bit j set on the same condition.  Before each block its steps (one
-    per table cell read, or per row of cells read as one mask) are
-    charged against budget, None for no limit; BudgetExceeded when the
-    total passes it.
+    bit j set on the same condition.  Clause (4) lifts each cut M[x][y]
+    onto the sample's product triples, once per role, and then takes one
+    mask step per (x, y, z); clause (6)'s split table is built only when
+    the model has sums.  Before each block its steps (one per table cell
+    read, or per row of cells read as one mask) are charged against
+    budget, None for no limit, whether or not a table is built;
+    BudgetExceeded when the total passes it.
     """
     report = {}
     qs = sorted(model.rq)
@@ -477,22 +541,28 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     report["3"] = status
 
     # (4) multiplicativity along sample products: R_p(x, y) and R_q(y, z)
-    # force R_pq(x, z), and their absence forbids it.  For each x and y
-    # the violating z are one mask.
+    # force R_pq(x, z), and their absence forbids it.  Lifted by role, the
+    # cuts M[x][y], M[y][z] and M[x][z] give the triples whose p, q and pq
+    # hold there, so for each x, y and z the violating triples are one
+    # mask.  The last violation is at the largest triple, then (x, y, z).
     spent = _charge(spent, width * width, budget)
-    triples, splits = _sample_tables(qs) if qs else ([], [])
+    triples = _sample_products(qs) if qs else []
     spent = _charge(spent, len(triples) * n * n, budget)
+    lift_a, lift_b, lift_c = (_lift(M, nz, pre) for pre in _role_prefixes(triples, width))
+    top, last = 1, None  # bit_length of the largest violating triple
+    for x in nz:
+        row_a, row_c = lift_a[x], lift_c[x]
+        for y in nz:
+            A, row_b = row_a[y], lift_b[y]
+            for z in nz:
+                B, C = row_b[z], row_c[z]
+                bad = (A & B & ~C) | (C & ~(A | B))
+                if bad.bit_length() >= top:
+                    top, last = bad.bit_length(), (x, y, z)
     status = ClauseStatus(SATISFIED)
-    for a, b, c in triples:
-        for i in nz:
-            row_p, row_pq = rows[i][a], rows[i][c]
-            for j in nz:
-                if row_p >> j & 1:
-                    bad = rows[j][b] & ~row_pq & nz_bits
-                else:
-                    bad = row_pq & ~rows[j][b] & nz_bits
-                if bad:
-                    status = ClauseStatus(VIOLATED, (qs[a], qs[b], i, j, bad.bit_length() - 1))
+    if last is not None:
+        a, b, _ = triples[top - 1]
+        status = ClauseStatus(VIOLATED, (qs[a], qs[b]) + last)
     report["4"] = status
 
     # (5) the order is linear with 0 least and agrees with R_1
@@ -514,6 +584,7 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     # sample split q = q1 + q2 with R_q1(x, y) and R_q2(x', y) forces
     # R_q(x+x', y); for each q the y it is forced but missing at are one
     # mask, and the last violation is at the largest y, then q.
+    splits = _sample_splits(qs) if qs and model.plus else []
     ways = [(t, split) for t, split in enumerate(splits) if split]
     spent = _charge(spent, len(model.plus) * (n * width + sum(len(s) for _, s in ways)), budget)
     status = ClauseStatus(SATISFIED)

@@ -327,7 +327,7 @@ def rational_between(lo: ExactReal, hi: ExactReal) -> Fraction:
     a, b = Fraction(lo.floor()), Fraction(hi.floor() + 1)
     while True:
         mid = (a + b) / 2
-        m = ExactReal(mid)
+        m = _make(mid.numerator, 0, mid.denominator, 0)
         if lo < m < hi:
             return mid
         if m <= lo:

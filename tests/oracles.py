@@ -4,7 +4,8 @@ Every slow path lives here, each simple enough to check by reading:
 the predecessors of library fast paths (validate's full check, its
 triple-by-triple exact test, the Fraction-pair arithmetic,
 check_theory_T before the bitmasks, model_encode's addition-table scan
-and per-cell rq tables, default_sample_q on a set of ratios, the
+and per-cell rq tables, default_sample_q on a set of ratios with
+rational_between's bisection through the public constructor, the
 sample tables over every position pair, the n^3 triangle-structure
 scan, the dict-and-dumps extension report, the copies_of subset scan),
 brute-force enumerations that use no search code, an arrow search that
@@ -27,7 +28,7 @@ from deltaspace.coding import (NOT_FALSIFIABLE, SATISFIED, SMALL_RATIONALS, VIOL
                                EncodedModel)
 from deltaspace.dvs import delta_triangle
 from deltaspace.equiv import PoleAtAlpha, RatMatrix, gl2_apply
-from deltaspace.exact import DivisionByZero, ExactReal, MixedRadicands, _squarefree_split, rational_between
+from deltaspace.exact import DivisionByZero, ExactReal, MixedRadicands, _squarefree_split
 from deltaspace.limitbuilder import BuilderError, Extension, NoSmallEnoughDelta, ZNotInDelta
 from deltaspace.search import BudgetExceeded
 from deltaspace.space import OK, PartialIsometry, Space, Violation
@@ -477,6 +478,23 @@ def old_sign(x):
 
 def old_compare(x, y):
     return old_sign(old_add(x, old_neg(y)))
+
+
+def rational_between(lo, hi):
+    """rational_between's dyadic bisection with each midpoint built by the
+    public ExactReal constructor."""
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    a, b = Fraction(lo.floor()), Fraction(hi.floor() + 1)
+    while True:
+        mid = (a + b) / 2
+        m = ExactReal(mid)
+        if lo < m < hi:
+            return mid
+        if m <= lo:
+            a = mid
+        else:
+            b = mid
 
 
 # -- equiv ----------------------------------------------------------------------

@@ -222,6 +222,10 @@ def test_set_fields_of_the_wrong_type_are_rejected(tmp_path, capsys, fragment, t
     pytest.param({"prefix": 5}, "prefix must be a list", id="number-prefix"),
     pytest.param({"prefix": "01"}, "prefix must be a list", id="string-prefix"),
     pytest.param({"prefix": ["0/1"], "bounded": "yes"}, "bounded must be true or false", id="string-bounded"),
+    # named at load, not deep inside check-code as a KeyError or a comparison
+    pytest.param({"bounded": True}, "a code needs a prefix", id="no-prefix"),
+    pytest.param({"prefix": ["0/1", "1/1*sqrt(2)", "1/1+1/1*sqrt(3)"]}, "prefix mixes sqrt(2) and sqrt(3)",
+                 id="mixed-radicands"),
 ])
 def test_code_fields_of_the_wrong_type_are_rejected(tmp_path, capsys, code, text):
     c = write_json(tmp_path, "c.json", code)

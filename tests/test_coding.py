@@ -13,7 +13,8 @@ from deltaspace.coding import (
     ClauseStatus,
     CodingError,
     DvsCode,
-    _sample_tables,
+    _sample_products,
+    _sample_splits,
     approx_check,
     check_theory_T,
     default_sample_q,
@@ -215,7 +216,9 @@ def test_model_rq_matches_the_scan(d_sample):
     st.lists(st.fractions(-3, 9, max_denominator=6), min_size=1, unique=True).map(sorted),
 ))
 def test_sample_tables_match_the_scan(qs):
-    assert _sample_tables(qs) == oracles.sample_tables(qs)
+    triples, splits = oracles.sample_tables(qs)
+    assert _sample_products(qs) == triples
+    assert _sample_splits(qs) == splits
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deltaspace.exact import (
@@ -16,6 +16,7 @@ from deltaspace.exact import (
     parse,
     rational_between,
 )
+import oracles
 from oracles import old, old_add, old_compare, old_inverse, old_mul, old_neg, old_sign
 
 SQRT2 = ExactReal.sqrt(2)
@@ -252,3 +253,13 @@ def test_mixed_radicands_raise(xa, xb, ya, yb, radicands):
     ):
         with pytest.raises(MixedRadicands):
             op()
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions, surd_parts, fractions, surd_parts, st.sampled_from((0, 2, 5, 1000003)))
+def test_rational_between_matches_the_bisection(xa, xb, ya, yb, d):
+    # d = 0 draws a rational interval
+    x, y = (ExactReal(a, b, d) if d else ExactReal(a) for a, b in ((xa, xb), (ya, yb)))
+    assume(x != y)
+    lo, hi = min(x, y), max(x, y)
+    assert rational_between(lo, hi) == oracles.rational_between(lo, hi)

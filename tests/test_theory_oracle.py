@@ -2,7 +2,8 @@
 
 Models come from random fragments (rational and over three quadratic
 fields), with the default sample or a short user sample, and then have
-their rq tables mutated by hand; others are hand-built random tables.
+their rq tables mutated by hand; a few have 4 to 6 values, the sizes of
+the benchmark's theory jobs; others are hand-built random tables.
 Clean models reach only the Satisfied branches, so the test also asserts
 that the generated models reach every Violated branch and witness shape
 of clauses (1)-(6).
@@ -35,12 +36,13 @@ GRID = [Fraction(p, q) for q in (1, 2) for p in range(1, 7)]
 
 
 @st.composite
-def fragment_values(draw):
-    """1 to 3 positive values, over Q(sqrt D) some of them a + b*sqrt(D),
-    and often the sum of the first two, so that the model has sums."""
+def fragment_values(draw, count=st.integers(1, 3)):
+    """count (by default 1 to 3) positive values, over Q(sqrt D) some of them
+    a + b*sqrt(D), and with two values often the sum of both, so that the
+    model has sums."""
     d = draw(st.sampled_from(RADICANDS))
     out = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(count)):
         a = draw(st.sampled_from(GRID))
         if d and draw(st.booleans()):
             b = draw(st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(1))))
@@ -62,9 +64,9 @@ samples = st.one_of(
 
 
 @st.composite
-def encoded_models(draw):
+def encoded_models(draw, values=fragment_values(), sample=samples):
     """model_encode on a random fragment, then a few hand mutations."""
-    model = model_encode(make_set(draw(fragment_values())), draw(samples))
+    model = model_encode(make_set(draw(values)), draw(sample))
     n = len(model.universe)
     qs = sorted(model.rq)
     for _ in range(draw(st.integers(0, 4))):
@@ -149,5 +151,9 @@ def _agree(models, examples, reached):
 def test_check_theory_T_matches_the_oracle():
     reached = Counter()
     _agree(encoded_models(), 100, reached)
+    # the workload's sizes: 4 to 6 values on the default sample, 700 to 950
+    # product triples, so the lifted masks span many machine words
+    wide = fragment_values(st.integers(4, 6)).filter(lambda values: len(set(values)) >= 4)
+    _agree(encoded_models(wide, st.none()), 15, reached)
     _agree(built_models(), 400, reached)
     assert REQUIRED <= set(reached), sorted(REQUIRED - set(reached))

@@ -22,20 +22,37 @@ from .search import BudgetExceeded
 EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
-def _read_json(path: str, kind=dict):
-    """A JSON file, or stdin for "-", whose top level is an object (a
-    set, space or code) or, for kind=list, a list."""
-    if path == "-":
-        obj = json.load(sys.stdin)
-    else:
-        try:
+class InputError(Exception):
+    """Bad input, named with the file or flag it came from."""
+
+
+# What main reports as bad input (exit 3): InputError and the library's
+# named errors.  Anything else a verb raises is a bug (exit 4).
+INPUT_ERRORS = (InputError, ExactError, dvs.DvsError, space.SpaceError, amalgam.AmalgamError,
+                equiv.EquivError, ramsey.RamseyError, coding.CodingError, limitbuilder.BuilderError)
+
+
+def _load(path: str, from_json, kind=dict):
+    """from_json of a JSON file, or of stdin for "-", whose top level is
+    an object (a set, space or code) or, for kind=list, a list.  A file
+    that cannot be read or decoded, a top level of another type and a
+    named error while loading are bad input, named with the path."""
+    try:
+        if path == "-":
+            obj = json.load(sys.stdin)
+        else:
             with open(path) as fh:
                 obj = json.load(fh)
-        except OSError as exc:  # missing, a directory or unreadable: bad input, not a crash
-            raise ValueError(f"{path}: {exc.strerror}") from None
+    except OSError as exc:  # missing, a directory or unreadable
+        raise InputError(f"{path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        raise InputError(f"{path}: {exc}") from None
     if not isinstance(obj, kind):
-        raise ValueError(f"{path}: expected a JSON {'object' if kind is dict else 'list'}")
-    return obj
+        raise InputError(f"{path}: expected a JSON {'object' if kind is dict else 'list'}")
+    try:
+        return from_json(obj)
+    except INPUT_ERRORS as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _emit(obj) -> None:
@@ -43,12 +60,12 @@ def _emit(obj) -> None:
 
 
 def _load_set(path: str) -> dvs.DistanceSet:
-    return dvs.DistanceSet.from_json(_read_json(path))
+    return _load(path, dvs.DistanceSet.from_json)
 
 
 def _load_valid_space(path: str, delta=None) -> space.Space:
     """An input space, validated over delta, else over its own fragment."""
-    x = space.Space.from_json(_read_json(path))
+    x = _load(path, space.Space.from_json)
     verdict = space.validate(x if delta is None else x.with_delta(delta))
     if verdict != space.OK:
         raise space.SpaceError(f"{path}: not a valid space: {verdict}")
@@ -64,21 +81,28 @@ def _load_ordered_space(path: str, delta=None) -> space.Space:
 
 
 def _load_code(path: str) -> coding.DvsCode:
-    return coding.DvsCode.from_json(_read_json(path))
+    return _load(path, coding.DvsCode.from_json)
 
 
-def _load_bijection(path: str) -> list:
+def _bijection(pairs: list) -> list:
     """The value pairs of a bijection file: a JSON list of [x, y] lists."""
-    pairs = _read_json(path, list)
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise ValueError(f"{path}: a bijection is a JSON list of [x, y] pairs")
+        raise InputError("a bijection is a JSON list of [x, y] pairs")
     return [(parse(a), parse(b)) for a, b in pairs]
 
 
-def _index(i: int, n: int) -> int:
+def _number(flag: str, text: str):
+    """A number flag's value, in the exact grammar."""
+    try:
+        return parse(text)
+    except ExactError as exc:
+        raise InputError(f"{flag}: {exc}") from None
+
+
+def _index(flag: str, i: int, n: int) -> int:
     """i, if it names one of n points."""
     if not 0 <= i < n:
-        raise ValueError(f"point index {i} out of range for {n} points")
+        raise InputError(f"{flag}: point index {i} out of range for {n} points")
     return i
 
 
@@ -91,12 +115,15 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _parse_pairs(text: str, left: int, right: int) -> list[tuple[int, int]]:
+def _parse_pairs(flag: str, text: str, left: int, right: int) -> list[tuple[int, int]]:
     """i:j pairs with 0 <= i < left and 0 <= j < right."""
     out = []
     for part in text.split(","):
-        i, j = part.split(":")
-        out.append((_index(int(i), left), _index(int(j), right)))
+        try:
+            i, j = map(int, part.split(":"))
+        except ValueError:
+            raise InputError(f"{flag}: expected i:j pairs of point indices, not {part!r}") from None
+        out.append((_index(flag, i, left), _index(flag, j, right)))
     return out
 
 
@@ -111,21 +138,23 @@ def _clause_json(report: dict) -> dict:
 
 
 def cmd_gen_dvs(args) -> int:
-    d = dvs.gen_delta_alpha(parse(args.alpha), args.height, parse(args.bound))
+    d = dvs.gen_delta_alpha(_number("--alpha", args.alpha), args.height, _number("--bound", args.bound))
     _emit(d.to_json())
     return EXIT_YES
 
 
 def cmd_close(args) -> int:
-    d = dvs.close(_load_set(args.set), parse(args.bound), args.budget)
+    d = dvs.close(_load_set(args.set), _number("--bound", args.bound), args.budget)
     _emit(d.to_json())
     return EXIT_YES
 
 
 def cmd_check_triangle(args) -> int:
     d = _load_set(args.delta)
-    x, y, z = (parse(t) for t in args.triple.split(","))
-    ok = dvs.delta_triangle(x, y, z, d)
+    terms = args.triple.split(",")
+    if len(terms) != 3:
+        raise InputError(f"--triple: expected three numbers x,y,z, not {args.triple!r}")
+    ok = dvs.delta_triangle(*(_number("--triple", t) for t in terms), d)
     _emit({"triangle": ok})
     return EXIT_YES if ok else EXIT_NO
 
@@ -133,7 +162,7 @@ def cmd_check_triangle(args) -> int:
 def cmd_check_equiv(args) -> int:
     d1, d2 = _load_set(args.d1), _load_set(args.d2)
     if args.bijection:
-        ok = equiv.triangle_bijection_check(d1, d2, _load_bijection(args.bijection))
+        ok = equiv.triangle_bijection_check(d1, d2, _load(args.bijection, _bijection, list))
         _emit({"fragment_consistent": ok})
         return EXIT_YES if ok else EXIT_NO
     w = equiv.scaling_witness(d1, d2)
@@ -145,7 +174,7 @@ def cmd_check_equiv(args) -> int:
 
 
 def cmd_gl2(args) -> int:
-    verdict = equiv.gl2_equivalent(parse(args.alpha), parse(args.beta))
+    verdict = equiv.gl2_equivalent(_number("--alpha", args.alpha), _number("--beta", args.beta))
     out = {"status": verdict.status}
     if verdict.matrix is not None:
         out["matrix"] = verdict.matrix.to_json()
@@ -155,7 +184,7 @@ def cmd_gl2(args) -> int:
 
 def cmd_amalgamate(args) -> int:
     b, c = _load_valid_space(args.b), _load_valid_space(args.c)
-    overlap = _parse_pairs(args.overlap, b.n, c.n) if args.overlap else []
+    overlap = _parse_pairs("--overlap", args.overlap, b.n, c.n) if args.overlap else []
     out = amalgam.free_amalgam(b, c, overlap)
     _emit(out.to_json())
     return EXIT_YES
@@ -209,16 +238,16 @@ def _extension_report_json(report: limitbuilder.ExtensionReport) -> str:
 def cmd_perturb(args) -> int:
     d = _load_set(args.delta)
     m = _load_ordered_space(args.space, d)
-    pairs = _parse_pairs(args.pairs, m.n, m.n)
-    out, images = limitbuilder.density_perturb(m, pairs, parse(args.eps), d, args.max_points)
+    pairs = _parse_pairs("--pairs", args.pairs, m.n, m.n)
+    out, images = limitbuilder.density_perturb(m, pairs, _number("--eps", args.eps), d, args.max_points)
     _emit({"space": out.to_json(), "images": images})
     return EXIT_YES
 
 
 def cmd_extend_isometry(args) -> int:
     m = _load_ordered_space(args.space)
-    p = space.PartialIsometry(m, tuple(_parse_pairs(args.pairs, m.n, m.n)))
-    out, p2 = limitbuilder.extend_partial_isometry(m, p, _index(args.point, m.n), args.max_points)
+    p = space.PartialIsometry(m, tuple(_parse_pairs("--pairs", args.pairs, m.n, m.n)))
+    out, p2 = limitbuilder.extend_partial_isometry(m, p, _index("--point", args.point, m.n), args.max_points)
     _emit({"space": out.to_json(), "pairs": [list(t) for t in p2.pairs]})
     return EXIT_YES
 
@@ -304,8 +333,11 @@ def _sample_from_arg(text):
     for term in text.split(","):
         try:
             sample.append(Fraction(term))
+            str(sample[-1])  # a witness prints it: "1e5000" has more digits than str() gives on 3.11+
         except ZeroDivisionError:
-            raise ValueError(f"--sample: {term!r} has a zero denominator") from None
+            raise InputError(f"--sample: {term!r} has a zero denominator") from None
+        except ValueError as exc:
+            raise InputError(f"--sample: {exc}") from None
     return sample
 
 
@@ -457,10 +489,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (ExactError, dvs.DvsError, space.SpaceError, amalgam.AmalgamError,
-            equiv.EquivError, ramsey.RamseyError, coding.CodingError,
-            limitbuilder.BuilderError,
-            json.JSONDecodeError, KeyError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

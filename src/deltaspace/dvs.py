@@ -83,6 +83,9 @@ class DistanceSet:
         and whose cap is a number string or "unbounded"."""
         if not isinstance(obj, dict):
             raise DvsError(f"a distance set is a JSON object, not {obj!r}")
+        for key in ("values", "cap"):
+            if key not in obj:
+                raise DvsError(f"a distance set needs {key}")
         values = obj["values"]
         if not isinstance(values, list):
             raise DvsError(f"values must be a list of number strings, not {values!r}")

@@ -283,34 +283,36 @@ def _cmp(x: ExactReal, y) -> int:
 _RAT = r"(-?\d+)/(\d+)"
 _SURD_RE = re.compile(rf"^(?:{_RAT}\+)?{_RAT}\*sqrt\((\d+)\)$")
 _RAT_RE = re.compile(rf"^{_RAT}$")
+MAX_RADICAND = 10 ** 12  # trial division to its square root takes about 0.2 s
 
 
 def parse(text: str) -> ExactReal:
     """Parse the bit-exact grammar: "p/q" or "p/q+r/s*sqrt(D)" (rational
-    part omitted when zero, signs attached to numerators)."""
+    part omitted when zero, signs attached to numerators), D at most
+    MAX_RADICAND, as its square part is split off by trial division."""
     if not isinstance(text, str):
         raise ParseError(f"expected a number string, got {text!r}")
     text = text.strip()
-    m = _RAT_RE.match(text)
-    if m:
-        p, q = int(m.group(1)), int(m.group(2))
-        if q == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return ExactReal(Fraction(p, q))
-    m = _SURD_RE.match(text)
-    if m:
-        ap, aq, bp, bq, d = m.groups()
-        if aq == "0" or bq == "0":
-            raise ParseError(f"zero denominator in {text!r}")
-        a = Fraction(int(ap), int(aq)) if ap is not None else Fraction(0)
-        b = Fraction(int(bp), int(bq))
-        if b == 0 or int(d) < 2:
-            raise ParseError(f"degenerate surd in {text!r}")
-        x = ExactReal(a, b, int(d))
-        if x.d != int(d):
-            raise ParseError(f"radicand {d} is not squarefree in {text!r}")
-        return x
-    raise ParseError(f"cannot parse {text!r}")
+    m = _RAT_RE.match(text) or _SURD_RE.match(text)
+    if m is None:
+        raise ParseError(f"cannot parse {text!r}")
+    try:
+        ints = [*map(int, filter(None, m.groups()))]
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"too many digits in a number string of {len(text)} characters") from None
+    if 0 in ints[1::2]:  # the denominators
+        raise ParseError(f"zero denominator in {text!r}")
+    if len(ints) == 2:  # p/q with q > 0: only the gcd to divide out
+        return _make(ints[0], 0, ints[1], 0)
+    *a, bp, bq, d = ints
+    if bp == 0 or d < 2:
+        raise ParseError(f"degenerate surd in {text!r}")
+    if d > MAX_RADICAND:
+        raise ParseError(f"radicand {d} is above the limit {MAX_RADICAND} in {text!r}")
+    x = ExactReal(Fraction(*a) if a else Fraction(0), Fraction(bp, bq), d)
+    if x.d != d:
+        raise ParseError(f"radicand {d} is not squarefree in {text!r}")
+    return x
 
 
 def compare(x: ExactReal, y: ExactReal) -> int:
@@ -321,11 +323,14 @@ def compare(x: ExactReal, y: ExactReal) -> int:
 
 def rational_between(lo: ExactReal, hi: ExactReal) -> Fraction:
     """Some rational strictly inside the open interval (lo, hi), found by
-    exact dyadic bisection."""
+    exact dyadic bisection of [a, b] = [floor(lo), floor(hi) + 1].  The
+    midpoint is inside once (b - a) / 2 < hi - lo, within the bit lengths
+    of b - a and floor(1 / (hi - lo)) steps; past them, a fault fails."""
     if not lo < hi:
         raise ValueError("need lo < hi")
     a, b = Fraction(lo.floor()), Fraction(hi.floor() + 1)
-    while True:
+    steps = int(b - a).bit_length() + (hi - lo).inverse().floor().bit_length() + 2
+    for _ in range(steps):
         mid = (a + b) / 2
         m = _make(mid.numerator, 0, mid.denominator, 0)
         if lo < m < hi:
@@ -334,3 +339,4 @@ def rational_between(lo: ExactReal, hi: ExactReal) -> Fraction:
             a = mid
         else:
             b = mid
+    raise AssertionError(f"no rational found between {lo} and {hi} in {steps} bisection steps")

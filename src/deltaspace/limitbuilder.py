@@ -150,6 +150,12 @@ def _realizer_masks(rows, subset, vectors) -> list[int]:
     return [functools.reduce(operator.and_, map(operator.getitem, sub, vec)) for vec in vectors]
 
 
+def _check_ordered(m: Space) -> None:
+    """Reject an unordered m: the constructions place points by rank."""
+    if m.order is None:
+        raise BuilderError("space must be ordered")
+
+
 def _check_extension(m: Space, ext: Extension) -> None:
     """Reject an extension that does not fit m: a subset index repeated
     or outside 0..m.n-1, a distance count other than the subset's size,
@@ -164,8 +170,7 @@ def _check_extension(m: Space, ext: Extension) -> None:
 def find_realizer(m: Space, ext: Extension) -> Optional[int]:
     """The lowest-index point of m realizing ext, or None: the lowest set
     bit of ext's realizer mask over m."""
-    if m.order is None:
-        raise BuilderError("space must be ordered")
+    _check_ordered(m)
     _check_extension(m, ext)
     below = _below(m)
     # the ids index ext.dists itself, so the id vector is 0, 1, ...
@@ -177,8 +182,7 @@ def find_realizer(m: Space, ext: Extension) -> Optional[int]:
 
 def _pool(m: Space, k: int, source_n: Optional[int]) -> int:
     """How many leading points of m the subsets are drawn from."""
-    if m.order is None:
-        raise BuilderError("space must be ordered")
+    _check_ordered(m)
     if k < 0:
         raise BuilderError(f"k must be non-negative, not {k}")
     if source_n is None:
@@ -233,6 +237,7 @@ def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     point goes directly below the subset point of rank ext.slot, or on
     top when the slot is past the last one.  Precondition: m is a valid
     ordered space over d; ext and the new point are checked."""
+    _check_ordered(m)
     _check_extension(m, ext)
     if not ext.subset and m.n > 0:
         raise BuilderError("empty-subset extension is realized by any point")
@@ -311,8 +316,7 @@ def extend_partial_isometry(
     The back step, enlarging the range to cover a point y, is this step
     on p.inverse() with x = y, inverted again.
     """
-    if m.order is None:
-        raise BuilderError("space must be ordered")
+    _check_ordered(m)
     if not p.is_isometry() or not p.order_preserving:
         raise BuilderError("p must be an order-preserving partial isometry")
     dom = [a for a, _ in p.pairs]
@@ -358,9 +362,10 @@ def density_perturb(
     m over the y's, on top of m's order in the source order, and returns
     the new space with the indices of the perturbed images.  With no
     pairs there is nothing to move: (m, []).  Precondition: m is a valid
-    space over d.  Only the new points are checked, which covers each
-    triangle of the double space that touches a z; the rest are m's.
+    ordered space over d.  Only the new points are checked, which covers
+    each triangle of the double space that touches a z; the rest are m's.
     """
+    _check_ordered(m)
     pairs = list(pairs)
     if not pairs:
         return m, []

@@ -118,9 +118,12 @@ class Space:
     @staticmethod
     def from_json(obj: dict) -> "Space":
         """Parse a space, rejecting a shape that validate cannot judge:
-        labels that are not a list of strings, a distance matrix that is
-        not an n x n list of lists for n labels, or an order that is not a
-        list of integers."""
+        no labels or no dist, labels that are not a list of strings, a
+        distance matrix that is not an n x n list of lists for n labels, or
+        an order that is not a list of integers."""
+        for key in ("labels", "dist"):
+            if key not in obj:
+                raise SpaceError(f"a space needs {key}")
         labels, rows = obj["labels"], obj["dist"]
         if not isinstance(labels, list):
             raise SpaceError(f"labels must be a list, not {labels!r}")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -202,6 +203,11 @@ def test_malformed_space_is_rejected(tmp_path, capsys, change, text):
     pytest.param({"labels": ["a"], "dist": [["0/1"]], "order": 0}, "order entries", id="number-order"),
     pytest.param({"labels": ["a"], "dist": [["0/1"]], "delta": 5}, "a distance set is a JSON object",
                  id="number-delta"),
+    # a missing field was a bare KeyError, printed as error: 'labels'
+    pytest.param({"dist": [["0/1"]]}, "a space needs labels", id="no-labels"),
+    pytest.param({"labels": ["a"]}, "a space needs dist", id="no-dist"),
+    pytest.param({"labels": ["a"], "dist": [["0/1"]], "delta": {"values": ["1/1"]}}, "a distance set needs cap",
+                 id="no-cap-in-delta"),
 ])
 def test_space_fields_of_the_wrong_type_are_rejected(tmp_path, capsys, space, text):
     x = write_json(tmp_path, "x.json", space)
@@ -212,6 +218,8 @@ def test_space_fields_of_the_wrong_type_are_rejected(tmp_path, capsys, space, te
     pytest.param({"values": 5, "cap": "2/1"}, "values must be a list", id="number-values"),
     pytest.param({"values": "1/1", "cap": "2/1"}, "values must be a list", id="string-values"),
     pytest.param({"values": ["1/1"], "cap": 2}, "number string", id="number-cap"),
+    pytest.param({"cap": "2/1"}, "a distance set needs values", id="no-values"),
+    pytest.param({"values": ["1/1"]}, "a distance set needs cap", id="no-cap"),
 ])
 def test_set_fields_of_the_wrong_type_are_rejected(tmp_path, capsys, fragment, text):
     d = write_json(tmp_path, "d.json", fragment)
@@ -329,6 +337,15 @@ def test_check_theory_rejects_a_non_positive_sample(tmp_path, capsys):
     assert code == 1 and out["clauses"]["2"]["status"] == "Violated"
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+                    reason="str() of a 5001-digit int is refused only under Python 3.11+'s digit limit")
+@pytest.mark.parametrize("verb", ["check-theory", "encode-model"])
+def test_a_sample_too_long_to_print_is_rejected(tmp_path, capsys, verb):
+    # its witness text failed at output, after the check, with a ValueError
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2)], cap=n1(2)).to_json())
+    assert_input_error(capsys, [verb, "--set", d, "--sample", "1/2,1e5000"], "--sample: Exceeds the limit")
+
+
 @pytest.mark.parametrize("verb", ["check-theory", "encode-model"])
 def test_empty_sample_is_rejected(tmp_path, capsys, verb):
     # an empty --sample once gave the default sample's answer, exit 0
@@ -435,6 +452,35 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("text", ['{"values": [', "\udcff", "[" * 100000 + "]" * 100000],
+                         ids=["cut-short", "not-utf8", "nested-too-deep"])
+def test_a_file_that_is_not_json_is_named(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert_input_error(capsys, ["encode-code", "--set", str(bad)], f"{bad}: ")
+
+
+FLAG_ERRORS = [
+    (["gen-dvs", "--alpha", "x", "--height", "1", "--bound", "2/1"], "--alpha: cannot parse 'x'"),
+    (["gen-dvs", "--alpha", "1/1*sqrt(2)", "--height", "1", "--bound", "1/0"], "--bound: zero denominator"),
+    (["gl2", "--alpha", "1/1*sqrt(2)", "--beta", "1/1*sqrt(4)"], "--beta: radicand 4 is not squarefree"),
+    (["check-triangle", "--delta", "{d}", "--triple", "1/1,1/1"], "--triple: expected three numbers"),
+    (["check-triangle", "--delta", "{d}", "--triple", "1/1,x,1/1"], "--triple: cannot parse 'x'"),
+    (["perturb", "--space", "{m}", "--delta", "{d}", "--pairs", "0-1", "--eps", "1/2"],
+     "--pairs: expected i:j pairs of point indices, not '0-1'"),
+    (["perturb", "--space", "{m}", "--delta", "{d}", "--pairs", "0:1", "--eps", "1/2+"], "--eps: cannot parse"),
+    (["amalgamate", "--b", "{m}", "--c", "{m}", "--overlap", "0:1:1"], "--overlap: expected i:j pairs"),
+    (["extend-isometry", "--space", "{m}", "--pairs", "0:1", "--point", "2"],
+     "--point: point index 2 out of range for 2 points"),
+]
+
+
+@pytest.mark.parametrize("argv, text", FLAG_ERRORS, ids=[f"{a[0]}-{text.split(':')[0]}" for a, text in FLAG_ERRORS])
+def test_a_flag_that_does_not_parse_is_named(tmp_path, capsys, argv, text):
+    m, d = write_two_points(tmp_path)
+    assert_input_error(capsys, [a.format(m=m, d=d) for a in argv], text)
+
+
 def test_usage_error_exit_code(capsys):
     # argparse's own exit 2 would read as Unknown
     assert main(["check-arrow", "--c", "x"]) == 3
@@ -480,6 +526,23 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("exc", [KeyError("values"), ValueError("not enough values to unpack")], ids=repr)
+def test_a_library_key_or_value_error_is_internal(tmp_path, capsys, monkeypatch, exc):
+    # main catches only named input errors, so a bare KeyError or
+    # ValueError from the library is a bug, not bad input
+    from deltaspace import ramsey
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(ramsey, "is_rigid", broken)
+    x = write_json(tmp_path, "x.json", uniform_space(2, n1(1)).to_json())
+    assert main(["check-rigid", "--space", x]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal: {type(exc).__name__}: {exc}\n"
 
 
 def test_a_failed_final_check_of_saturate_is_internal(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,16 @@
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from deltaspace import exact
 from deltaspace.exact import (
+    MAX_RADICAND,
     DivisionByZero,
     ExactReal,
     MixedRadicands,
@@ -97,9 +101,30 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_bad_input():
-    for text in ("", "1", "1/0", "sqrt(2)", "1/2+1/3*sqrt(4)", "0/1*sqrt(2)"):
+    # a denominator spelt "00" in a surd was a ZeroDivisionError
+    for text in ("", "1", "1/0", "sqrt(2)", "1/2+1/3*sqrt(4)", "0/1*sqrt(2)",
+                 "1/00+1/1*sqrt(2)", "1/00*sqrt(2)", "1/1+1/00*sqrt(2)"):
         with pytest.raises(ParseError):
             parse(text)
+
+
+def test_parse_rejects_a_radicand_above_the_limit():
+    # the radicand's split trial-divides up to its square root, so a
+    # 30-digit one would take hours; it is rejected before the split
+    start = time.perf_counter()
+    for text in ("1/1*sqrt(" + "7" * 30 + ")", "1/2+1/1*sqrt(1000000000039)"):
+        with pytest.raises(ParseError, match=f"above the limit {MAX_RADICAND}"):
+            parse(text)
+    assert time.perf_counter() - start < 1
+    assert parse("1/1*sqrt(999999999989)").d == 999999999989  # a prime just below the limit
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has a digit limit only on Python 3.11+")
+def test_parse_rejects_more_digits_than_int_converts():
+    # int() raised a ValueError
+    with pytest.raises(ParseError, match="too many digits"):
+        parse("1" * (sys.get_int_max_str_digits() + 1) + "/1")
 
 
 def test_floor():
@@ -115,6 +140,17 @@ def test_rational_between():
     assert lo < ExactReal(mid) < hi
     with pytest.raises(ValueError):
         rational_between(hi, lo)
+
+
+def test_rational_between_fails_rather_than_loops(monkeypatch):
+    # with every result built over twice its denominator, the midpoint of
+    # [3, 5] halves to below 3 and the bisection never enters (3, 4)
+    real = exact._make
+    monkeypatch.setattr(exact, "_make", lambda p, q, den, d: real(p, q, 2 * den, d))
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="bisection steps"):
+        rational_between(ExactReal(3), ExactReal(4))
+    assert time.perf_counter() - start < 1
 
 
 def test_compare_agrees_with_float_on_random_surds():

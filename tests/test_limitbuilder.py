@@ -239,6 +239,25 @@ def test_extension_checks_reject_an_unordered_space():
         find_realizer(m, Extension((0,), (n1(1),), 0))
 
 
+UNORDERED = uniform_space(2, n1(1), ordered=False, delta=D12)
+CONSTRUCTIONS = {
+    "saturate": lambda m: saturate(m, D12, 1),
+    "extension_property_check": lambda m: extension_property_check(m, D12, 1),
+    "find_realizer": lambda m: find_realizer(m, Extension((0,), (n1(1),), 0)),
+    "realize": lambda m: realize(m, Extension((0,), (n1(2),), 0), D12),
+    "extend_partial_isometry": lambda m: extend_partial_isometry(m, PartialIsometry(m, ((0, 1),)), 1),
+    "density_perturb": lambda m: density_perturb(m, [(0, 1)], n1(2), D12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_constructions_reject_an_unordered_space(name):
+    # realize and density_perturb once failed deep inside with a TypeError
+    with pytest.raises(BuilderError, match="space must be ordered"):
+        CONSTRUCTIONS[name](UNORDERED)
+    CONSTRUCTIONS[name](uniform_space(2, n1(1), delta=D12))  # the same call on an ordered space runs
+
+
 D13 = closed_fragment([n1(1)], n1(3))  # {1, 2, 3}, cap 3
 
 

@@ -2,13 +2,16 @@
 
 `adjoin` writes the rows of new points glued to a space over some of its
 points: it is the one row builder of `free_amalgam` and of every
-construction that grows the ordered limit.  Neither carries an order: the
-order amalgamates freely too, so each construction places its new points
-in the order itself.
+construction that grows the ordered limit.  It works on a `ValueTable`,
+the construction's distances sorted once with their truncated sums, so a
+new distance is an int min over table lookups.  Neither carries an
+order: the order amalgamates freely too, so each construction places its
+new points in the order itself.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from .exact import ExactReal
@@ -28,14 +31,74 @@ class DegenerateAmalgam(AmalgamError):
     formula degenerates to 0, which no metric allows."""
 
 
-def adjoin(b: Space, anchors, to_anchors, among, labels, bound: Optional[ExactReal]):
+class ValueTable:
+    """Distances in ascending order, each named by its index (its id):
+    values[0] is 0, and for u and t among the base the table was built
+    on, add[u][t] is the id of min(values[u] + values[t], bound), or of
+    the plain sum when bound is None; a value that is only a sum has no
+    row (None).  top is the id of the bound, or of the largest value
+    when bound is None.  Id order is value order, so the shortest of
+    several routes is an int min, and its truncation one table lookup.
+
+    A table serves one construction: ids() remembers the entry objects
+    it has looked up by id(), which holds only while they are alive."""
+
+    def __init__(self, base, bound: Optional[ExactReal]):
+        zero = ExactReal(0)
+        firsts = {_form(zero): zero}  # each value's first object, by canonical form
+        for v in itertools.chain(base, () if bound is None else (bound,)):
+            firsts.setdefault(_form(v), v)
+        xs = list(firsts.values())
+        values, sums = dict(firsts), []  # sums: (i, j, form of the truncated xs[i] + xs[j])
+        for i, x in enumerate(xs):
+            for j in range(i, len(xs)):
+                s = x + xs[j] if i else xs[j]
+                if bound is not None and s > bound:
+                    s = bound
+                f = _form(s)
+                sums.append((i, j, f))
+                values.setdefault(f, s)
+        forms = sorted(values, key=values.__getitem__)
+        self.values = tuple(map(values.__getitem__, forms))
+        self._index = index = {f: u for u, f in enumerate(forms)}
+        ids = [index[f] for f in firsts]
+        self.add = add = [None] * len(forms)
+        for u in ids:
+            add[u] = [None] * len(forms)
+        for i, j, f in sums:
+            add[ids[i]][ids[j]] = add[ids[j]][ids[i]] = index[f]
+        self.top = len(forms) - 1 if bound is None else index[_form(bound)]
+        self._at = {id(v): u for u, v in enumerate(self.values)}
+
+    def ids(self, entries) -> list[int]:
+        """The id of each entry, by object identity first: the canonical
+        form is read once per object the table has not seen."""
+        entries, at = list(entries), self._at
+        try:
+            return list(map(at.__getitem__, map(id, entries)))
+        except KeyError:
+            for v in entries:
+                if id(v) not in at:
+                    at[id(v)] = self._index[_form(v)]
+            return list(map(at.__getitem__, map(id, entries)))
+
+
+def _form(v: ExactReal) -> tuple[int, int, int, int]:
+    """v's canonical integers: equal exactly when the values are, and
+    hashed and compared without a Python-level method."""
+    return v.p, v.q, v.den, v.d
+
+
+def adjoin(b: Space, anchors, to_anchors, among, labels, table: ValueTable):
     """The labels and distance rows of b with one new point per label
     appended, glued to b over the anchor points.
 
-    New point j is at to_anchors[j][i] from anchors[i], at among[j][k]
-    from new point k, and from any other point a of b at the shortest
-    route through the anchors, min_i d(a, anchors[i]) + to_anchors[j][i],
-    truncated at bound unless bound is None (with no anchors, at bound).
+    New point j is at the distance of id to_anchors[j][i] in table from
+    anchors[i], at among[j][k] from new point k, and from any other
+    point a of b at the shortest route through the anchors, min_i
+    d(a, anchors[i]) + to_anchors[j][i], truncated at the table's bound
+    (with no anchors, at the bound): one table lookup per point and
+    anchor, and an int min.  table must hold the anchors' rows of b.
     A label gets a prime added while it is taken.  Nothing is checked:
     the caller's inputs must make the result a metric space."""
     names = list(b.labels)
@@ -43,20 +106,18 @@ def adjoin(b: Space, anchors, to_anchors, among, labels, bound: Optional[ExactRe
         while lbl in names:
             lbl += "'"
         names.append(lbl)
-    at = {a: i for i, a in enumerate(anchors)}
+    values, add = table.values, table.add
+    near = [table.ids(b.dist[s]) for s in anchors]  # near[i][a]: the id of d(anchors[i], a)
     cols = []  # cols[j][a]: new point j's distance to point a of b
     for to in to_anchors:
-        col = []
-        for a, row in enumerate(b.dist):
-            i = at.get(a)
-            if i is not None:
-                col.append(to[i])
-                continue
-            v = min((row[s] + t for s, t in zip(anchors, to)), default=bound)
-            col.append(bound if bound is not None and v > bound else v)
-        cols.append(col)
-    rows = [row + tuple([col[a] for col in cols]) for a, row in enumerate(b.dist)]
-    rows += [tuple(col) + tuple(near) for col, near in zip(cols, among)]
+        col = [table.top] * b.n
+        for ids, t in zip(near, to):
+            col = list(map(min, col, map(add[t].__getitem__, ids)))
+        for a, t in zip(anchors, to):
+            col[a] = t
+        cols.append(list(map(values.__getitem__, col)))
+    rows = list(map(tuple.__add__, b.dist, zip(*cols))) if cols else list(b.dist)
+    rows += [tuple(col) + tuple(new) for col, new in zip(cols, among)]
     return tuple(names), tuple(rows)
 
 
@@ -66,7 +127,9 @@ def free_amalgam(b: Space, c: Space, overlap) -> Space:
     Points are b's points followed by c's non-overlap points.  Cross
     distances take the shortest route through the overlap, truncated at
     the sum of the two diameters: no route is longer, and with an empty
-    overlap that sum is the cross distance.  The result carries no order
+    overlap that sum is the cross distance.  The routes are summed once
+    per distinct pair of values, in a table of b's distances to the
+    overlap and c's distances from it.  The result carries no order
     and no Delta binding.  Precondition: b and c are valid spaces; the
     free amalgam of metric spaces over an isometric overlap is then a
     metric space, so it is not checked again.
@@ -87,11 +150,13 @@ def free_amalgam(b: Space, c: Space, overlap) -> Space:
     if not overlap and bound.is_zero():
         raise DegenerateAmalgam("two singletons with empty overlap")
     fresh = [j for j in range(c.n) if j not in taken]
+    to_c = [[c.dist[jj][j] for jj in c_side] for j in fresh]
+    table = ValueTable(itertools.chain(*map(b.dist.__getitem__, b_side), *to_c), bound)
     labels, dist = adjoin(
         b, b_side,
-        [[c.dist[jj][j] for jj in c_side] for j in fresh],
+        [table.ids(to) for to in to_c],
         [[c.dist[j][k] for k in fresh] for j in fresh],
         [c.labels[j] for j in fresh],
-        bound,
+        table,
     )
     return Space(labels, dist)

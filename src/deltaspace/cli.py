@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -326,11 +327,36 @@ def cmd_triangle_structure(args) -> int:
     return EXIT_YES
 
 
+# The exponent of a decimal term such as "1e5000", as Fraction reads it.
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
+
+
+def _exponent_past_limit(term: str) -> bool:
+    """True when term's exponent alone puts its value past the str()
+    digit limit (Python 3.11+).  Fraction(term) builds 10 ** exponent
+    first, which takes time and memory that grow faster than the
+    exponent, and the str() check after it would refuse the result.
+    The rest of the term has at most len(term) digits, and cancels at
+    most that many from the power's, so past limit + 2 * len(term) the
+    numerator or the denominator is too long to print; a zero value is
+    refused as non-positive anyway."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    m = _EXPONENT.search(term)
+    if not limit or m is None:
+        return False
+    digits = m[1].replace("_", "").lstrip("0")
+    bound = limit + 2 * len(term)
+    return len(digits) > len(str(bound)) or int(digits or 0) > bound
+
+
 def _sample_from_arg(text):
     if text is None:
         return None
     sample = []
     for term in text.split(","):
+        if _exponent_past_limit(term):
+            raise InputError(f"--sample: Exceeds the limit ({sys.get_int_max_str_digits()} digits) "
+                             f"for integer string conversion: the exponent of {term!r}")
         try:
             sample.append(Fraction(term))
             str(sample[-1])  # a witness prints it: "1e5000" has more digits than str() gives on 3.11+

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .amalgam import adjoin
+from .amalgam import ValueTable, adjoin
 from .dvs import DistanceSet, validate_closure
 from .exact import ExactReal
 from .search import BudgetExceeded
@@ -81,25 +81,30 @@ class ExtensionReport:
         return not self.groups
 
 
-def _subset_vectors(m: Space, d: DistanceSet, k: int, pool: int):
+def _subset_vectors(m: Space, d: DistanceSet, k: int, pool: int, table: Optional[ValueTable] = None):
     """Each <= k-subset of the first pool points of m, with the id vectors
     (indices into d.values) of the distance vectors over d that satisfy
     the triangle inequality against the subset's distances, in
     itertools.product order.  A vector list depends only on the ids of
     the subset's pair distances, so it is computed once per distinct
-    tuple of them."""
+    tuple of them.  For x and y in d, |x - y| <= d(i, j) <= x + y is
+    three id comparisons in a value table of d's values and m's
+    distances: table, if given, whose bound is no smaller than any of
+    them, else their exact sums, built at the first subset with a pair."""
     values = d.values
     index, ids = m.value_ids
     vals = list(index)
-    bounds = [(a, b, abs(x - y), x + y)
-              for (a, x), (b, y) in itertools.product(enumerate(values), repeat=2)]
     admissible = {}  # id of d(i, j) -> the id pairs (a, b) with |x - y| <= d(i, j) <= x + y
 
     def pairs_for(u: int) -> frozenset:
+        nonlocal table
         ok = admissible.get(u)
         if ok is None:
-            dij = vals[u]
-            ok = admissible[u] = frozenset((a, b) for a, b, lo, hi in bounds if lo <= dij <= hi)
+            if table is None:
+                table = ValueTable(itertools.chain(values, vals), None)
+            xs, (w,), add = table.ids(values), table.ids([vals[u]]), table.add
+            ok = admissible[u] = frozenset((a, b) for a, x in enumerate(xs) for b, y in enumerate(xs)
+                                           if w <= add[x][y] and x <= add[w][y] and y <= add[w][x])
         return ok
 
     for size in range(k + 1):
@@ -220,15 +225,17 @@ def extension_property_check(
     return report
 
 
-def _grow(m: Space, ext: Extension, d: DistanceSet) -> Space:
-    """m with one point realizing ext, built as realize says; nothing is
+def _grow(m: Space, ext: Extension, d: DistanceSet, table: ValueTable) -> Space:
+    """m with one point realizing ext, built as realize says over table,
+    which holds ext's distances and the rows of ext's subset; nothing is
     checked."""
+    zero = table.values[0]
     if m.n == 0:
-        return Space(("z",), ((ExactReal(0),),), (0,), d)
+        return Space(("z",), ((zero,),), (0,), d)
     by_rank = sorted(ext.subset, key=m.rank)
     at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
     order = m.order[:at] + (m.n,) + m.order[at:]
-    return Space(*adjoin(m, ext.subset, [ext.dists], [[ExactReal(0)]], ["z*"], d.cap), order, d)
+    return Space(*adjoin(m, ext.subset, [table.ids(ext.dists)], [[zero]], ["z*"], table), order, d)
 
 
 def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
@@ -241,7 +248,8 @@ def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     _check_extension(m, ext)
     if not ext.subset and m.n > 0:
         raise BuilderError("empty-subset extension is realized by any point")
-    out = _grow(m, ext, d)
+    table = ValueTable(itertools.chain(ext.dists, *map(m.dist.__getitem__, ext.subset)), d.cap)
+    out = _grow(m, ext, d, table)
     verdict = validate(out, since=m.n)
     if verdict != OK:
         raise BuilderError(f"realized space invalid: {verdict}")
@@ -271,10 +279,12 @@ def saturate(
         raise FragmentNotClosed(validate_closure(d))
     pool = _pool(m, k, source_n)
     report = ExtensionReport(d.values)
-    ids = {v: t for t, v in enumerate(d.values)}
+    # d is closed and bounded, so its table holds every truncated sum:
+    # 0, then d's values, and d.values[t] has id t + 1
+    table = ValueTable(d.values, d.cap)
     rows = _rows(m, d.values, range(pool))
     cur, below = m, _below(m)
-    for subset, vectors in _subset_vectors(m, d, k, pool):
+    for subset, vectors in _subset_vectors(m, d, k, pool, table):
         if len(below) <= cur.n:  # cur grew since below was built
             below = _below(cur)
         # Each (vec, slot) comes once per subset, so the masks made at the
@@ -289,12 +299,10 @@ def saturate(
                 if report.checked > max_pairs or cur.n + 1 > max_points:
                     missing.append(slot)
                     continue
-                cur = _grow(cur, Extension(subset, tuple([d.values[t] for t in vec]), slot), d)
+                cur = _grow(cur, Extension(subset, tuple([d.values[t] for t in vec]), slot), d, table)
                 z = cur.n - 1
-                for s, row in enumerate(rows):
-                    t = ids.get(cur.dist[s][z])
-                    if t is not None:
-                        row[t] |= 1 << z
+                for row, u in zip(rows, table.ids([row[z] for row in cur.dist[:pool]])):
+                    row[u - 1] |= 1 << z
             if missing:
                 report.groups.append((subset, vec, tuple(missing)))
     verdict = validate(cur, since=m.n)
@@ -388,7 +396,9 @@ def density_perturb(
     if m.n + n > max_points:
         raise BudgetExceeded("point budget")
     order = m.order + tuple(m.n + i for i in sorted(range(n), key=lambda i: m.rank(xs[i])))
-    out = Space(*adjoin(m, ys, to_ys, among, [f"z{i}" for i in range(n)], d.cap), order, d)
+    table = ValueTable(itertools.chain(*to_ys, *map(m.dist.__getitem__, ys)), d.cap)
+    out = Space(*adjoin(m, ys, [table.ids(to) for to in to_ys], among, [f"z{i}" for i in range(n)], table),
+                order, d)
     verdict = validate(out, since=m.n)
     if verdict != OK:
         raise BuilderError(f"perturbed space invalid: {verdict}")

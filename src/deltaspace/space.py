@@ -56,9 +56,12 @@ class Space:
     def value_ids(self) -> tuple[dict[ExactReal, int], tuple[tuple[int, ...], ...]]:
         """(index, ids): index gives each distinct distance a small int, in
         order of first occurrence row by row, and ids[i][j] is the int of
-        dist[i][j].  One hash per entry."""
+        dist[i][j].  Entries are keyed by object identity first, so one
+        value hash per distinct entry object."""
+        objs = _entry_objects(self.dist)
         index = {}
-        ids = tuple(tuple([index.setdefault(v, len(index)) for v in row]) for row in self.dist)
+        by_obj = {key: index.setdefault(v, len(index)) for key, v in objs.items()}
+        ids = tuple(tuple(map(by_obj.__getitem__, map(id, row))) for row in self.dist)
         return index, ids
 
     @functools.cached_property
@@ -108,7 +111,7 @@ class Space:
     def to_json(self) -> dict:
         out = {
             "labels": list(self.labels),
-            "dist": [[str(v) for v in row] for row in self.dist],
+            "dist": _entry_texts(self.dist),
             "order": list(self.order) if self.order is not None else None,
         }
         if self.delta is not None:
@@ -151,6 +154,22 @@ class Space:
         )
 
 
+def _entry_objects(dist) -> dict[int, ExactReal]:
+    """The distinct entry objects of a matrix by id(), in order of first
+    occurrence row by row.  The matrix keeps them alive, so no two share
+    an id while the dict is in use."""
+    objs = {}
+    for row in dist:
+        objs.update(zip(map(id, row), row))
+    return objs
+
+
+def _entry_texts(dist) -> list[list[str]]:
+    """The text of each entry, formatted once per distinct entry object."""
+    text = {key: str(v) for key, v in _entry_objects(dist).items()}
+    return [list(map(text.__getitem__, map(id, row))) for row in dist]
+
+
 def make_space(labels, dists, order=None, delta=None) -> Space:
     """Build a space from labels and a dict {(i, j): distance}."""
     n = len(labels)
@@ -184,19 +203,24 @@ def validate(x: Space, since: int = 0):
     Triangles go to the masks first (_no_broken_triangle).  On a hit, or
     when the masks are not used, a loop tests them on value ids and runs
     each distinct id triple's exact check once, in the triple-by-triple
-    test's order: same witness, same MixedRadicands."""
+    test's order: same witness, same MixedRadicands.  The pair checks
+    (Symmetry, Positivity, NotInDelta) read the value ids too: sign and
+    fragment membership once per distinct value, then an int compare and
+    a set lookup per pair, in the same order, with the same witness."""
     n, dist = x.n, x.dist
     for i in range(since, n):
         if not dist[i][i].is_zero():
             return Violation("Diagonal", (i,))
-    pairs = [(i, j) for i in range(n) for j in range(max(i + 1, since), n)]
-    for i, j in pairs:
-        if dist[i][j] != dist[j][i]:
-            return Violation("Symmetry", (i, j))
-        if dist[i][j].sign() <= 0:
-            return Violation("Positivity", (i, j))
     index, ids = x.value_ids
     vals = list(index)
+    positive = {u for u, v in enumerate(vals) if v.sign() > 0}
+    for i, lo, row in _pair_rows(ids, since):
+        if row != tuple([r[i] for r in ids[lo:]]) or not positive.issuperset(row):
+            for j, u in enumerate(row, lo):
+                if u != ids[j][i]:
+                    return Violation("Symmetry", (i, j))
+                if u not in positive:
+                    return Violation("Positivity", (i, j))
     if not _no_broken_triangle(x, vals, since):
         ok = set()  # id triples (ac, ab, bc) with d(a, c) <= d(a, b) + d(b, c)
         for k in range(max(since, 2), n):
@@ -208,12 +232,22 @@ def validate(x: Space, since: int = 0):
                             return Violation("Triangle", (a, b, c))
                         ok.add(key)
     if x.delta is not None:
-        for i, j in pairs:
-            if dist[i][j] not in x.delta:
+        member = {u for u, v in enumerate(vals) if v in x.delta}
+        for i, lo, row in _pair_rows(ids, since):
+            if not member.issuperset(row):
+                j = next(j for j, u in enumerate(row, lo) if u not in member)
                 return Violation("NotInDelta", (i, j, dist[i][j]))
     if x.order is not None and sorted(x.order) != list(range(n)):
         return Violation("BadOrder", tuple(x.order))
     return OK
+
+
+def _pair_rows(ids, since: int):
+    """(i, lo, ids[i][lo:]) for each row i, lo = max(i + 1, since): the
+    ids of the pairs (i, j), j >= lo, that validate checks, row by row."""
+    for i, row in enumerate(ids):
+        lo = max(i + 1, since)
+        yield i, lo, row[lo:]
 
 
 def _no_broken_triangle(x: Space, vals, since: int) -> bool:

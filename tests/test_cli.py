@@ -346,6 +346,29 @@ def test_a_sample_too_long_to_print_is_rejected(tmp_path, capsys, verb):
     assert_input_error(capsys, [verb, "--set", d, "--sample", "1/2,1e5000"], "--sample: Exceeds the limit")
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+                    reason="the exponent check applies only under Python 3.11+'s digit limit")
+def test_a_sample_exponent_past_the_digit_limit_is_rejected_before_fraction_runs(tmp_path, capsys, monkeypatch):
+    # Fraction("1e1000000") built a million-digit integer, in about 0.2 s,
+    # before the digit limit refused it; the exponent is now refused first
+    from deltaspace import cli
+
+    real = cli.Fraction
+
+    def no_huge_power(x, *args):
+        if x == "1e1000000":
+            raise AssertionError("Fraction ran on the huge term")
+        return real(x, *args)
+
+    monkeypatch.setattr(cli, "Fraction", no_huge_power)
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2)], cap=n1(2)).to_json())
+    for verb in ("check-theory", "encode-model"):
+        assert_input_error(capsys, [verb, "--set", d, "--sample", "1/2,1e1000000"], "--sample: Exceeds the limit")
+    # an exponent the rest of the term brings back under the limit still parses
+    code, out = run(capsys, ["encode-model", "--set", d, "--sample", f"1,0.{'0' * 99}1e4390"])  # 10 ** 4290
+    assert code == 0
+
+
 @pytest.mark.parametrize("verb", ["check-theory", "encode-model"])
 def test_empty_sample_is_rejected(tmp_path, capsys, verb):
     # an empty --sample once gave the default sample's answer, exit 0
@@ -603,6 +626,20 @@ def test_extension_stdout_bytes_are_pinned(tmp_path, capsys):
     for argv, code, digest in pins:
         assert main(argv) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv[0]
+
+
+def test_saturate_stdout_bytes_are_pinned_at_scale(tmp_path, capsys):
+    # sha256 of the stdout of saturate -k 2 from a uniform 8-point start
+    # over {1, 2, 3}, cap 3: 106 points, so the realizer masks and the
+    # rows built over the value table span more than one machine word
+    d = make_set([n1(1), n1(2), n1(3)], cap=n1(3))
+    m = write_json(tmp_path, "m.json", uniform_space(8, n1(1), delta=d).to_json())
+    dp = write_json(tmp_path, "d.json", d.to_json())
+    assert main(["saturate", "--space", m, "--delta", dp, "-k", "2", "--max-points", "128"]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["space"]["labels"]) == 106
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d95e9b6618b59dabfee5e5c9981ecbf08223d28991e06258506f27480ebed343"
 
 
 def test_construction_stdout_bytes_are_pinned(tmp_path, capsys):

@@ -20,7 +20,7 @@ from deltaspace.limitbuilder import (
     realize,
     saturate,
 )
-from deltaspace.space import OK, PartialIsometry, Space, make_space, uniform_space, validate
+from deltaspace.space import OK, PartialIsometry, Space, Violation, make_space, uniform_space, validate
 from util import closed_fragment, doubled_space, random_space, triangle_ok
 
 import oracles
@@ -87,15 +87,25 @@ def test_realize_adds_matching_point():
 def test_constructions_check_the_points_they_add():
     d = make_set([n1(1), n1(3)], cap=n1(3))  # not closed: 1 + 1 is missing
     m = uniform_space(2, n1(1), delta=d)
-    # at 1 from point 0, the new point lands at 2 from point 1
-    with pytest.raises(BuilderError, match="NotInDelta"):
-        realize(m, Extension((0,), (n1(1),), 1), d)
+    # at 1 from point 0, the new point lands at 2 from point 1; the sum 2
+    # is outside d, yet a value of realize's table, and it is the witness
+    ext = Extension((0,), (n1(1),), 1)
+    with pytest.raises(BuilderError) as fast:
+        realize(m, ext, d)
+    with pytest.raises(BuilderError) as slow:
+        oracles.realize(m, ext, d)
+    assert str(fast.value) == str(slow.value) == \
+        f"realized space invalid: {Violation('NotInDelta', (1, 2, n1(2)))}"
     # at 1 and 3 from two points at distance 1: no metric
     with pytest.raises(BuilderError, match="Triangle"):
         realize(m, Extension((0, 1), (n1(1), n1(3)), 1), d)
     # the copy of point 0 sits at 1 from it, so at 2 from point 1
-    with pytest.raises(BuilderError, match="NotInDelta"):
+    with pytest.raises(BuilderError) as fast:
         density_perturb(m, [(0, 0)], n1(2), d)
+    with pytest.raises(BuilderError) as slow:
+        oracles.density_perturb(m, [(0, 0)], n1(2), d)
+    assert str(fast.value) == str(slow.value) == \
+        f"perturbed space invalid: {Violation('NotInDelta', (1, 2, n1(2)))}"
 
 
 def test_saturate_k1_single_point():
@@ -259,6 +269,8 @@ def test_constructions_reject_an_unordered_space(name):
 
 
 D13 = closed_fragment([n1(1)], n1(3))  # {1, 2, 3}, cap 3
+HALVES = closed_fragment([n1(Fraction(1, 2))], n1(2))  # {1/2, 1, 3/2, 2}, cap 2
+SURDS = closed_fragment([ExactReal.sqrt(2)], 3 * ExactReal.sqrt(2))  # {sqrt 2, 2 sqrt 2, 3 sqrt 2}, cap 3 sqrt 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -348,8 +360,10 @@ def test_mask_check_matches_the_scan(seed, n, twins, k, data):
 @given(st.integers(0, 10 ** 6), st.integers(0, 3), st.integers(0, 2), st.integers(1, 14),
        st.integers(1, 400), st.data())
 def test_saturate_matches_the_scan_loop(seed, n, k, max_points, max_pairs, data):
+    # the benchmark's three fragments and D12; on the surds the value
+    # table's id order is checked against exact order in Q(sqrt 2)
     rng = random.Random(seed)
-    d = data.draw(st.sampled_from([D12, D13]))
+    d = data.draw(st.sampled_from([D12, D13, HALVES, SURDS]))
     m = random_space(rng, n, d)
     source_n = data.draw(st.one_of(st.none(), st.integers(0, n)))
     fast = saturate(m, d, k, max_points, max_pairs, source_n)

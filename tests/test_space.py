@@ -288,6 +288,43 @@ def test_memoised_validate_matches_the_triple_by_triple_test(y):
         assert outcome(validate, y, since) == outcome(oracles.validate_by_triple, y, since)
 
 
+# What one entry of a valid space over {1, 2, 3} becomes: another value
+# of the fragment, zero, its negative, a value outside the fragment, or
+# an equal value in a new object (no violation at all).
+CORRUPTIONS = {
+    "other": lambda v, draw: draw(st.sampled_from([w for w in (n1(1), n1(2), n1(3)) if w != v])),
+    "zero": lambda v, draw: ExactReal(0),
+    "negative": lambda v, draw: -v,
+    "outside": lambda v, draw: draw(st.sampled_from([n1(Fraction(5, 2)), n1(4)])),
+    "copy": lambda v, draw: parse(str(v)),
+}
+
+
+@st.composite
+def corrupted_spaces(draw):
+    """A valid random space over {1, 2, 3}, bound to it, with one entry
+    corrupted, on one side of the diagonal or on both."""
+    d = make_set([n1(1), n1(2), n1(3)], cap=n1(3))
+    x = random_space(random.Random(draw(st.integers(0, 10 ** 6))), draw(st.integers(2, 7)), d,
+                     ordered=draw(st.booleans()))
+    i, j = draw(st.permutations(range(x.n)))[:2]
+    dist = [list(row) for row in x.dist]
+    dist[i][j] = CORRUPTIONS[draw(st.sampled_from(sorted(CORRUPTIONS)))](dist[i][j], draw)
+    if draw(st.booleans()):
+        dist[j][i] = dist[i][j]
+    return Space(x.labels, tuple(map(tuple, dist)), x.order, x.delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_spaces())
+def test_pair_checks_on_value_ids_keep_the_witness(y):
+    # Symmetry, Positivity and NotInDelta read value ids, which are keyed
+    # on objects first: the same first violation, witness included, for
+    # every since
+    for since in range(y.n + 1):
+        assert validate(y, since) == oracles.validate_by_triple(y, since)
+
+
 SQRT2 = ExactReal.sqrt(2)
 # (values of a valid start, values an entry may change to): few distinct
 # values, so the full check decides triangles on masks unless the

@@ -3,18 +3,21 @@
 `adjoin` writes the rows of new points glued to a space over some of its
 points: it is the one row builder of `free_amalgam` and of every
 construction that grows the ordered limit.  It works on a `ValueTable`,
-the construction's distances sorted once with their truncated sums, so a
-new distance is an int min over table lookups.  Neither carries an
+the construction's distances and the route sums it reads, sorted once,
+so a new distance is an int min over table lookups.  Neither carries an
 order: the order amalgamates freely too, so each construction places its
 new points in the order itself.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections
 import itertools
+import operator
 from typing import Optional
 
-from .exact import ExactReal
+from .exact import ExactReal, form, from_form
 from .space import Space
 
 
@@ -32,61 +35,68 @@ class DegenerateAmalgam(AmalgamError):
 
 
 class ValueTable:
-    """Distances in ascending order, each named by its index (its id):
-    values[0] is 0, and for u and t among the base the table was built
-    on, add[u][t] is the id of min(values[u] + values[t], bound), or of
-    the plain sum when bound is None; a value that is only a sum has no
-    row (None).  top is the id of the bound, or of the largest value
-    when bound is None.  Id order is value order, so the shortest of
-    several routes is an int min, and its truncation one table lookup.
+    """A construction's values in ascending order, each named by its
+    index (its id), with the sums the construction reads.  It is built
+    from groups (xs, ys) of values: for x in xs with id u and y in ys
+    with id t, add[t][u] is the id of x + y; add holds no other sums.
+    top is the id of the bound, or of the largest value when bound is
+    None.  Id order is value order, so the shortest of several routes is
+    an int min, and so is its truncation at the bound: a min that starts
+    at top.  Each distinct pair of values in a group is summed once, and
+    the values are sorted once."""
 
-    A table serves one construction: ids() remembers the entry objects
-    it has looked up by id(), which holds only while they are alive."""
+    def __init__(self, groups, bound: Optional[ExactReal]):
+        # Until the sort, a value is named by its place, the order in
+        # which its form is first met.  Per pair, besides the exact sum,
+        # there are only C-level map and dict steps.
+        place = collections.defaultdict(itertools.count().__next__)
+        objs = {}  # form -> an object of that value
 
-    def __init__(self, base, bound: Optional[ExactReal]):
-        zero = ExactReal(0)
-        firsts = {_form(zero): zero}  # each value's first object, by canonical form
-        for v in itertools.chain(base, () if bound is None else (bound,)):
-            firsts.setdefault(_form(v), v)
-        xs = list(firsts.values())
-        values, sums = dict(firsts), []  # sums: (i, j, form of the truncated xs[i] + xs[j])
-        for i, x in enumerate(xs):
-            for j in range(i, len(xs)):
-                s = x + xs[j] if i else xs[j]
-                if bound is not None and s > bound:
-                    s = bound
-                f = _form(s)
-                sums.append((i, j, f))
-                values.setdefault(f, s)
-        forms = sorted(values, key=values.__getitem__)
-        self.values = tuple(map(values.__getitem__, forms))
-        self._index = index = {f: u for u, f in enumerate(forms)}
-        ids = [index[f] for f in firsts]
-        self.add = add = [None] * len(forms)
-        for u in ids:
-            add[u] = [None] * len(forms)
-        for i, j, f in sums:
-            add[ids[i]][ids[j]] = add[ids[j]][ids[i]] = index[f]
-        self.top = len(forms) - 1 if bound is None else index[_form(bound)]
-        self._at = {id(v): u for u, v in enumerate(self.values)}
+        def places(values) -> set:
+            values = list(values)
+            forms = list(map(form, values))
+            objs.update(zip(forms, values))
+            return set(map(place.__getitem__, forms))
+
+        places([] if bound is None else [bound])
+        groups = [(places(xs), places(ys)) for xs, ys in groups]
+        w = len(place)  # a pair of places (i, j) is the int j * w + i
+        pairs = set()
+        for xs, ys in groups:
+            pairs.update([j * w + i for i in xs for j in ys])
+        pairs = sorted(pairs)  # in runs of one j, each run one row of add
+        lefts = list(map(operator.mod, pairs, itertools.repeat(w)))
+        rights = list(map(operator.floordiv, pairs, itertools.repeat(w)))
+        at = list(map(objs.__getitem__, place))  # at[i]: the value of place i
+        sum_places = list(map(place.__getitem__, map(form, map(
+            operator.add, map(at.__getitem__, lefts), map(at.__getitem__, rights)))))
+        at += map(from_form, itertools.islice(place, w, None))
+        try:  # floats put most values in order, so the exact sort after makes about one compare a value
+            order = sorted(range(len(at)), key=list(map(float, at)).__getitem__)
+        except OverflowError:  # a value past the float range
+            order = list(range(len(at)))
+        order.sort(key=at.__getitem__)
+        rank = sorted(range(len(at)), key=order.__getitem__)  # rank[i]: the id of place i
+        self.values = tuple(map(at.__getitem__, order))
+        self._index = dict(zip(place, map(rank.__getitem__, place.values())))
+        self.top = len(at) - 1 if bound is None else rank[0]
+        us, ss = list(map(rank.__getitem__, lefts)), list(map(rank.__getitem__, sum_places))
+        self.add = add = {}
+        lo = 0
+        for j in dict.fromkeys(rights):
+            hi = bisect.bisect_right(rights, j, lo)
+            add[rank[j]] = dict(zip(us[lo:hi], ss[lo:hi]))
+            lo = hi
 
     def ids(self, entries) -> list[int]:
-        """The id of each entry, by object identity first: the canonical
-        form is read once per object the table has not seen."""
-        entries, at = list(entries), self._at
-        try:
-            return list(map(at.__getitem__, map(id, entries)))
-        except KeyError:
-            for v in entries:
-                if id(v) not in at:
-                    at[id(v)] = self._index[_form(v)]
-            return list(map(at.__getitem__, map(id, entries)))
+        """The id of each entry."""
+        return list(map(self._index.__getitem__, map(form, entries)))
 
 
-def _form(v: ExactReal) -> tuple[int, int, int, int]:
-    """v's canonical integers: equal exactly when the values are, and
-    hashed and compared without a Python-level method."""
-    return v.p, v.q, v.den, v.d
+def routes_table(b: Space, anchors, to_anchors, bound: Optional[ExactReal]) -> ValueTable:
+    """The table adjoin reads to glue points at to_anchors[j] from the
+    anchors of b: anchor i's row of b against column i of to_anchors."""
+    return ValueTable(zip(map(b.dist.__getitem__, anchors), zip(*to_anchors)), bound)
 
 
 def adjoin(b: Space, anchors, to_anchors, among, labels, table: ValueTable):
@@ -98,7 +108,8 @@ def adjoin(b: Space, anchors, to_anchors, among, labels, table: ValueTable):
     point a of b at the shortest route through the anchors, min_i
     d(a, anchors[i]) + to_anchors[j][i], truncated at the table's bound
     (with no anchors, at the bound): one table lookup per point and
-    anchor, and an int min.  table must hold the anchors' rows of b.
+    anchor, and an int min.  table must hold those sums, as
+    routes_table builds it.
     A label gets a prime added while it is taken.  Nothing is checked:
     the caller's inputs must make the result a metric space."""
     names = list(b.labels)
@@ -107,7 +118,8 @@ def adjoin(b: Space, anchors, to_anchors, among, labels, table: ValueTable):
             lbl += "'"
         names.append(lbl)
     values, add = table.values, table.add
-    near = [table.ids(b.dist[s]) for s in anchors]  # near[i][a]: the id of d(anchors[i], a)
+    # near[i][a]: the id of d(anchors[i], a), read only when a point is added
+    near = [table.ids(b.dist[s]) for s in anchors] if to_anchors else []
     cols = []  # cols[j][a]: new point j's distance to point a of b
     for to in to_anchors:
         col = [table.top] * b.n
@@ -127,12 +139,12 @@ def free_amalgam(b: Space, c: Space, overlap) -> Space:
     Points are b's points followed by c's non-overlap points.  Cross
     distances take the shortest route through the overlap, truncated at
     the sum of the two diameters: no route is longer, and with an empty
-    overlap that sum is the cross distance.  The routes are summed once
-    per distinct pair of values, in a table of b's distances to the
-    overlap and c's distances from it.  The result carries no order
-    and no Delta binding.  Precondition: b and c are valid spaces; the
-    free amalgam of metric spaces over an isometric overlap is then a
-    metric space, so it is not checked again.
+    overlap that sum is the cross distance.  The routes are summed in a
+    routes_table, once per distinct pair of values through an overlap
+    point.  The result carries no order and no Delta binding.
+    Precondition: b and c are valid spaces; the free amalgam of metric
+    spaces over an isometric overlap is then a metric space, so it is
+    not checked again.
     """
     overlap = list(overlap)
     b_side = [i for i, _ in overlap]
@@ -151,7 +163,7 @@ def free_amalgam(b: Space, c: Space, overlap) -> Space:
         raise DegenerateAmalgam("two singletons with empty overlap")
     fresh = [j for j in range(c.n) if j not in taken]
     to_c = [[c.dist[jj][j] for jj in c_side] for j in fresh]
-    table = ValueTable(itertools.chain(*map(b.dist.__getitem__, b_side), *to_c), bound)
+    table = routes_table(b, b_side, to_c, bound)
     labels, dist = adjoin(
         b, b_side,
         [table.ids(to) for to in to_c],

@@ -14,6 +14,7 @@ consulted for a decision.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -173,6 +174,7 @@ class ExactReal:
         return NotImplemented
 
     def __hash__(self):
+        # hash(form(self)), spelled out: a call to form costs as much again
         return hash((self.p, self.q, self.den, self.d))
 
     def __lt__(self, other):
@@ -217,6 +219,17 @@ class ExactReal:
 
     def __repr__(self):
         return f"ExactReal({self})"
+
+
+# The canonical integers (p, q, den, d) of an ExactReal: equal exactly
+# when the numbers are, and the tuple its hash is taken of.  A C-level
+# getter, so a table can key many values on it without a Python call each.
+form = operator.attrgetter("p", "q", "den", "d")
+
+
+def from_form(f: tuple[int, int, int, int]) -> "ExactReal":
+    """The ExactReal whose form is f."""
+    return _make(*f)
 
 
 _new = object.__new__

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .amalgam import ValueTable, adjoin
+from .amalgam import ValueTable, adjoin, routes_table
 from .dvs import DistanceSet, validate_closure
 from .exact import ExactReal
 from .search import BudgetExceeded
@@ -81,28 +81,25 @@ class ExtensionReport:
         return not self.groups
 
 
-def _subset_vectors(m: Space, d: DistanceSet, k: int, pool: int, table: Optional[ValueTable] = None):
+def _subset_vectors(m: Space, d: DistanceSet, k: int, pool: int, table: ValueTable):
     """Each <= k-subset of the first pool points of m, with the id vectors
     (indices into d.values) of the distance vectors over d that satisfy
     the triangle inequality against the subset's distances, in
     itertools.product order.  A vector list depends only on the ids of
     the subset's pair distances, so it is computed once per distinct
     tuple of them.  For x and y in d, |x - y| <= d(i, j) <= x + y is
-    three id comparisons in a value table of d's values and m's
-    distances: table, if given, whose bound is no smaller than any of
-    them, else their exact sums, built at the first subset with a pair."""
+    three id comparisons in table, whose add must hold the sums of d's
+    values and m's distances with one another."""
     values = d.values
     index, ids = m.value_ids
     vals = list(index)
+    xs, add = table.ids(values), table.add
     admissible = {}  # id of d(i, j) -> the id pairs (a, b) with |x - y| <= d(i, j) <= x + y
 
     def pairs_for(u: int) -> frozenset:
-        nonlocal table
         ok = admissible.get(u)
         if ok is None:
-            if table is None:
-                table = ValueTable(itertools.chain(values, vals), None)
-            xs, (w,), add = table.ids(values), table.ids([vals[u]]), table.add
+            (w,) = table.ids([vals[u]])
             ok = admissible[u] = frozenset((a, b) for a, x in enumerate(xs) for b, y in enumerate(xs)
                                            if w <= add[x][y] and x <= add[w][y] and y <= add[w][x])
         return ok
@@ -209,7 +206,8 @@ def extension_property_check(
     report = ExtensionReport(d.values)
     rows = _rows(m, d.values, range(pool))
     below = _below(m)
-    for subset, vectors in _subset_vectors(m, d, k, pool):
+    both = list(itertools.chain(d.values, m.value_ids[0]))
+    for subset, vectors in _subset_vectors(m, d, k, pool, ValueTable([(both, both)], None)):
         slots = _slot_masks(m, below, subset)
         report.checked += len(vectors) * len(slots)
         if report.checked > max_pairs:
@@ -225,17 +223,19 @@ def extension_property_check(
     return report
 
 
+_ZERO = ExactReal(0)  # the new points' diagonal: immutable, so one object serves them all
+
+
 def _grow(m: Space, ext: Extension, d: DistanceSet, table: ValueTable) -> Space:
     """m with one point realizing ext, built as realize says over table,
-    which holds ext's distances and the rows of ext's subset; nothing is
-    checked."""
-    zero = table.values[0]
+    which holds the sums of each subset point's row with its distance in
+    ext; nothing is checked."""
     if m.n == 0:
-        return Space(("z",), ((zero,),), (0,), d)
+        return Space(("z",), ((_ZERO,),), (0,), d)
     by_rank = sorted(ext.subset, key=m.rank)
     at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
     order = m.order[:at] + (m.n,) + m.order[at:]
-    return Space(*adjoin(m, ext.subset, [table.ids(ext.dists)], [[zero]], ["z*"], table), order, d)
+    return Space(*adjoin(m, ext.subset, [table.ids(ext.dists)], [[_ZERO]], ["z*"], table), order, d)
 
 
 def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
@@ -248,8 +248,7 @@ def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     _check_extension(m, ext)
     if not ext.subset and m.n > 0:
         raise BuilderError("empty-subset extension is realized by any point")
-    table = ValueTable(itertools.chain(ext.dists, *map(m.dist.__getitem__, ext.subset)), d.cap)
-    out = _grow(m, ext, d, table)
+    out = _grow(m, ext, d, routes_table(m, ext.subset, [ext.dists], d.cap))
     verdict = validate(out, since=m.n)
     if verdict != OK:
         raise BuilderError(f"realized space invalid: {verdict}")
@@ -279,9 +278,11 @@ def saturate(
         raise FragmentNotClosed(validate_closure(d))
     pool = _pool(m, k, source_n)
     report = ExtensionReport(d.values)
-    # d is closed and bounded, so its table holds every truncated sum:
-    # 0, then d's values, and d.values[t] has id t + 1
-    table = ValueTable(d.values, d.cap)
+    # m's distances and the new ones are 0 or lie in d, which is closed
+    # and bounded, so this table holds every sum adjoin and
+    # _subset_vectors read: 0, d's values (d.values[t] with id t + 1),
+    # then the sums past the cap
+    table = ValueTable([((_ZERO,) + d.values, d.values)], d.cap)
     rows = _rows(m, d.values, range(pool))
     cur, below = m, _below(m)
     for subset, vectors in _subset_vectors(m, d, k, pool, table):
@@ -396,7 +397,7 @@ def density_perturb(
     if m.n + n > max_points:
         raise BudgetExceeded("point budget")
     order = m.order + tuple(m.n + i for i in sorted(range(n), key=lambda i: m.rank(xs[i])))
-    table = ValueTable(itertools.chain(*to_ys, *map(m.dist.__getitem__, ys)), d.cap)
+    table = routes_table(m, ys, to_ys, d.cap)
     out = Space(*adjoin(m, ys, [table.ids(to) for to in to_ys], among, [f"z{i}" for i in range(n)], table),
                 order, d)
     verdict = validate(out, since=m.n)

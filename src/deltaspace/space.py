@@ -205,16 +205,19 @@ def validate(x: Space, since: int = 0):
     each distinct id triple's exact check once, in the triple-by-triple
     test's order: same witness, same MixedRadicands.  The pair checks
     (Symmetry, Positivity, NotInDelta) read the value ids too: sign and
-    fragment membership once per distinct value, then an int compare and
-    a set lookup per pair, in the same order, with the same witness."""
+    fragment membership once per distinct value among the checked pairs,
+    then an int compare and a set lookup per pair, in the same order,
+    with the same witness."""
     n, dist = x.n, x.dist
     for i in range(since, n):
         if not dist[i][i].is_zero():
             return Violation("Diagonal", (i,))
     index, ids = x.value_ids
     vals = list(index)
-    positive = {u for u, v in enumerate(vals) if v.sign() > 0}
-    for i, lo, row in _pair_rows(ids, since):
+    pair_rows = _pair_rows(ids, since)
+    checked = set().union(*[row for _, _, row in pair_rows])
+    positive = {u for u in checked if vals[u].sign() > 0}
+    for i, lo, row in pair_rows:
         if row != tuple([r[i] for r in ids[lo:]]) or not positive.issuperset(row):
             for j, u in enumerate(row, lo):
                 if u != ids[j][i]:
@@ -232,8 +235,8 @@ def validate(x: Space, since: int = 0):
                             return Violation("Triangle", (a, b, c))
                         ok.add(key)
     if x.delta is not None:
-        member = {u for u, v in enumerate(vals) if v in x.delta}
-        for i, lo, row in _pair_rows(ids, since):
+        member = {u for u in checked if vals[u] in x.delta}
+        for i, lo, row in pair_rows:
             if not member.issuperset(row):
                 j = next(j for j, u in enumerate(row, lo) if u not in member)
                 return Violation("NotInDelta", (i, j, dist[i][j]))
@@ -242,12 +245,10 @@ def validate(x: Space, since: int = 0):
     return OK
 
 
-def _pair_rows(ids, since: int):
+def _pair_rows(ids, since: int) -> list:
     """(i, lo, ids[i][lo:]) for each row i, lo = max(i + 1, since): the
     ids of the pairs (i, j), j >= lo, that validate checks, row by row."""
-    for i, row in enumerate(ids):
-        lo = max(i + 1, since)
-        yield i, lo, row[lo:]
+    return [(i, lo, row[lo:]) for i, row in enumerate(ids) for lo in [max(i + 1, since)]]
 
 
 def _no_broken_triangle(x: Space, vals, since: int) -> bool:

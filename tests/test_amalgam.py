@@ -174,3 +174,39 @@ def test_free_amalgam_matches_the_whole_matrix_amalgam(seed, a_n, d, data):
         [(i, rng.randrange(c.n)) for i in shared] if c.n else [],  # often not isometric or injective
     ]))
     assert outcome(free_amalgam, b, c, overlap) == outcome(oracles.free_amalgam, b, c, overlap)
+
+
+def _distinct_space(n, start, shared=None):
+    """n points at pairwise distinct distances in [1, 2), so any choice
+    is a metric; the first points copy shared's distances when given."""
+    dist = [[n1(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = shared.dist[i][j] if shared is not None and j < shared.n else n1(1 + Fraction(start + i * n + j, 1000))
+            dist[i][j] = dist[j][i] = v
+    return Space(tuple(f"p{i}" for i in range(n)), tuple(map(tuple, dist)))
+
+
+def test_free_amalgam_sums_each_route_at_most_once(monkeypatch):
+    # no value repeats, so the table can save no sum; it must make no more
+    # than one per (point of b, overlap point, new point), plus the bound
+    b = _distinct_space(9, 0)
+    c = _distinct_space(8, 500, shared=b.induced(range(3)))
+    overlap = [(i, i) for i in range(3)]
+    expected = oracles.free_amalgam(b, c, overlap)
+    sums = []
+    add = ExactReal.__add__
+    monkeypatch.setattr(ExactReal, "__add__", lambda x, y: sums.append(1) or add(x, y))
+    out = free_amalgam(b, c, overlap)
+    monkeypatch.undo()
+    assert out.dist == expected.dist
+    assert len(sums) <= b.n * len(overlap) * (c.n - len(overlap)) + 1
+
+
+def test_values_past_the_float_range_are_still_sorted_exactly():
+    # float() overflows on every value, so the table's order is the exact sort alone
+    big = 10 ** 400
+    b = make_space("abc", {(0, 1): n1(big + 1), (0, 2): n1(big + 3), (1, 2): n1(big + 2)})
+    c = make_space("abd", {(0, 1): n1(big + 1), (0, 2): n1(big + 5), (1, 2): n1(big)})
+    overlap = [(0, 0), (1, 1)]
+    assert free_amalgam(b, c, overlap).dist == oracles.free_amalgam(b, c, overlap).dist

@@ -108,6 +108,22 @@ def test_constructions_check_the_points_they_add():
         f"perturbed space invalid: {Violation('NotInDelta', (1, 2, n1(2)))}"
 
 
+@pytest.mark.parametrize("v", [n1(0), n1(-1)])
+def test_realize_checks_a_non_positive_distance_like_the_oracle(v):
+    # the new point's diagonal is 0 whatever the table's smallest value,
+    # so the first violation is the pair at v, as in the whole-matrix
+    # construction
+    d = make_set([n1(1), n1(2), n1(3)], cap=n1(3))
+    m = uniform_space(2, n1(1), delta=d)
+    ext = Extension((0,), (v,), 0)
+    with pytest.raises(BuilderError) as fast:
+        realize(m, ext, d)
+    with pytest.raises(BuilderError) as slow:
+        oracles.realize(m, ext, d)
+    assert str(fast.value) == str(slow.value) == \
+        f"realized space invalid: {Violation('Positivity', (0, 2))}"
+
+
 def test_saturate_k1_single_point():
     m = uniform_space(1, n1(1), delta=D12)
     sat, report = saturate(m, D12, 1)

@@ -2,22 +2,18 @@
 
 `adjoin` writes the rows of new points glued to a space over some of its
 points: it is the one row builder of `free_amalgam` and of every
-construction that grows the ordered limit.  It works on a `ValueTable`,
-the construction's distances and the route sums it reads, sorted once,
-so a new distance is an int min over table lookups.  Neither carries an
-order: the order amalgamates freely too, so each construction places its
-new points in the order itself.
+construction that grows the ordered limit.  It works on an
+`exact.ValueTable`, the construction's distances and the route sums it
+reads, sorted once, so a new distance is an int min over table lookups.
+Neither carries an order: the order amalgamates freely too, so each
+construction places its new points in the order itself.
 """
 
 from __future__ import annotations
 
-import bisect
-import collections
-import itertools
-import operator
 from typing import Optional
 
-from .exact import ExactReal, form, from_form
+from .exact import ExactReal, ValueTable
 from .space import Space
 
 
@@ -34,65 +30,6 @@ class DegenerateAmalgam(AmalgamError):
     formula degenerates to 0, which no metric allows."""
 
 
-class ValueTable:
-    """A construction's values in ascending order, each named by its
-    index (its id), with the sums the construction reads.  It is built
-    from groups (xs, ys) of values: for x in xs with id u and y in ys
-    with id t, add[t][u] is the id of x + y; add holds no other sums.
-    top is the id of the bound, or of the largest value when bound is
-    None.  Id order is value order, so the shortest of several routes is
-    an int min, and so is its truncation at the bound: a min that starts
-    at top.  Each distinct pair of values in a group is summed once, and
-    the values are sorted once."""
-
-    def __init__(self, groups, bound: Optional[ExactReal]):
-        # Until the sort, a value is named by its place, the order in
-        # which its form is first met.  Per pair, besides the exact sum,
-        # there are only C-level map and dict steps.
-        place = collections.defaultdict(itertools.count().__next__)
-        objs = {}  # form -> an object of that value
-
-        def places(values) -> set:
-            values = list(values)
-            forms = list(map(form, values))
-            objs.update(zip(forms, values))
-            return set(map(place.__getitem__, forms))
-
-        places([] if bound is None else [bound])
-        groups = [(places(xs), places(ys)) for xs, ys in groups]
-        w = len(place)  # a pair of places (i, j) is the int j * w + i
-        pairs = set()
-        for xs, ys in groups:
-            pairs.update([j * w + i for i in xs for j in ys])
-        pairs = sorted(pairs)  # in runs of one j, each run one row of add
-        lefts = list(map(operator.mod, pairs, itertools.repeat(w)))
-        rights = list(map(operator.floordiv, pairs, itertools.repeat(w)))
-        at = list(map(objs.__getitem__, place))  # at[i]: the value of place i
-        sum_places = list(map(place.__getitem__, map(form, map(
-            operator.add, map(at.__getitem__, lefts), map(at.__getitem__, rights)))))
-        at += map(from_form, itertools.islice(place, w, None))
-        try:  # floats put most values in order, so the exact sort after makes about one compare a value
-            order = sorted(range(len(at)), key=list(map(float, at)).__getitem__)
-        except OverflowError:  # a value past the float range
-            order = list(range(len(at)))
-        order.sort(key=at.__getitem__)
-        rank = sorted(range(len(at)), key=order.__getitem__)  # rank[i]: the id of place i
-        self.values = tuple(map(at.__getitem__, order))
-        self._index = dict(zip(place, map(rank.__getitem__, place.values())))
-        self.top = len(at) - 1 if bound is None else rank[0]
-        us, ss = list(map(rank.__getitem__, lefts)), list(map(rank.__getitem__, sum_places))
-        self.add = add = {}
-        lo = 0
-        for j in dict.fromkeys(rights):
-            hi = bisect.bisect_right(rights, j, lo)
-            add[rank[j]] = dict(zip(us[lo:hi], ss[lo:hi]))
-            lo = hi
-
-    def ids(self, entries) -> list[int]:
-        """The id of each entry."""
-        return list(map(self._index.__getitem__, map(form, entries)))
-
-
 def routes_table(b: Space, anchors, to_anchors, bound: Optional[ExactReal]) -> ValueTable:
     """The table adjoin reads to glue points at to_anchors[j] from the
     anchors of b: anchor i's row of b against column i of to_anchors."""
@@ -103,13 +40,12 @@ def adjoin(b: Space, anchors, to_anchors, among, labels, table: ValueTable):
     """The labels and distance rows of b with one new point per label
     appended, glued to b over the anchor points.
 
-    New point j is at the distance of id to_anchors[j][i] in table from
-    anchors[i], at among[j][k] from new point k, and from any other
-    point a of b at the shortest route through the anchors, min_i
-    d(a, anchors[i]) + to_anchors[j][i], truncated at the table's bound
-    (with no anchors, at the bound): one table lookup per point and
-    anchor, and an int min.  table must hold those sums, as
-    routes_table builds it.
+    New point j is at to_anchors[j][i] from anchors[i], at among[j][k]
+    from new point k, and from any other point a of b at the shortest
+    route through the anchors, min_i d(a, anchors[i]) + to_anchors[j][i],
+    truncated at the table's bound (with no anchors, at the bound): one
+    table lookup per point and anchor, and an int min.  table must hold
+    those sums, as routes_table builds it.
     A label gets a prime added while it is taken.  Nothing is checked:
     the caller's inputs must make the result a metric space."""
     names = list(b.labels)
@@ -121,7 +57,7 @@ def adjoin(b: Space, anchors, to_anchors, among, labels, table: ValueTable):
     # near[i][a]: the id of d(anchors[i], a), read only when a point is added
     near = [table.ids(b.dist[s]) for s in anchors] if to_anchors else []
     cols = []  # cols[j][a]: new point j's distance to point a of b
-    for to in to_anchors:
+    for to in map(table.ids, to_anchors):
         col = [table.top] * b.n
         for ids, t in zip(near, to):
             col = list(map(min, col, map(add[t].__getitem__, ids)))
@@ -165,8 +101,7 @@ def free_amalgam(b: Space, c: Space, overlap) -> Space:
     to_c = [[c.dist[jj][j] for jj in c_side] for j in fresh]
     table = routes_table(b, b_side, to_c, bound)
     labels, dist = adjoin(
-        b, b_side,
-        [table.ids(to) for to in to_c],
+        b, b_side, to_c,
         [[c.dist[j][k] for k in fresh] for j in fresh],
         [c.labels[j] for j in fresh],
         table,

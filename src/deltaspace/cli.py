@@ -502,6 +502,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _past_digit_limit(exc: Exception) -> bool:
+    """True for the ValueError Python 3.11+ raises on an int past its
+    str() digit limit.  Input numbers are held below it where they are
+    parsed, but an answer can hold a sum or product of them: too long to
+    print, which is a blown budget, not a fault."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    return (limit is not None and isinstance(exc, ValueError)
+            and str(exc).startswith(f"Exceeds the limit ({limit()} digits)"))
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -519,6 +529,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
+        if _past_digit_limit(exc):
+            print(f"budget: {exc}", file=sys.stderr)
+            return EXIT_UNKNOWN
         print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -174,7 +174,7 @@ class ExactReal:
         return NotImplemented
 
     def __hash__(self):
-        # hash(form(self)), spelled out: a call to form costs as much again
+        # hash(_form(self)), spelled out: a call to _form costs as much again
         return hash((self.p, self.q, self.den, self.d))
 
     def __lt__(self, other):
@@ -219,17 +219,6 @@ class ExactReal:
 
     def __repr__(self):
         return f"ExactReal({self})"
-
-
-# The canonical integers (p, q, den, d) of an ExactReal: equal exactly
-# when the numbers are, and the tuple its hash is taken of.  A C-level
-# getter, so a table can key many values on it without a Python call each.
-form = operator.attrgetter("p", "q", "den", "d")
-
-
-def from_form(f: tuple[int, int, int, int]) -> "ExactReal":
-    """The ExactReal whose form is f."""
-    return _make(*f)
 
 
 _new = object.__new__
@@ -353,3 +342,52 @@ def rational_between(lo: ExactReal, hi: ExactReal) -> Fraction:
         else:
             b = mid
     raise AssertionError(f"no rational found between {lo} and {hi} in {steps} bisection steps")
+
+
+# The canonical integers of an ExactReal: equal exactly when the numbers
+# are.  A C-level getter, so ValueTable keys its values on it without a
+# Python-level __hash__ call per pair.
+_form = operator.attrgetter("p", "q", "den", "d")
+
+
+class ValueTable:
+    """A construction's values in ascending order, each named by its
+    index (its id), with the sums the construction reads.  It is built
+    from groups (xs, ys) of values: for x in xs with id u and y in ys
+    with id t, add[t][u] is the id of x + y; add holds no other sums.
+    top is the id of the bound, or of the largest value when bound is
+    None.  Id order is value order, so the shortest of several routes is
+    an int min, and so is its truncation at the bound: a min that starts
+    at top.  Each distinct pair of values in the groups is summed once,
+    and the values are sorted once."""
+
+    def __init__(self, groups, bound: ExactReal | None):
+        objs = {} if bound is None else {_form(bound): bound}  # key -> an input object of that value
+        sums = {}  # key -> a sum of that value
+        rows = {}  # key of y -> {key of x: key of x + y}
+        for xs, ys in groups:
+            xs, ys = dict(zip(map(_form, xs), xs)), dict(zip(map(_form, ys), ys))
+            objs.update(xs)
+            objs.update(ys)
+            for fy, y in ys.items():
+                row = rows.setdefault(fy, {})
+                todo = {fx: x for fx, x in xs.items() if fx not in row} if row else xs
+                total = list(map(y.__add__, todo.values()))
+                keys = list(map(_form, total))
+                row.update(zip(todo, keys))
+                sums.update(zip(keys, total))
+        values = list({**sums, **objs}.values())  # an input object before a sum of the same value
+        try:  # floats put most values in order, so the exact sort after makes about one compare a value
+            values.sort(key=float)
+        except OverflowError:  # a value past the float range: the exact sort alone
+            pass
+        values.sort()
+        self.values = tuple(values)
+        self._index = index = dict(zip(map(_form, values), range(len(values))))
+        self.top = len(values) - 1 if bound is None else index[_form(bound)]
+        self.add = {index[fy]: dict(zip(map(index.__getitem__, row), map(index.__getitem__, row.values())))
+                    for fy, row in rows.items()}
+
+    def ids(self, entries) -> list[int]:
+        """The id of each entry."""
+        return list(map(self._index.__getitem__, map(_form, entries)))

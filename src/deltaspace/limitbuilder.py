@@ -15,9 +15,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .amalgam import ValueTable, adjoin, routes_table
+from .amalgam import adjoin, routes_table
 from .dvs import DistanceSet, validate_closure
-from .exact import ExactReal
+from .exact import ExactReal, ValueTable
 from .search import BudgetExceeded
 from .space import OK, PartialIsometry, Space, validate
 
@@ -235,7 +235,7 @@ def _grow(m: Space, ext: Extension, d: DistanceSet, table: ValueTable) -> Space:
     by_rank = sorted(ext.subset, key=m.rank)
     at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
     order = m.order[:at] + (m.n,) + m.order[at:]
-    return Space(*adjoin(m, ext.subset, [table.ids(ext.dists)], [[_ZERO]], ["z*"], table), order, d)
+    return Space(*adjoin(m, ext.subset, [ext.dists], [[_ZERO]], ["z*"], table), order, d)
 
 
 def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
@@ -398,7 +398,7 @@ def density_perturb(
         raise BudgetExceeded("point budget")
     order = m.order + tuple(m.n + i for i in sorted(range(n), key=lambda i: m.rank(xs[i])))
     table = routes_table(m, ys, to_ys, d.cap)
-    out = Space(*adjoin(m, ys, [table.ids(to) for to in to_ys], among, [f"z{i}" for i in range(n)], table),
+    out = Space(*adjoin(m, ys, to_ys, among, [f"z{i}" for i in range(n)], table),
                 order, d)
     verdict = validate(out, since=m.n)
     if verdict != OK:

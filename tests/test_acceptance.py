@@ -38,7 +38,7 @@ from deltaspace.limitbuilder import (
     saturate,
 )
 from deltaspace.ramsey import FAILS, HOLDS, arrow, is_rigid, verify_bad_coloring
-from deltaspace.space import OK, PartialIsometry, Space, isomorphisms, uniform_space, validate
+from deltaspace.space import OK, PartialIsometry, isomorphisms, uniform_space, validate
 from oracles import cap_distances, gl2_search
 from util import closed_fragment, doubled_space, extend_with_random_points, random_space
 

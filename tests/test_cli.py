@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from deltaspace import coding
 from deltaspace.cli import build_parser, main
-from deltaspace.dvs import DistanceSet, make_set
+from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
 from deltaspace.limitbuilder import extension_property_check
 from deltaspace.space import Space, make_space, uniform_space
@@ -367,6 +367,22 @@ def test_a_sample_exponent_past_the_digit_limit_is_rejected_before_fraction_runs
     # an exponent the rest of the term brings back under the limit still parses
     code, out = run(capsys, ["encode-model", "--set", d, "--sample", f"1,0.{'0' * 99}1e4390"])  # 10 ** 4290
     assert code == 0
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 8000,
+                    reason="an answer is too long to print only under Python 3.11+'s digit limit")
+def test_an_answer_past_the_digit_limit_is_a_blown_budget(tmp_path, capsys):
+    # each input number has 4,000 digits and parses, but the answer holds
+    # N^2 (the scaling ratio) or a Fraction of it (a GL2 matrix entry)
+    big = "9" * 4000
+    d1 = write_json(tmp_path, "d1.json", {"values": [f"1/{big}"], "cap": "unbounded", "closed": True})
+    d2 = write_json(tmp_path, "d2.json", {"values": [f"{big}/1"], "cap": "unbounded", "closed": True})
+    limit = f"budget: Exceeds the limit ({sys.get_int_max_str_digits()} digits)"
+    for argv in (["check-equiv", "--d1", d1, "--d2", d2],
+                 ["gl2", "--alpha", f"1/{big}*sqrt(2)", "--beta", f"{big}/1*sqrt(2)"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(limit)
 
 
 @pytest.mark.parametrize("verb", ["check-theory", "encode-model"])

@@ -15,6 +15,7 @@ from deltaspace.exact import (
     ExactReal,
     MixedRadicands,
     ParseError,
+    ValueTable,
     _squarefree_split,
     compare,
     parse,
@@ -299,3 +300,45 @@ def test_rational_between_matches_the_bisection(xa, xb, ya, yb, d):
     assume(x != y)
     lo, hi = min(x, y), max(x, y)
     assert rational_between(lo, hi) == oracles.rational_between(lo, hi)
+
+
+# -- the value table ---------------------------------------------------------
+
+# small parts make repeated values and repeated pairs likely, and keep
+# distinct values apart by far more than a float's rounding
+small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def table_groups(draw):
+    """Groups (xs, ys) of rationals (d = 0) or of surds over one
+    radicand, and a bound drawn from the same values, or None."""
+    d = draw(st.sampled_from((0, 2, 5)))
+    value = st.builds(lambda a, b: ExactReal(a, b, d) if d else ExactReal(a), small, small)
+    groups = draw(st.lists(st.tuples(st.lists(value, max_size=6), st.lists(value, max_size=6)), max_size=3))
+    return groups, draw(st.none() | value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_groups())
+def test_value_table_sorts_names_and_sums_its_groups(drawn):
+    groups, bound = drawn
+    sums, compares = [], []
+    add, lt = ExactReal.__add__, ExactReal.__lt__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExactReal, "__add__", lambda x, y: sums.append(1) or add(x, y))
+        mp.setattr(ExactReal, "__lt__", lambda x, y: compares.append(1) or lt(x, y))
+        table = ValueTable(groups, bound)
+    values = table.values
+    pairs = {(x, y) for xs, ys in groups for x in xs for y in ys}  # distinct by value
+    assert len(sums) == len(pairs)  # one sum per distinct pair
+    assert all(x < y for x, y in zip(values, values[1:]))
+    assert set(values) == {*(x + y for x, y in pairs), *(v for g in groups for vs in g for v in vs),
+                           *([] if bound is None else [bound])}
+    assert table.ids(values) == list(range(len(values)))
+    ids = dict(zip(values, range(len(values))))
+    assert table.top == (len(values) - 1 if bound is None else ids[bound])
+    assert {(t, u) for t, row in table.add.items() for u in row} == {(ids[y], ids[x]) for x, y in pairs}
+    assert all(values[table.add[ids[y]][ids[x]]] == x + y for x, y in pairs)
+    # the float presort leaves the exact sort one compare a value
+    assert len(compares) <= max(len(values) - 1, 0)

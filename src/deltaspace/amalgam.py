@@ -48,11 +48,12 @@ def adjoin(b: Space, anchors, to_anchors, among, labels, table: ValueTable):
     those sums, as routes_table builds it.
     A label gets a prime added while it is taken.  Nothing is checked:
     the caller's inputs must make the result a metric space."""
-    names = list(b.labels)
+    names, taken = list(b.labels), set(b.labels)
     for lbl in labels:
-        while lbl in names:
+        while lbl in taken:
             lbl += "'"
         names.append(lbl)
+        taken.add(lbl)
     values, add = table.values, table.add
     # near[i][a]: the id of d(anchors[i], a), read only when a point is added
     near = [table.ids(b.dist[s]) for s in anchors] if to_anchors else []

@@ -197,7 +197,7 @@ def cmd_saturate(args) -> int:
     result, report = limitbuilder.saturate(m, d, args.k, args.max_points, args.max_pairs)
     _emit(
         {
-            "space": result.to_json(),
+            "space": result.with_delta(d).to_json(),
             "checked": report.checked,
             "skipped": sum(len(slots) for _, _, slots in report.groups),
         }

@@ -401,14 +401,14 @@ def _sample_products(qs) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _sample_splits(qs) -> list[list[tuple[int, int]]]:
-    """For each position t of the sorted sample, the splits (t1, t2) with
-    qs[t1] + qs[t2] == qs[t] and t1 < t, in (t1, t2) order; built as
+def _sample_splits(qs) -> list[tuple[int, int, int]]:
+    """The position triples (t1, t2, t) of the sorted sample with
+    qs[t1] + qs[t2] == qs[t] and t1 < t, sorted; built as
     _sample_products builds its triples."""
     frac = [(q.numerator, q.denominator) for q in qs]
     where = {f: t for t, f in enumerate(frac)}
     top_n, top_d = frac[-1]
-    splits = [[] for _ in frac]
+    triples = []
     for a, (na, da) in enumerate(frac):
         for b, (nb, db) in enumerate(frac[a:], a):
             num, den = na * db + nb * da, da * db
@@ -418,12 +418,11 @@ def _sample_splits(qs) -> list[list[tuple[int, int]]]:
             t = where.get((num // g, den // g))
             if t is not None:
                 if a < t:
-                    splits[t].append((a, b))
+                    triples.append((a, b, t))
                 if a != b and b < t:
-                    splits[t].append((b, a))
-    for split in splits:
-        split.sort()
-    return splits
+                    triples.append((b, a, t))
+    triples.sort()
+    return triples
 
 
 def _role_prefixes(triples, width) -> list[list[int]]:
@@ -443,22 +442,20 @@ def _role_prefixes(triples, width) -> list[list[int]]:
     return tables
 
 
-def _lift(M, nz, pre) -> list[list[int]]:
-    """Each cut M[x][y] of the nonzero pairs lifted to the mask of the
-    triples whose position in one role it holds: a run [s, e) of set bits
-    selects pre[e] ^ pre[s]."""
-    lifted = [[0] * len(M) for _ in M]
-    for x in nz:
-        Mx, Lx = M[x], lifted[x]
-        for y in nz:
-            m = Mx[y]
-            out = 0
-            while m:
-                low = m & -m
-                carry = m + low  # clears the lowest run, sets the bit above it
-                out |= pre[(carry & -carry).bit_length() - 1] ^ pre[low.bit_length() - 1]
-                m &= carry
-            Lx[y] = out
+def _lift(row, nz, pre) -> list[int]:
+    """Each cut row[y], y in nz, of one row of cuts lifted to the mask of
+    the triples whose position in one role it holds: a run [s, e) of set
+    bits selects pre[e] ^ pre[s]."""
+    lifted = [0] * len(row)
+    for y in nz:
+        m = row[y]
+        out = 0
+        while m:
+            low = m & -m
+            carry = m + low  # clears the lowest run, sets the bit above it
+            out |= pre[(carry & -carry).bit_length() - 1] ^ pre[low.bit_length() - 1]
+            m &= carry
+        lifted[y] = out
     return lifted
 
 
@@ -475,14 +472,14 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
 
     The clauses run on int bitmasks that are derived from model.rq on
     every call, so rq stays the one table: for qs the sorted sample,
-    M[i][j] has bit t set iff (i, j) is in rq[qs[t]], and rows[i][t] has
-    bit j set on the same condition.  Clause (4) lifts each cut M[x][y]
-    onto the sample's product triples, once per role, and then takes one
-    mask step per (x, y, z); clause (6)'s split table is built only when
-    the model has sums.  Before each block its steps (one per table cell
-    read, or per row of cells read as one mask) are charged against
-    budget, None for no limit, whether or not a table is built;
-    BudgetExceeded when the total passes it.
+    M[i][j] has bit t set iff (i, j) is in rq[qs[t]].  Clauses (4) and
+    (6) lift cuts onto the sample's product or split triples, once per
+    role, and then take one mask step per (x, y, z) or per sum and y;
+    the split triples are built only when the model has sums.  Before
+    each block its steps (one per table cell read, or per row of cells
+    read as one mask) are charged against budget, None for no limit,
+    whether or not a table is built; BudgetExceeded when the total
+    passes it.
     """
     report = {}
     qs = sorted(model.rq)
@@ -494,15 +491,12 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     # the masks; pairs outside the universe get none (a negative index
     # would alias a slot)
     M = [[0] * n for _ in range(n)]
-    rows = [[0] * width for _ in range(n)]
     for t, q in enumerate(qs):
         bit = 1 << t
         for i, j in model.rq[q]:
             if 0 <= i < n and 0 <= j < n:
                 M[i][j] |= bit
-                rows[i][t] |= 1 << j
     full = (1 << width) - 1
-    nz_bits = ((1 << n) - 1) & ~1
 
     # (1) nothing relates to 0
     status = ClauseStatus(SATISFIED)
@@ -548,7 +542,7 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     spent = _charge(spent, width * width, budget)
     triples = _sample_products(qs) if qs else []
     spent = _charge(spent, len(triples) * n * n, budget)
-    lift_a, lift_b, lift_c = (_lift(M, nz, pre) for pre in _role_prefixes(triples, width))
+    lift_a, lift_b, lift_c = ([_lift(row, nz, pre) for row in M] for pre in _role_prefixes(triples, width))
     top, last = 1, None  # bit_length of the largest violating triple
     for x in nz:
         row_a, row_c = lift_a[x], lift_c[x]
@@ -582,30 +576,28 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
 
     # (6) additivity of cuts: only provable violations are reported.  A
     # sample split q = q1 + q2 with R_q1(x, y) and R_q2(x', y) forces
-    # R_q(x+x', y); for each q the y it is forced but missing at are one
-    # mask, and the last violation is at the largest y, then q.
+    # R_q(x+x', y).  Lifted by role as in (4), the cuts of x, x' and x+x'
+    # give the splits whose q1, q2 and q hold at y, so the violating
+    # splits at y are one mask.  The last violation is at the largest y,
+    # then the largest q among its splits.
     splits = _sample_splits(qs) if qs and model.plus else []
-    ways = [(t, split) for t, split in enumerate(splits) if split]
-    spent = _charge(spent, len(model.plus) * (n * width + sum(len(s) for _, s in ways)), budget)
+    spent = _charge(spent, len(model.plus) * (n * width + len(splits)), budget)
+    roles = _role_prefixes(splits, width) if model.plus else []
     status = ClauseStatus(SATISFIED)
 
-    def rows_of(i):
+    def cuts(i):  # an index outside the universe has no row in M
         if 0 <= i < n:
-            return rows[i]
-        return [sum(1 << j for j in range(n) if (i, j) in model.rq[q]) for q in qs]
+            return M[i]
+        return [sum(1 << t for t, q in enumerate(qs) if (i, j) in model.rq[q]) for j in range(n)]
 
     for (i, i2), k in model.plus.items():
-        left, right, total = rows_of(i), rows_of(i2), rows_of(k)
-        last = None
-        for t, split in ways:
-            forced = 0
-            for t1, t2 in split:
-                forced |= left[t1] & right[t2]
-            bad = forced & ~total[t] & nz_bits
-            if bad and (last is None or bad.bit_length() - 1 >= last[0]):
-                last = (bad.bit_length() - 1, t)
-        if last is not None:
-            status = ClauseStatus(VIOLATED, (qs[last[1]], i, i2, last[0]))
+        A, B, C = (_lift(cuts(x), nz, pre) for x, pre in zip((i, i2, k), roles))
+        for y in reversed(nz):
+            bad = A[y] & B[y] & ~C[y]
+            if bad:
+                t = max(splits[e][2] for e in range(bad.bit_length()) if bad >> e & 1)
+                status = ClauseStatus(VIOLATED, (qs[t], i, i2, y))
+                break
     report["6"] = status
 
     # (7) arbitrarily small elements exist: every sample q has x, y with

@@ -92,7 +92,8 @@ def triangle_bijection_check(d1: DistanceSet, d2: DistanceSet, pairs) -> bool:
 
 
 def scaling_witness(d1: DistanceSet, d2: DistanceSet) -> Optional[ScalingWitness]:
-    """The unique candidate ratio min(d2)/min(d1), verified elementwise.
+    """The unique candidate ratio min(d2)/min(d1), verified elementwise
+    by ScalingWitness itself.
 
     An order-preserving scaling must map min to min, so no search is
     needed.  Caps must match when both sets are bounded; a boundedness
@@ -106,16 +107,13 @@ def scaling_witness(d1: DistanceSet, d2: DistanceSet) -> Optional[ScalingWitness
         return None
     try:
         r = d2.values[0] / d1.values[0]
-        for u, v in zip(d1.values, d2.values):
-            if v != u * r:
-                return None
         if d1.bounded and d2.cap != d1.cap * r:
             return None
-    except MixedRadicands:
-        # the ratio is not representable in either quadratic field, so no
-        # exact scaling witness exists here
+        return ScalingWitness(r, d1, d2)
+    except (MixedRadicands, EquivError):
+        # the ratio is not representable in either quadratic field, or
+        # some value is not r times its partner: no exact scaling witness
         return None
-    return ScalingWitness(r, d1, d2)
 
 
 def linearity_check(pairs, d: DistanceSet) -> bool:

@@ -102,6 +102,19 @@ def test_saturate_and_check_extension(tmp_path, capsys):
     assert out["unrealized"]
 
 
+def test_saturate_prints_the_delta_it_ran_over(tmp_path, capsys):
+    # the input space carries no delta; with -k 0 no point is added, with
+    # -k 1 some are, and both outputs are bound to --delta
+    delta = make_set([n1(1), n1(2)], cap=n1(2))
+    m = write_json(tmp_path, "m.json", uniform_space(1, n1(1)).to_json())
+    d = write_json(tmp_path, "d.json", delta.to_json())
+    for k, grows in (("0", False), ("1", True)):
+        code, out = run(capsys, ["saturate", "--space", m, "--delta", d, "-k", k])
+        assert code == 0
+        assert (len(out["space"]["labels"]) > 1) == grows
+        assert out["space"]["delta"] == delta.to_json()
+
+
 def test_building_verbs_validate_their_input_spaces(tmp_path, capsys):
     delta = make_set([n1(1), n1(2), n1(3)], cap=n1(3))
     d = write_json(tmp_path, "d.json", delta.to_json())
@@ -771,6 +784,22 @@ def test_theory_stdout_bytes_are_pinned(tmp_path, capsys):
     for name, extra, code, digest in calls:
         assert main(extra[:1] + ["--set", files[name]] + extra[1:]) == code, (name, extra)
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (name, extra)
+
+
+def test_theory_stdout_bytes_are_pinned_on_many_sums(tmp_path, capsys):
+    # sha256 of the stdout of encode-model and check-theory on {1, ..., 6},
+    # cap 6: 15 sums, so clause (6) reads a split table on every one; on
+    # the default sample (60 rationals) and on the sample {1, ..., 6}
+    d = write_json(tmp_path, "d.json", make_set([n1(v) for v in range(1, 7)], cap=n1(6)).to_json())
+    pins = [
+        (["encode-model"], 0, "f5856d9f67fc5a064c4e413a1cb7c471a11cd8fc89fc42b35d96da172d14ecec"),
+        (["check-theory"], 0, "e34d08390751eb9d5930b4a8da72d9db6391b2e6e24eb3d1dd3ebedf7523a2e8"),
+        (["check-theory", "--sample", "1,2,3,4,5,6"], 1,
+         "2815767dff755633d64b48919c10eb9df0226c3cdcd0aa31ce4a542897ae83de"),
+    ]
+    for argv, code, digest in pins:
+        assert main(argv[:1] + ["--set", d] + argv[1:]) == code, argv
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, argv
 
 
 def write_count_inputs(tmp_path):

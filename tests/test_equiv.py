@@ -69,6 +69,13 @@ def test_scaling_witness_absent():
     assert scaling_witness(make_set(nums(1, 2)), make_set(nums(1))) is None
 
 
+def test_scaling_witness_absent_past_the_first_values():
+    # the min and the next value match the ratio 2, the last does not
+    assert scaling_witness(make_set(nums(1, 2, 3)), make_set(nums(2, 4, 7))) is None
+    # every value matches, the caps do not
+    assert scaling_witness(make_set(nums(1, 2), cap=ExactReal(3)), make_set(nums(2, 4), cap=ExactReal(5))) is None
+
+
 def test_scaling_witness_surd_ratio():
     d = gen_delta_alpha(SQRT2, 1, ExactReal(2))
     w = scaling_witness(d, scale(d, SQRT2))

@@ -1,16 +1,19 @@
 """Free amalgamation.
 
-`adjoin` writes the rows of new points glued to a space over some of its
-points: it is the one row builder of `free_amalgam` and of every
-construction that grows the ordered limit.  It works on an
-`exact.ValueTable`, the construction's distances and the route sums it
-reads, sorted once, so a new distance is an int min over table lookups.
-Neither carries an order: the order amalgamates freely too, so each
-construction places its new points in the order itself.
+`column` is the one row builder of every construction that glues points
+over anchor points: the ids, in an `exact.ValueTable`, of one new
+point's distances to the old points, each the shortest route through
+the anchors truncated at the table's bound, as an int min over table
+lookups.  `saturate` calls it on the id rows it keeps; `adjoin` wraps
+it for `free_amalgam`, `realize` and `density_perturb`, which glue
+points to a `Space` of values.  Neither carries an order: the order
+amalgamates freely too, so each construction places its new points in
+the order itself.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional
 
 from .exact import ExactReal, ValueTable
@@ -36,35 +39,40 @@ def routes_table(b: Space, anchors, to_anchors, bound: Optional[ExactReal]) -> V
     return ValueTable(zip(map(b.dist.__getitem__, anchors), zip(*to_anchors)), bound)
 
 
+def column(table: ValueTable, n: int, near, anchors, to) -> list[int]:
+    """The ids in table of a new point's distances to n points: to[i]
+    from anchors[i], whose ids to all n points are near[i], and from any
+    other point a the shortest route through the anchors, min_i
+    near[i][a] + to[i], truncated at the table's bound (with no anchors,
+    the bound): one table lookup per point and anchor, and one int min
+    per point.  table must hold those sums, as routes_table builds them.
+    Nothing is checked."""
+    add = table.add
+    routes = [map(add[t].__getitem__, ids) for ids, t in zip(near, to)]
+    col = list(map(min, repeat(table.top, n), *routes)) if routes else [table.top] * n
+    for a, t in zip(anchors, to):
+        col[a] = t
+    return col
+
+
 def adjoin(b: Space, anchors, to_anchors, among, labels, table: ValueTable):
     """The labels and distance rows of b with one new point per label
     appended, glued to b over the anchor points.
 
     New point j is at to_anchors[j][i] from anchors[i], at among[j][k]
-    from new point k, and from any other point a of b at the shortest
-    route through the anchors, min_i d(a, anchors[i]) + to_anchors[j][i],
-    truncated at the table's bound (with no anchors, at the bound): one
-    table lookup per point and anchor, and an int min.  table must hold
-    those sums, as routes_table builds it.
-    A label gets a prime added while it is taken.  Nothing is checked:
-    the caller's inputs must make the result a metric space."""
+    from new point k, and from the other points of b as `column` puts
+    it.  A label gets a prime added while it is taken.  Nothing is
+    checked: the caller's inputs must make the result a metric space."""
     names, taken = list(b.labels), set(b.labels)
     for lbl in labels:
         while lbl in taken:
             lbl += "'"
         names.append(lbl)
         taken.add(lbl)
-    values, add = table.values, table.add
     # near[i][a]: the id of d(anchors[i], a), read only when a point is added
     near = [table.ids(b.dist[s]) for s in anchors] if to_anchors else []
-    cols = []  # cols[j][a]: new point j's distance to point a of b
-    for to in map(table.ids, to_anchors):
-        col = [table.top] * b.n
-        for ids, t in zip(near, to):
-            col = list(map(min, col, map(add[t].__getitem__, ids)))
-        for a, t in zip(anchors, to):
-            col[a] = t
-        cols.append(list(map(values.__getitem__, col)))
+    cols = [list(map(table.values.__getitem__, column(table, b.n, near, anchors, to)))
+            for to in map(table.ids, to_anchors)]  # cols[j][a]: new point j's distance to point a of b
     rows = list(map(tuple.__add__, b.dist, zip(*cols))) if cols else list(b.dist)
     rows += [tuple(col) + tuple(new) for col, new in zip(cols, among)]
     return tuple(names), tuple(rows)

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .amalgam import adjoin, routes_table
+from .amalgam import adjoin, column, routes_table
 from .dvs import DistanceSet, validate_closure
 from .exact import ExactReal, ValueTable
 from .search import BudgetExceeded
@@ -125,19 +125,21 @@ def _rows(m: Space, values, points) -> list[list[int]]:
     return [[0 if u is None else mask[u] for u in cols] for mask in map(m.masks.__getitem__, points)]
 
 
-def _below(m: Space) -> list[int]:
-    """below[r]: the bitmask of the points of rank < r, for r in 0..n."""
+def _below(order) -> list[int]:
+    """below[r]: the bitmask of the points of rank < r, for r in 0..n,
+    given the order as point indices from least to greatest."""
     below = [0]
-    for p in m.order:
+    for p in order:
         below.append(below[-1] | 1 << p)
     return below
 
 
-def _slot_masks(m: Space, below, subset) -> list[int]:
+def _slot_masks(ranks, below, subset) -> list[int]:
     """The points in each order slot of subset: slot j holds the points
     ranked strictly between the subset's j-th and (j+1)-th point by rank,
-    so no point of the subset."""
-    cuts = [-1, *sorted(map(m.ranks.__getitem__, subset)), m.n]
+    so no point of the subset.  ranks[p] is point p's rank, and below is
+    _below of the same order."""
+    cuts = [-1, *sorted(map(ranks.__getitem__, subset)), len(ranks)]
     return [below[hi] ^ below[lo + 1] for lo, hi in zip(cuts, cuts[1:])]
 
 
@@ -174,11 +176,11 @@ def find_realizer(m: Space, ext: Extension) -> Optional[int]:
     bit of ext's realizer mask over m."""
     _check_ordered(m)
     _check_extension(m, ext)
-    below = _below(m)
+    below = _below(m.order)
     # the ids index ext.dists itself, so the id vector is 0, 1, ...
     rows = dict(zip(ext.subset, _rows(m, ext.dists, ext.subset)))
     (mask,) = _realizer_masks(rows, ext.subset, [range(len(ext.dists))])
-    mask &= _slot_masks(m, below, ext.subset)[ext.slot]
+    mask &= _slot_masks(m.ranks, below, ext.subset)[ext.slot]
     return (mask & -mask).bit_length() - 1 if mask else None
 
 
@@ -205,10 +207,10 @@ def extension_property_check(
     pool = _pool(m, k, source_n)
     report = ExtensionReport(d.values)
     rows = _rows(m, d.values, range(pool))
-    below = _below(m)
+    below = _below(m.order)
     both = list(itertools.chain(d.values, m.value_ids[0]))
     for subset, vectors in _subset_vectors(m, d, k, pool, ValueTable([(both, both)], None)):
-        slots = _slot_masks(m, below, subset)
+        slots = _slot_masks(m.ranks, below, subset)
         report.checked += len(vectors) * len(slots)
         if report.checked > max_pairs:
             raise BudgetExceeded(f"more than {max_pairs} (subset, extension) pairs")
@@ -226,18 +228,6 @@ def extension_property_check(
 _ZERO = ExactReal(0)  # the new points' diagonal: immutable, so one object serves them all
 
 
-def _grow(m: Space, ext: Extension, d: DistanceSet, table: ValueTable) -> Space:
-    """m with one point realizing ext, built as realize says over table,
-    which holds the sums of each subset point's row with its distance in
-    ext; nothing is checked."""
-    if m.n == 0:
-        return Space(("z",), ((_ZERO,),), (0,), d)
-    by_rank = sorted(ext.subset, key=m.rank)
-    at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
-    order = m.order[:at] + (m.n,) + m.order[at:]
-    return Space(*adjoin(m, ext.subset, [ext.dists], [[_ZERO]], ["z*"], table), order, d)
-
-
 def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     """Adjoin a point realizing ext to m: free amalgam of m with the
     extension over the subset, capped at the fragment's cap.  The new
@@ -248,7 +238,14 @@ def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     _check_extension(m, ext)
     if not ext.subset and m.n > 0:
         raise BuilderError("empty-subset extension is realized by any point")
-    out = _grow(m, ext, d, routes_table(m, ext.subset, [ext.dists], d.cap))
+    if m.n == 0:
+        out = Space(("z",), ((_ZERO,),), (0,), d)
+    else:
+        by_rank = sorted(ext.subset, key=m.rank)
+        at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
+        order = m.order[:at] + (m.n,) + m.order[at:]
+        table = routes_table(m, ext.subset, [ext.dists], d.cap)
+        out = Space(*adjoin(m, ext.subset, [ext.dists], [[_ZERO]], ["z*"], table), order, d)
     verdict = validate(out, since=m.n)
     if verdict != OK:
         raise BuilderError(f"realized space invalid: {verdict}")
@@ -269,9 +266,16 @@ def saturate(
     else FragmentUnbounded: an unbounded fragment is closed only up to
     its largest value, and a new distance past it would fail the final
     check.  d must be closed, else FragmentNotClosed, since the new
-    distances are truncated sums.  The new points are built unchecked
-    and checked once, at the end; their vectors are admissible, so a
-    failure there is an internal error (AssertionError)."""
+    distances are truncated sums.
+
+    The result so far is kept as lists: one row of table ids per point,
+    each new point's column built by amalgam.column and appended to
+    every row, the labels with the set of those taken, and the order
+    with the ranks, updated on each insert.  When points were added, the
+    result is built once, with Space.from_ids, and m itself otherwise.
+    The new points are built unchecked and checked once, at the end;
+    their vectors are admissible, so a failure there is an internal
+    error (AssertionError)."""
     if not d.bounded:
         raise FragmentUnbounded()
     if not d.closed:
@@ -279,33 +283,57 @@ def saturate(
     pool = _pool(m, k, source_n)
     report = ExtensionReport(d.values)
     # m's distances and the new ones are 0 or lie in d, which is closed
-    # and bounded, so this table holds every sum adjoin and
-    # _subset_vectors read: 0, d's values (d.values[t] with id t + 1),
-    # then the sums past the cap
+    # and bounded, so this table holds every sum column and
+    # _subset_vectors read: 0 (id 0), d's values (d.values[t] with id
+    # t + 1), then the sums past the cap; no entry gets an id past the
+    # cap's, table.top
     table = ValueTable([((_ZERO,) + d.values, d.values)], d.cap)
     rows = _rows(m, d.values, range(pool))
-    cur, below = m, _below(m)
+    index, m_ids = m.value_ids
+    to_table = table.ids(index).__getitem__
+    ids = [list(map(to_table, row)) for row in m_ids]  # ids[p][q]: the id of d(p, q)
+    # an empty m gets one point, z; other new points are z*, z*', ...
+    labels, taken, fresh = list(m.labels), set(m.labels), "z*" if m.n else "z"
+    order, ranks = list(m.order), list(m.ranks)
+    below = _below(order)
     for subset, vectors in _subset_vectors(m, d, k, pool, table):
-        if len(below) <= cur.n:  # cur grew since below was built
-            below = _below(cur)
+        if len(below) <= len(ids):  # points were added since below was built
+            below = _below(order)
         # Each (vec, slot) comes once per subset, so the masks made at the
         # subset's turn need no point realized for the same subset.
-        slots = _slot_masks(cur, below, subset)
+        slots = _slot_masks(ranks, below, subset)
+        near = [ids[s] for s in subset]  # the lists in ids, so they grow with it
         for vec, mask in zip(vectors, _realizer_masks(rows, subset, vectors)):
             missing = []
             for slot, sm in enumerate(slots):
                 report.checked += 1
                 if report.checked <= max_pairs and mask & sm:
                     continue  # an existing point realizes it
-                if report.checked > max_pairs or cur.n + 1 > max_points:
+                if report.checked > max_pairs or len(ids) + 1 > max_points:
                     missing.append(slot)
                     continue
-                cur = _grow(cur, Extension(subset, tuple([d.values[t] for t in vec]), slot), d, table)
-                z = cur.n - 1
-                for row, u in zip(rows, table.ids([row[z] for row in cur.dist[:pool]])):
+                z = len(ids)
+                col = column(table, z, near, subset, [t + 1 for t in vec])
+                for row, u in zip(ids, col):
+                    row.append(u)
+                for row, u in zip(rows, col):  # the pool points' masks
                     row[u - 1] |= 1 << z
+                col.append(0)  # the column, with its diagonal, is z's row
+                ids.append(col)
+                while fresh in taken:  # every label from z* to fresh is taken
+                    fresh += "'"
+                labels.append(fresh)
+                taken.add(fresh)
+                at = sorted(map(ranks.__getitem__, subset))[slot] if slot < len(subset) else z
+                order.insert(at, z)
+                ranks.append(at)
+                for r in range(at + 1, z + 1):
+                    ranks[order[r]] = r
             if missing:
                 report.groups.append((subset, vec, tuple(missing)))
+    cur = m
+    if len(ids) > m.n:
+        cur = Space.from_ids(labels, table.values[:table.top + 1], ids, order, d)
     verdict = validate(cur, since=m.n)
     if verdict != OK:
         raise AssertionError(f"saturated space invalid: {verdict}")

@@ -5,11 +5,14 @@ is stored as a permutation listing point indices from least to greatest,
 so order-rank matching of two ordered spaces is a single pass; its
 inverse, the rank of each point, is computed once per space and cached,
 as are the ids of the distinct distances and each point's neighbourhood
-masks.
+masks.  A construction that holds its distances as ids into a list of
+values builds its space once with `Space.from_ids`, which writes the
+entries from the ids and seeds the cached ids with them.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -52,12 +55,34 @@ class Space:
             ranks[i] = r
         return tuple(ranks)
 
+    @classmethod
+    def from_ids(cls, labels, values, ids, order=None, delta=None) -> "Space":
+        """The space with dist[i][j] = values[ids[i][j]], its value_ids
+        seeded from the same rows, with values[u] as id u, so the index
+        may hold values that no entry has.  values must be distinct and
+        each id in range(len(values)), else SpaceError."""
+        index, by_id = dict(zip(values, range(len(values)))), dict(enumerate(values))
+        if len(index) != len(values):
+            raise SpaceError("values must be distinct")
+        ids = tuple(map(tuple, ids))
+        try:  # by_id, not values, so that a negative id names no value
+            dist = tuple(tuple(map(by_id.__getitem__, row)) for row in ids)
+        except KeyError as e:
+            raise SpaceError(f"id {e.args[0]} names no value") from None
+        out = cls(tuple(labels), dist, tuple(order) if order is not None else None, delta)
+        out.__dict__["value_ids"] = (index, ids)
+        return out
+
     @functools.cached_property
     def value_ids(self) -> tuple[dict[ExactReal, int], tuple[tuple[int, ...], ...]]:
-        """(index, ids): index gives each distinct distance a small int, in
-        order of first occurrence row by row, and ids[i][j] is the int of
-        dist[i][j].  Entries are keyed by object identity first, so one
-        value hash per distinct entry object."""
+        """(index, ids): index gives each distance a small int, its id,
+        and ids[i][j] is the id of dist[i][j]; the index's keys in order
+        are the values by id.  Unless from_ids seeded them, the ids
+        number the distinct distances in order of first occurrence row
+        by row, keyed by object identity first, so one value hash per
+        distinct entry object.  Consumers look values up by value and
+        print nothing in id order, so no output depends on the
+        numbering."""
         objs = _entry_objects(self.dist)
         index = {}
         by_obj = {key: index.setdefault(v, len(index)) for key, v in objs.items()}
@@ -271,14 +296,7 @@ def _no_broken_triangle(x: Space, vals, since: int) -> bool:
     pos = [u for u in range(size) if not vals[u].is_zero()]  # b = a or b = c breaks none
     if any(masks[a][u] != 1 << a for u in range(size) if u not in pos for a in range(since)):
         return False
-    bad = [[] for _ in range(size)]
-    for u, v in itertools.combinations_with_replacement(pos, 2):
-        total = vals[u] + vals[v]
-        for w in pos:
-            if vals[w] > total:
-                bad[w].append((u, v))
-                if u != v:
-                    bad[w].append((v, u))
+    bad = _bad_pairs(vals, pos)
     high = -1 << since  # a pair below since needs its middle point at or above it
     cols = [tuple([mask & high for mask in masks[c]]) for c in range(since)] + list(masks[since:])
     for a in range(n):
@@ -289,6 +307,23 @@ def _no_broken_triangle(x: Space, vals, since: int) -> bool:
                 if ma[u] & mc[v]:
                     return False
     return True
+
+
+def _bad_pairs(vals, pos) -> list[list[tuple[int, int]]]:
+    """bad[w]: the pairs (u, v) of ids in pos with vals[w] > vals[u] +
+    vals[v], both ways round, for each w in pos.  The values at pos are
+    sorted once, and each unordered pair is summed once and bisected into
+    them: the bad w for the pair are those ranked past its sum."""
+    ranked = sorted(pos, key=vals.__getitem__)
+    ascending = [vals[w] for w in ranked]
+    bad = [[] for _ in vals]
+    for i, u in enumerate(pos):
+        for v in pos[i:]:
+            for w in ranked[bisect.bisect_right(ascending, vals[u] + vals[v]):]:
+                bad[w].append((u, v))
+                if u != v:
+                    bad[w].append((v, u))
+    return bad
 
 
 def copies_of(c: Space, a: Space) -> list[tuple[int, ...]]:

@@ -2,7 +2,8 @@
 
 Every slow path lives here, each simple enough to check by reading:
 the predecessors of library fast paths (validate's full check, its
-triple-by-triple exact test, the Fraction-pair arithmetic,
+triple-by-triple exact test, the mask test's bad-pair table that
+compared every sum with every value, the Fraction-pair arithmetic,
 check_theory_T before the bitmasks, model_encode's addition-table scan
 and per-cell rq tables, default_sample_q on a set of ratios with
 rational_between's bisection through the public constructor, the
@@ -87,6 +88,42 @@ def validate_by_triple(x, since=0):
     if x.order is not None and sorted(x.order) != list(range(n)):
         return Violation("BadOrder", tuple(x.order))
     return OK
+
+
+def no_broken_triangle(x, vals, since):
+    """space._no_broken_triangle before its bad-pair table was sorted:
+    each pair's sum compared with every value."""
+    n, size = x.n, len(vals)
+    if size ** 3 > n * (n - 1) * (n - 2) or len({v.d for v in vals if v.d}) > 1:
+        return False
+    masks, ids = x.masks, x.value_ids[1]
+    pos = [u for u in range(size) if not vals[u].is_zero()]  # b = a or b = c breaks none
+    if any(masks[a][u] != 1 << a for u in range(size) if u not in pos for a in range(since)):
+        return False
+    bad = bad_pairs(vals, pos)
+    high = -1 << since  # a pair below since needs its middle point at or above it
+    cols = [tuple([mask & high for mask in masks[c]]) for c in range(since)] + list(masks[since:])
+    for a in range(n):
+        ma, row = masks[a], ids[a]
+        for c in range(a + 1, n):
+            mc = cols[c]
+            for u, v in bad[row[c]]:
+                if ma[u] & mc[v]:
+                    return False
+    return True
+
+
+def bad_pairs(vals, pos):
+    """bad[w]: the id pairs (u, v) of pos with vals[w] > vals[u] + vals[v]."""
+    bad = [[] for _ in range(len(vals))]
+    for u, v in itertools.combinations_with_replacement(pos, 2):
+        total = vals[u] + vals[v]
+        for w in pos:
+            if vals[w] > total:
+                bad[w].append((u, v))
+                if u != v:
+                    bad[w].append((v, u))
+    return bad
 
 
 def copies_of(c, a):

@@ -602,14 +602,18 @@ def test_a_failed_final_check_of_saturate_is_internal(tmp_path, capsys, monkeypa
     # that breaks the space is a bug in the library, not bad input
     from deltaspace import limitbuilder
 
-    real = limitbuilder.adjoin
+    real = limitbuilder.column
 
-    def one_wrong_entry(*args):  # the new point's distance to point 0, in its own row only
-        labels, rows = real(*args)
-        last = rows[-1]
-        return labels, rows[:-1] + ((last[0] + n1(1),) + last[1:],)
+    class OneWrongEntry(list):
+        wrong = False
 
-    monkeypatch.setattr(limitbuilder, "adjoin", one_wrong_entry)
+        def append(self, u):
+            if not self.wrong:  # the diagonal, which makes this column the new point's row
+                self.wrong = True
+                self[0] -= 1  # the new point's distance to point 0, in its own row only
+            super().append(u)
+
+    monkeypatch.setattr(limitbuilder, "column", lambda *args: OneWrongEntry(real(*args)))
     delta = make_set([n1(1), n1(2), n1(3)], cap=n1(3))
     m = uniform_space(3, n1(1), delta=delta)
     with pytest.raises(AssertionError, match=r"saturated space invalid: .*Symmetry.*\(0, 3\)"):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltaspace import limitbuilder
+from deltaspace.amalgam import free_amalgam
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
 from deltaspace.limitbuilder import (
@@ -145,7 +147,7 @@ def test_saturate_k2_and_idempotence():
 def test_saturate_from_empty_k0():
     empty = Space((), (), (), D12)
     sat, report = saturate(empty, D12, 0)
-    assert sat.n == 1
+    assert sat.n == 1 and sat == oracles.saturate(empty, D12, 0)[0]  # one point, labelled z
     assert report.empty
 
 
@@ -432,6 +434,47 @@ def test_saturate_matches_the_scan_past_a_machine_word():
     slow = oracles.saturate(m, D13, 2, max_points=68)
     assert fast[0].n > 64
     assert fast[0] == slow[0] and flat(fast[1]) == flat(slow[1])
+
+
+@pytest.mark.parametrize("labels, first", [
+    (("z*''", "a", "z*", "b"), "z*'"),  # a gap: z*' is free, then z*''' is next
+    (("z*", "z*'", "z*''", "b"), "z*'''"),
+])
+def test_new_labels_skip_the_primed_labels_a_start_space_uses(labels, first):
+    # saturate keeps the last label it made and primes on from it; the
+    # scan loop primes each new z* starting again at z*
+    m = random_space(random.Random(23), 4, D13)
+    m = Space(labels, m.dist, m.order, m.delta)
+    fast, slow = saturate(m, D13, 2, max_points=40), oracles.saturate(m, D13, 2, max_points=40)
+    assert fast[0] == slow[0] and flat(fast[1]) == flat(slow[1])
+    assert fast[0].n == 40 and len(set(fast[0].labels)) == 40
+    assert fast[0].labels[4:6] == (first, "z*'''" if first == "z*'" else "z*''''")
+    # free_amalgam primes each of c's labels that b has, as before
+    b = Space(labels[:2], m.induced([0, 1]).dist)
+    c = Space(labels[2:] + labels[:2], m.induced([2, 3, 0, 1]).dist)
+    glued = free_amalgam(b, c, [])
+    assert glued == oracles.free_amalgam(b, c, [])
+    assert glued.labels[:4] == labels and len(set(glued.labels)) == 6
+
+
+def test_saturate_builds_one_space_at_scale(monkeypatch):
+    # the 106-point result is built once, from the id rows, not once per
+    # point added
+    made = []
+
+    class Counting:
+        def __call__(self, *args, **kwargs):
+            made.append("Space")
+            return Space(*args, **kwargs)
+
+        def from_ids(self, *args, **kwargs):
+            made.append("from_ids")
+            return Space.from_ids(*args, **kwargs)
+
+    monkeypatch.setattr(limitbuilder, "Space", Counting())
+    out, report = saturate(uniform_space(8, n1(1), delta=D13), D13, 2, max_points=128)
+    assert out.n == 106 and report.empty
+    assert made == ["from_ids"]
 
 
 @pytest.mark.parametrize("k, source_n, what", [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltaspace import space
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal, MixedRadicands, parse
 from deltaspace.space import (
@@ -363,6 +364,103 @@ def test_mask_validate_matches_the_loops(y):
         full, expected = validate(y), oracles.validate(y)
         assert (full == OK) == (expected == OK)
         assert full == OK or full.kind == expected.kind == "Triangle"
+
+
+@st.composite
+def mask_test_spaces(draw):
+    """A few_value_spaces space, sometimes with a zero off the diagonal."""
+    y = draw(few_value_spaces())
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(y.n)))[:2]
+        dist = [list(row) for row in y.dist]
+        dist[i][j] = dist[j][i] = ExactReal(0)
+        y = Space(y.labels, tuple(map(tuple, dist)), y.order)
+    return y
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_test_spaces())
+def test_the_sorted_bad_pair_table_matches_the_scan(y):
+    # the same table, and the same mask verdict for every since, with the
+    # same fallbacks: an old zero off the diagonal, or two radicands
+    vals = list(y.value_ids[0])
+    if len({v.d for v in vals if v.d}) <= 1:
+        pos = [u for u, v in enumerate(vals) if not v.is_zero()]
+        assert space._bad_pairs(vals, pos) == oracles.bad_pairs(vals, pos)
+    for since in range(y.n + 1):
+        assert space._no_broken_triangle(y, vals, since) == oracles.no_broken_triangle(y, vals, since)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 2, 5]).flatmap(lambda d: st.lists(
+    st.builds(lambda a, b: ExactReal(a, b, d) if d else ExactReal(a),
+              st.fractions(-2, 4, max_denominator=4), st.fractions(0, 2, max_denominator=3)),
+    max_size=14, unique=True)))
+def test_the_sorted_bad_pair_table_matches_the_scan_on_many_values(vals):
+    # up to 14 values of one field, negative ones too, ids in drawn order
+    pos = [u for u, v in enumerate(vals) if not v.is_zero()]
+    assert space._bad_pairs(vals, pos) == oracles.bad_pairs(vals, pos)
+
+
+# (a fragment, a value outside it) for spaces built from ids
+ID_FRAGMENTS = [
+    ([n1(1), n1(2), n1(3)], n1(Fraction(5, 2))),
+    ([n1(Fraction(1, 2)), n1(1), n1(Fraction(3, 2)), n1(2)], n1(Fraction(7, 4))),
+    ([SQRT2, 2 * SQRT2, 3 * SQRT2], n1(1)),
+]
+
+
+@st.composite
+def id_rows(draw):
+    """(labels, values, ids, order, delta): a valid random space over a
+    fragment, as ids into a drawn order of 0, the fragment, a value
+    outside it and 3 times its cap.  Mostly one entry is corrupted: on
+    one side of the diagonal, or on both to zero, to the outside value,
+    or to 3 times the cap, which breaks every triangle it is in."""
+    frag, outside = draw(st.sampled_from(ID_FRAGMENTS))
+    d = make_set(frag, cap=frag[-1])
+    n = draw(st.integers(0, 8))
+    x = random_space(random.Random(draw(st.integers(0, 10 ** 6))), n, d, ordered=draw(st.booleans()))
+    big = 3 * frag[-1]
+    values = draw(st.permutations([ExactReal(0), *frag, outside, big]))
+    name = dict(zip(values, range(len(values))))
+    ids = [[name[v] for v in row] for row in x.dist]
+    kind = draw(st.sampled_from(["none", "one side", "zero", "outside", "triangle"]))
+    if n >= 2 and kind != "none":
+        i, j = draw(st.permutations(range(n)))[:2]
+        if kind == "one side":
+            ids[i][j] = draw(st.sampled_from([u for u in range(len(values)) if u != ids[i][j]]))
+        else:
+            ids[i][j] = ids[j][i] = name[{"zero": ExactReal(0), "outside": outside, "triangle": big}[kind]]
+    return x.labels, values, ids, x.order, d if draw(st.booleans()) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_rows())
+def test_a_space_built_from_ids_is_the_space_of_its_values(drawn):
+    # the same space, verdict, witness, text and masks (up to the names
+    # of the ids) as the space built from the values, for every since
+    labels, values, ids, order, delta = drawn
+    x = Space.from_ids(labels, values, ids, order, delta)
+    y = Space(labels, tuple(tuple(values[u] for u in row) for row in ids), order, delta)
+    assert all(x.dist[i][j] == values[u] for i, row in enumerate(ids) for j, u in enumerate(row))
+    assert x.value_ids[1] == tuple(map(tuple, ids))  # seeded: the rows given, not renumbered
+    assert x == y and x.to_json() == y.to_json()
+    for since in range(x.n + 1):
+        assert outcome(validate, x, since) == outcome(validate, y, since)
+
+    def by_value(s):
+        return [{v: mask for v, mask in zip(s.value_ids[0], row) if mask} for row in s.masks]
+
+    assert by_value(x) == by_value(y)
+
+
+def test_from_ids_needs_ids_that_name_distinct_values():
+    with pytest.raises(SpaceError, match="values must be distinct"):
+        Space.from_ids("ab", [n1(0), n1(1), n1(1)], [[0, 1], [1, 0]])
+    for bad in (-1, 2):  # a negative id would index the values from the end
+        with pytest.raises(SpaceError, match=f"id {bad} names no value"):
+            Space.from_ids("ab", [n1(0), n1(1)], [[0, bad], [bad, 0]])
 
 
 def test_mask_validate_tests_old_pairs_through_a_new_middle_point():

@@ -5,13 +5,15 @@ A verdict of Holds is only ever produced by a completed search over all
 colorings (backtracking counts as complete when its tree is exhausted);
 anything cut short by the budget is Unknown.  A verdict of Fails carries
 the bad coloring and is re-verified, by code the search does not use,
-before being returned.
+before being returned: every key of the coloring must induce a copy of
+a, and every copy of b, found afresh, must hold two colors.
 
 The search colors the copies of a in index order, so a copy of b can
 come out monochromatic only when its last copy of a is colored.  Each
-copy of a keeps the bitmasks of the copies of b it closes, and each color
-in use keeps the bitmask of the copies that have it; a node is dead when
-one closing mask lies inside its color's mask.
+copy of a keeps two bitmasks over the copies of b: those that contain it
+and those it closes.  The search keeps, per color in use, the copies of
+b that hold that color, their union, and the copies of b that hold two
+colors; a node is dead when it closes a copy of b that holds one.
 """
 
 from __future__ import annotations
@@ -67,31 +69,41 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
         # the empty coloring is constant on every copy of B
         verdict.status = HOLDS
         return verdict
-    # closing[i]: the masks (bit j for A-copy j) of the B-copies whose
-    # highest-index member is i, the copy whose placement can complete them
+    # contains[i], closes[i]: the B-copies (bit j for B-copy j) that hold
+    # A-copy i, and those whose highest-index A-copy is i, so that placing
+    # i completes them
     index = {t: i for i, t in enumerate(copies_a)}
-    closing = [[] for _ in range(m)]
-    for bc in copies_b:
+    contains, closes = [0] * m, [0] * m
+    for j, bc in enumerate(copies_b):
         members = [index[s] for s in itertools.combinations(bc, a.n) if s in index]
+        for i in members:
+            contains[i] |= 1 << j
         if members:
-            closing[max(members)].append(sum(1 << j for j in members))
-    # masks[col]: the placed copies of color col.  A color has a mask only
-    # while a placed copy has that color, so masks <= m for any k.
-    masks = {}
+            closes[max(members)] |= 1 << j
+    # has[col]: the B-copies that hold a placed copy of color col; every:
+    # their union; mixed: the B-copies that hold two colors.  A color has
+    # an entry only while a placed copy has that color, so has <= m for
+    # any k.  saved[i]: has[col], every and mixed before position i.
+    has = {}
+    every = mixed = 0
+    saved = [None] * m
 
     def place(i, col):
-        mask = masks[col] = masks.get(col, 0) | 1 << i
-        for bm in closing[i]:
-            if bm & mask == bm:
-                return False  # this B-copy came out monochromatic
-        return True
+        nonlocal every, mixed
+        held, bits = has.get(col, 0), contains[i]
+        saved[i] = held, every, mixed
+        mixed |= bits & every & ~held
+        has[col] = held | bits
+        every |= bits
+        return not closes[i] & ~mixed  # else a B-copy came out monochromatic
 
     def undo(i, col):
-        mask = masks[col] ^ 1 << i
-        if mask:
-            masks[col] = mask
-        else:
-            del masks[col]
+        nonlocal every, mixed
+        held, every, mixed = saved[i]
+        if held:
+            has[col] = held
+        else:  # a later undo of col may have dropped it already, if contains[i] is 0
+            has.pop(col, None)
 
     # symmetry reduction: the first copy is pinned to color 0
     first, rest = range(1), range(k)
@@ -106,6 +118,8 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
         verdict.status = HOLDS
         return verdict
     coloring = {copies_a[i]: bad[i] for i in range(m)}
+    if not all(_induces(c, t, a) for t in coloring):
+        raise AssertionError("a key of the bad coloring is not a copy of a")
     if not verify_bad_coloring(c, b, a, coloring):
         raise AssertionError("bad coloring failed re-verification")
     verdict.status = FAILS
@@ -113,19 +127,85 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
     return verdict
 
 
+def _by_rank(x: Space) -> list[list]:
+    """rows[r][t]: the distance between x's r-th and t-th points in its
+    order, for t < r."""
+    return [[x.dist[x.order[r]][x.order[t]] for t in range(r)] for r in range(x.n)]
+
+
+def _induces(c: Space, t: tuple[int, ...], a: Space) -> bool:
+    """Whether the points t of c induce a copy of a: exact == by rank
+    when c and a are ordered, else isomorphic.  Uses no copies_of."""
+    if len(t) != a.n:
+        return False
+    if c.order is None or a.order is None:
+        return isomorphic(c.induced(t), a) is not None
+    pts = sorted(t, key=c.ranks.__getitem__)
+    return all(c.dist[p][q] == w for p, row in zip(pts, _by_rank(a)) for q, w in zip(pts, row))
+
+
 def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
     """Independent re-check that a coloring witnesses failure: every copy
-    of b contains two differently colored copies of a.  It shares no code
-    with the arrow search or copies_of, so a fault there cannot certify
-    its own output."""
-    copies_a = list(coloring)
-    for bc in itertools.combinations(range(c.n), b.n):
-        if isomorphic(c.induced(bc), b) is None:
-            continue
-        bset = set(bc)
-        cols = {coloring[t] for t in copies_a if set(t) <= bset}
-        if len(cols) <= 1:
-            return False
+    of b contains two differently colored copies of a, the copies of a
+    being the coloring's keys.  It finds the copies of b itself and shares
+    no code with the arrow search or copies_of; arrow checks the keys
+    with _induces first.
+
+    When c and b are ordered it searches for a monochromatic copy of b:
+    c's points are picked in increasing rank, the r-th pick standing for
+    b's r-th point, each pick's distances to the earlier picks compared
+    with exact ==.  A pick adds the colors of the keys whose highest-rank
+    point it is and whose points are all picked, and a branch is cut as
+    soon as it holds two colors.  Otherwise every subset of c is tested
+    with isomorphic."""
+    if c.order is None or b.order is None:
+        for bc in itertools.combinations(range(c.n), b.n):
+            if isomorphic(c.induced(bc), b) is None:
+                continue
+            bset = set(bc)
+            cols = {col for t, col in coloring.items() if set(t) <= bset}
+            if len(cols) <= 1:
+                return False
+        return True
+    k, n, order, ranks, dist = b.n, c.n, c.order, c.ranks, c.dist
+    if k > n:  # no copy of b, and the slice bound below would count from the end
+        return True
+    want = _by_rank(b)
+    tops = [[] for _ in range(n)]  # tops[p]: the keys (points, color) whose highest-rank point is p
+    cols = [None] * (k + 1)  # cols[r]: the one color of the keys inside the first r picks, or None
+    for t, col in coloring.items():
+        if t:
+            tops[max(t, key=ranks.__getitem__)].append((t, col))
+        else:  # the empty key lies inside every copy of b
+            cols[0] = col
+    if k == 0:
+        return False  # the empty copy of b holds at most one color
+    picked, pts = [False] * n, [0] * k
+    stack = [iter(order[:n - k + 1])]  # stack[r]: the untried points of pick r
+    while stack:
+        r = len(stack) - 1
+        for p in stack[r]:
+            row = dist[p]
+            if not all(row[q] == w for q, w in zip(pts, want[r])):
+                continue
+            picked[p], col = True, cols[r]
+            for t, x in tops[p]:
+                if all(picked[q] for q in t):
+                    if col is None:
+                        col = x
+                    elif x != col:
+                        break  # two colors: every completion of this branch holds them
+            else:
+                if r + 1 == k:
+                    return False  # a copy of b with at most one color
+                pts[r], cols[r + 1] = p, col
+                stack.append(iter(order[ranks[p] + 1:n - k + r + 2]))
+                break
+            picked[p] = False
+        else:
+            stack.pop()
+            if r:
+                picked[pts[r - 1]] = False
     return True
 
 

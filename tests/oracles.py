@@ -10,7 +10,8 @@ rational_between's bisection through the public constructor, the
 sample tables over every position pair, the n^3 triangle-structure
 scan, the dict-and-dumps extension report, the copies_of subset scan),
 brute-force enumerations that use no search code, an arrow search that
-keeps no incremental state, gl2_search, an exhaustive matrix search,
+keeps no incremental state, the subset scan that re-checked a bad
+coloring before the pruned search, gl2_search, an exhaustive matrix search,
 the realizer scan that the profile index replaced, the profile index
 that the neighbourhood masks replaced, and the whole-matrix free
 amalgam and cap that amalgam.adjoin replaced, with the realize and
@@ -186,6 +187,21 @@ def arrow_search(copies_a, copies_b, k, budget=None):
         return False
 
     return (tuple(colors) if search(0) else None), nodes
+
+
+def verify_bad_coloring(c, b, a, coloring):
+    """ramsey.verify_bad_coloring before the pruned search: every subset
+    of c tested with isomorphic, and each copy of b must hold two colors
+    among the keys inside it."""
+    copies_a = list(coloring)
+    for bc in itertools.combinations(range(c.n), b.n):
+        if space.isomorphic(c.induced(bc), b) is None:
+            continue
+        bset = set(bc)
+        cols = {coloring[t] for t in copies_a if set(t) <= bset}
+        if len(cols) <= 1:
+            return False
+    return True
 
 
 # -- amalgam: the whole-matrix constructions --------------------------------------

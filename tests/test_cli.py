@@ -448,6 +448,34 @@ def test_check_arrow_exit_codes(tmp_path, capsys):
     assert code == 2 and out["status"] == "Unknown"
 
 
+def test_a_fails_on_extra_copies_of_a_is_internal(tmp_path, capsys, monkeypatch):
+    # with every pair of c reported as a copy of a, the search finds a bad
+    # coloring that the re-check of b's copies accepts; only the check that
+    # each key induces a copy of a stops it
+    from deltaspace import ramsey
+    rng = random.Random(104)
+    c = make_space([f"p{i}" for i in range(8)], {(i, j): rng.choice((n1(1), n1(2)))
+                                                for i in range(8) for j in range(i + 1, 8)},
+                   tuple(rng.sample(range(8), 8)))
+    b = make_space("xyz", {(0, 1): n1(2), (0, 2): n1(1), (1, 2): n1(1)}, (0, 1, 2))
+    a = make_space("uv", {(0, 1): n1(1)}, (0, 1))
+    argv = ["check-arrow", "-k", "2"]
+    for name, x in (("c", c), ("b", b), ("a", a)):
+        argv += [f"--{name}", write_json(tmp_path, f"{name}.json", x.to_json())]
+    code, out = run(capsys, argv)
+    assert code == 0 and out["status"] == "Holds" and out["nodes"] == 191
+    copies_of = ramsey.copies_of
+
+    def every_pair(x, y):
+        return [(i, j) for i in range(x.n) for j in range(i + 1, x.n)] if y.n == 2 else copies_of(x, y)
+
+    monkeypatch.setattr(ramsey, "copies_of", every_pair)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal: AssertionError: a key of the bad coloring is not a copy of a\n"
+
+
 def test_check_rigid(tmp_path, capsys):
     ordered = write_json(tmp_path, "x.json", uniform_space(3, n1(1)).to_json())
     unordered = write_json(tmp_path, "y.json", uniform_space(3, n1(1), ordered=False).to_json())

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 import tracemalloc
@@ -16,8 +18,9 @@ from deltaspace.ramsey import (
     is_rigid,
     verify_bad_coloring,
 )
-from deltaspace.space import isomorphisms, make_space, uniform_space
+from deltaspace.space import Space, isomorphisms, make_space, uniform_space
 from util import random_space
+import oracles
 
 
 def n1(v):
@@ -129,6 +132,51 @@ def test_bad_coloring_verifier_does_not_use_copies_of(monkeypatch):
         raise AssertionError("verify_bad_coloring called copies_of")
 
     monkeypatch.setattr(ramsey, "copies_of", refuse)
+    assert verify_bad_coloring(c, b, a, verdict.bad_coloring)
+    assert not verify_bad_coloring(c, b, a, dict.fromkeys(verdict.bad_coloring, 0))
+
+
+def at_scale():
+    """(c, b, a) of 16/5/2, 18/5/2 and 20/5/1 points: random ordered
+    spaces over {1, 2}, with b induced on c and a on b."""
+    rng = random.Random(5)
+    out = []
+    for n, m, k in ((16, 5, 2), (18, 5, 2), (20, 5, 1)):
+        dist = {(i, j): rng.choice((n1(1), n1(2))) for i in range(n) for j in range(i + 1, n)}
+        c = make_space([f"p{i}" for i in range(n)], dist, tuple(rng.sample(range(n), n)))
+        b = c.induced(rng.sample(range(n), m))
+        out.append((c, b, b.induced(rng.sample(range(m), k))))
+    return out
+
+
+def test_arrow_at_scale_is_pinned():
+    # verdict, nodes, copy counts and a digest of the bad coloring; the
+    # re-check agrees with the subset scan on that coloring and on the
+    # all-zero one
+    pins = [(65, 62, 9, "5f7cb4611960a88c"), (66, 60, 17, "3e19ab9efcdddde3"), (22, 20, 12, "dc27cd7d1185353c")]
+    for (c, b, a), (nodes, copies_a, copies_b, digest) in zip(at_scale(), pins):
+        verdict = arrow(c, b, a, 2)
+        assert (verdict.status, verdict.nodes, verdict.copies_a, verdict.copies_b) == (FAILS, nodes, copies_a, copies_b)
+        coloring = verdict.bad_coloring
+        assert hashlib.sha256(json.dumps(sorted(coloring.items())).encode()).hexdigest()[:16] == digest
+        for col in (coloring, dict.fromkeys(coloring, 0)):
+            assert verify_bad_coloring(c, b, a, col) == oracles.verify_bad_coloring(c, b, a, col)
+
+
+def test_ordered_recheck_is_a_search_not_the_subset_scan(monkeypatch):
+    # on ordered inputs neither arrow nor the re-check of its Fails may
+    # fall back to testing subsets with isomorphic on induced spaces
+    from deltaspace import ramsey, space
+    c, b, a = at_scale()[0]
+
+    def refuse(*args):
+        raise AssertionError("the ordered re-check tested a subset")
+
+    for module in (ramsey, space):
+        monkeypatch.setattr(module, "isomorphic", refuse)
+    monkeypatch.setattr(Space, "induced", refuse)
+    verdict = arrow(c, b, a, 2)
+    assert verdict.status == FAILS
     assert verify_bad_coloring(c, b, a, verdict.bad_coloring)
     assert not verify_bad_coloring(c, b, a, dict.fromkeys(verdict.bad_coloring, 0))
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from deltaspace.coding import DvsCode, approx_check, triangle_structure, ts_isomorphic
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
-from deltaspace.ramsey import FAILS, HOLDS, UNKNOWN, arrow
+from deltaspace.ramsey import FAILS, HOLDS, UNKNOWN, NotEmbeddable, arrow, verify_bad_coloring
 from deltaspace.search import BudgetExceeded, Search, injective_maps
 from deltaspace.space import Space, copies_of, isomorphic, isomorphisms, make_space
 
@@ -199,3 +199,37 @@ def test_arrow_matches_brute_force(c, k, data):
     cut = arrow(c, b, a, k, budget)
     assert cut.status == UNKNOWN and cut.bad_coloring is None
     assert cut.nodes == over.value.nodes == budget + 1
+
+
+def _reordered(data, x):
+    """x with its order kept, redrawn or dropped."""
+    kind = data.draw(st.sampled_from(("kept", "redrawn", "dropped")))
+    if kind == "kept":
+        return x
+    return Space(x.labels, x.dist, tuple(data.draw(st.permutations(range(x.n)))) if kind == "redrawn" else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces(min_n=2, max_n=7, ordered=True), st.booleans(), st.data())
+def test_bad_coloring_recheck_matches_subset_scan(c, mixed, data):
+    # b and a are substructures, a possibly empty; when mixed, the orders
+    # of all three are kept, redrawn or dropped, so unordered and mixed
+    # triples occur beside the ordered ones
+    b = c.induced(data.draw(st.permutations(range(c.n)))[:data.draw(st.sampled_from((3, 4, 2, 3, 4, 1, 0)))])
+    a = b.induced(data.draw(st.permutations(range(b.n)))[:data.draw(st.sampled_from((1, 2, 0)))])
+    if mixed:
+        c, b, a = _reordered(data, c), _reordered(data, b), _reordered(data, a)
+    keys = oracles.copies_of(c, a)
+    kind = data.draw(st.sampled_from(("found", "random", "zero")))
+    coloring = {t: data.draw(st.integers(0, 2)) if kind == "random" else 0 for t in keys}
+    if kind == "found":  # a bad coloring found by arrow, when it finds one
+        try:
+            verdict = arrow(c, b, a, data.draw(st.sampled_from((2, 3))), budget=10 ** 4)
+        except NotEmbeddable:
+            verdict = None
+        if verdict is not None and verdict.status == FAILS:
+            coloring = verdict.bad_coloring
+    if keys and data.draw(st.booleans()):  # one key recolored
+        t = data.draw(st.sampled_from(keys))
+        coloring[t] = data.draw(st.sampled_from([x for x in range(3) if x != coloring[t]]))
+    assert verify_bad_coloring(c, b, a, coloring) == oracles.verify_bad_coloring(c, b, a, coloring)

@@ -99,12 +99,13 @@ def validate_code(code: DvsCode) -> dict[str, ClauseStatus]:
     # (d)
     d_status = ClauseStatus(SATISFIED)
     values = [v for _, v in pos]
+    present = set(values)
     sup = max(values) if values else None
     horizon_hit = False
     for x, y in itertools.combinations_with_replacement(values, 2):
         s = x + y
         if sup is not None and s < sup:
-            if not any(s == v for v in values):
+            if s not in present:
                 d_status = ClauseStatus(VIOLATED, (x, y))
                 break
         else:
@@ -144,14 +145,14 @@ def sim_check(c: DvsCode, d: DvsCode) -> Optional[tuple[tuple[int, ...], ExactRe
     g = [-1] * len(c.prefix)
     for i, j in zip(cz, dz):
         g[i] = j
+    first = {w: j for j, w in reversed(dp)}  # each positive value of d -> its first index
     try:
         r = min(v for _, v in dp) / min(v for _, v in cp)
         for i, v in cp:
-            target = v * r
-            matches = [j for j, w in dp if w == target]
-            if not matches:
+            j = first.get(v * r)
+            if j is None:
                 return None
-            g[i] = matches[0]
+            g[i] = j
     except MixedRadicands:
         return None  # ratio not representable in one quadratic field
     if sorted(g) != list(range(len(c.prefix))):

@@ -65,14 +65,14 @@ class RatMatrix:
 
 def _check_bijection(d1: DistanceSet, d2: DistanceSet, pairs) -> dict:
     fmap = {}
-    seen_targets = []
+    seen_targets = set()
     for x, y in pairs:
         if x not in d1 or y not in d2:
             raise NotABijection("pair outside the fragments")
-        if x in fmap or any(y == t for t in seen_targets):
+        if x in fmap or y in seen_targets:
             raise NotABijection("repeated source or target")
         fmap[x] = y
-        seen_targets.append(y)
+        seen_targets.add(y)
     if len(fmap) != len(d1.values) or len(seen_targets) != len(d2.values):
         raise NotABijection("map is not total or not onto")
     return fmap

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .amalgam import adjoin, column, routes_table
+from .amalgam import adjoin, column, fresh_label
 from .dvs import DistanceSet, validate_closure
 from .exact import ExactReal, ValueTable
 from .search import BudgetExceeded
@@ -230,22 +230,19 @@ _ZERO = ExactReal(0)  # the new points' diagonal: immutable, so one object serve
 
 def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     """Adjoin a point realizing ext to m: free amalgam of m with the
-    extension over the subset, capped at the fragment's cap.  The new
-    point goes directly below the subset point of rank ext.slot, or on
-    top when the slot is past the last one.  Precondition: m is a valid
-    ordered space over d; ext and the new point are checked."""
+    extension over the subset, capped at the fragment's cap, by `adjoin`:
+    the point z in an empty m, else z*.  It goes directly below the
+    subset point of rank ext.slot, or on top when the slot is past the
+    last one.  Precondition: m is a valid ordered space over d; ext and
+    the new point are checked."""
     _check_ordered(m)
     _check_extension(m, ext)
     if not ext.subset and m.n > 0:
         raise BuilderError("empty-subset extension is realized by any point")
-    if m.n == 0:
-        out = Space(("z",), ((_ZERO,),), (0,), d)
-    else:
-        by_rank = sorted(ext.subset, key=m.rank)
-        at = m.rank(by_rank[ext.slot]) if ext.slot < len(by_rank) else m.n
-        order = m.order[:at] + (m.n,) + m.order[at:]
-        table = routes_table(m, ext.subset, [ext.dists], d.cap)
-        out = Space(*adjoin(m, ext.subset, [ext.dists], [[_ZERO]], ["z*"], table), order, d)
+    ranks = sorted(map(m.ranks.__getitem__, ext.subset))
+    at = ranks[ext.slot] if ext.slot < len(ranks) else m.n
+    order = m.order[:at] + (m.n,) + m.order[at:]
+    out = Space(*adjoin(m, ext.subset, [ext.dists], [[_ZERO]], ["z*" if m.n else "z"], d.cap), order, d)
     verdict = validate(out, since=m.n)
     if verdict != OK:
         raise BuilderError(f"realized space invalid: {verdict}")
@@ -320,10 +317,8 @@ def saturate(
                     row[u - 1] |= 1 << z
                 col.append(0)  # the column, with its diagonal, is z's row
                 ids.append(col)
-                while fresh in taken:  # every label from z* to fresh is taken
-                    fresh += "'"
+                fresh = fresh_label(fresh, taken)  # every label from z* to fresh is taken
                 labels.append(fresh)
-                taken.add(fresh)
                 at = sorted(map(ranks.__getitem__, subset))[slot] if slot < len(subset) else z
                 order.insert(at, z)
                 ranks.append(at)
@@ -425,9 +420,7 @@ def density_perturb(
     if m.n + n > max_points:
         raise BudgetExceeded("point budget")
     order = m.order + tuple(m.n + i for i in sorted(range(n), key=lambda i: m.rank(xs[i])))
-    table = routes_table(m, ys, to_ys, d.cap)
-    out = Space(*adjoin(m, ys, to_ys, among, [f"z{i}" for i in range(n)], table),
-                order, d)
+    out = Space(*adjoin(m, ys, to_ys, among, [f"z{i}" for i in range(n)], d.cap), order, d)
     verdict = validate(out, since=m.n)
     if verdict != OK:
         raise BuilderError(f"perturbed space invalid: {verdict}")

@@ -333,16 +333,19 @@ def copies_of(c: Space, a: Space) -> list[tuple[int, ...]]:
     When c and a are both ordered, an embedding is a search: c's points
     are picked in increasing rank, the r-th pick standing for a.order[r],
     and each pick's distances to the earlier picks are compared on c's
-    value ids.  Otherwise every subset is tested with `isomorphic`."""
+    value ids, each of a's distinct values looked up in c's index once.
+    Otherwise every subset is tested with `isomorphic`."""
     if c.order is None or a.order is None:
         return [s for s in itertools.combinations(range(c.n), a.n) if isomorphic(c.induced(s), a) is not None]
     k, ranks = a.n, c.ranks
     if k > c.n:  # no room, and the slice bound in choices would count from the end
         return []
     index, ids = c.value_ids
-    try:  # want[r][t]: c's id of the distance between a's r-th and t-th points
-        want = [[index[a.dist[a.order[r]][a.order[t]]] for t in range(r)] for r in range(k)]
-    except KeyError:  # a has a distance that c lacks
+    a_index, a_ids = a.value_ids
+    to_c = [index.get(v, -1) for v in a_index]  # c's id of each of a's values, -1 if c lacks it
+    # want[r][t]: c's id of the distance between a's r-th and t-th points
+    want = [[to_c[a_ids[p][q]] for q in a.order[:r]] for r, p in enumerate(a.order)]
+    if any(-1 in row for row in want):  # a has a distance that c lacks
         return []
     pts = [0] * k  # pts[r]: the point of the r-th pick
 

@@ -8,7 +8,9 @@ check_theory_T before the bitmasks, model_encode's addition-table scan
 and per-cell rq tables, default_sample_q on a set of ratios with
 rational_between's bisection through the public constructor, the
 sample tables over every position pair, the n^3 triangle-structure
-scan, the dict-and-dumps extension report, the copies_of subset scan),
+scan, the dict-and-dumps extension report, the copies_of subset scan,
+validate_code, sim_check and the bijection check with their value
+scans),
 brute-force enumerations that use no search code, an arrow search that
 keeps no incremental state, the subset scan that re-checked a bad
 coloring before the pruned search, gl2_search, an exhaustive matrix search,
@@ -29,7 +31,7 @@ from deltaspace.amalgam import AmalgamError, DegenerateAmalgam, OverlapNotIsomet
 from deltaspace.coding import (NOT_FALSIFIABLE, SATISFIED, SMALL_RATIONALS, VIOLATED, ClauseStatus,
                                EncodedModel)
 from deltaspace.dvs import delta_triangle
-from deltaspace.equiv import PoleAtAlpha, RatMatrix, gl2_apply
+from deltaspace.equiv import NotABijection, PoleAtAlpha, RatMatrix, gl2_apply
 from deltaspace.exact import DivisionByZero, ExactReal, MixedRadicands, _squarefree_split
 from deltaspace.limitbuilder import BuilderError, Extension, NoSmallEnoughDelta, ZNotInDelta
 from deltaspace.search import BudgetExceeded
@@ -606,7 +608,87 @@ def gl2_search(alpha, beta, height):
     return None
 
 
+def check_bijection(d1, d2, pairs):
+    """The pair check before the set of targets: each target compared
+    with every target seen so far."""
+    fmap = {}
+    seen_targets = []
+    for x, y in pairs:
+        if x not in d1 or y not in d2:
+            raise NotABijection("pair outside the fragments")
+        if x in fmap or any(y == t for t in seen_targets):
+            raise NotABijection("repeated source or target")
+        fmap[x] = y
+        seen_targets.append(y)
+    if len(fmap) != len(d1.values) or len(seen_targets) != len(d2.values):
+        raise NotABijection("map is not total or not onto")
+    return fmap
+
+
 # -- coding -------------------------------------------------------------------
+
+
+def validate_code(code):
+    """validate_code as it was, clause (d) comparing each sum below the
+    sup with every positive value."""
+    report = {"a": ClauseStatus(NOT_FALSIFIABLE)}
+    b_status = ClauseStatus(SATISFIED)
+    pos = [(i, v) for i, v in enumerate(code.prefix) if v.sign() > 0]
+    for (i, x), (j, y) in itertools.combinations(pos, 2):
+        if x == y:
+            b_status = ClauseStatus(VIOLATED, (i, j))
+            break
+    report["b"] = b_status
+    if code.bounded and pos:
+        report["c"] = ClauseStatus(SATISFIED, (max(range(len(code.prefix)), key=lambda i: code.prefix[i]),))
+    else:
+        report["c"] = ClauseStatus(NOT_FALSIFIABLE)
+    d_status = ClauseStatus(SATISFIED)
+    values = [v for _, v in pos]
+    sup = max(values) if values else None
+    horizon_hit = False
+    for x, y in itertools.combinations_with_replacement(values, 2):
+        s = x + y
+        if sup is not None and s < sup:
+            if not any(s == v for v in values):
+                d_status = ClauseStatus(VIOLATED, (x, y))
+                break
+        else:
+            horizon_hit = True
+    if d_status.status == SATISFIED and (horizon_hit and not code.bounded):
+        d_status = ClauseStatus(NOT_FALSIFIABLE)
+    report["d"] = d_status
+    return report
+
+
+def sim_check(c, d):
+    """sim_check as it was: each target found by a scan of d's positive
+    entries, the first match taken."""
+    if len(c.prefix) != len(d.prefix):
+        return None
+    cz, dz = c.zero_indices(), d.zero_indices()
+    if len(cz) != len(dz):
+        return None
+    cp = [(i, v) for i, v in enumerate(c.prefix) if v.sign() > 0]
+    dp = [(i, v) for i, v in enumerate(d.prefix) if v.sign() > 0]
+    if not cp:
+        return tuple(range(len(c.prefix))), ExactReal(1)
+    g = [-1] * len(c.prefix)
+    for i, j in zip(cz, dz):
+        g[i] = j
+    try:
+        r = min(v for _, v in dp) / min(v for _, v in cp)
+        for i, v in cp:
+            target = v * r
+            matches = [j for j, w in dp if w == target]
+            if not matches:
+                return None
+            g[i] = matches[0]
+    except MixedRadicands:
+        return None
+    if sorted(g) != list(range(len(c.prefix))):
+        return None
+    return tuple(g), r
 
 
 def addition_table(universe):

@@ -107,6 +107,49 @@ def test_sim_check_cross_field_is_none():
     assert sim_check(c3, d) is None
 
 
+# entries of one field with sums among them; lists drawn from them repeat values
+CODE_VALUES = [ExactReal(0), *nums(Fraction(1, 2), 1, Fraction(3, 2), 2, 3), SQRT2, 2 * SQRT2, 1 + SQRT2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CODE_VALUES), max_size=9), st.booleans())
+def test_validate_code_matches_the_scan(values, bounded):
+    c = DvsCode(tuple(values), bounded)
+    assert validate_code(c) == oracles.validate_code(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CODE_VALUES), max_size=8),
+       st.sampled_from([ExactReal(1), ExactReal(2), ExactReal(Fraction(1, 2)), SQRT2]), st.data())
+def test_sim_check_matches_the_scan(values, r, data):
+    # d is c scaled by r and permuted, maybe with one entry replaced; a
+    # repeated value has several matches, and the first is taken
+    d = list(data.draw(st.permutations([v * r for v in values])))
+    if d and data.draw(st.booleans()):
+        d[data.draw(st.integers(0, len(d) - 1))] = data.draw(st.sampled_from(CODE_VALUES))
+    c, d = DvsCode(tuple(values)), DvsCode(tuple(d))
+    assert sim_check(c, d) == oracles.sim_check(c, d)
+
+
+def test_code_checks_look_values_up_by_hash(monkeypatch):
+    # at 200 values, clause (d) compares a sum with the one value of equal
+    # hash, not with every value, and sim_check finds each target likewise
+    d = make_set(nums(*range(1, 201)))
+    c1, c2 = encode_dvs(d), encode_dvs(scale(d, ExactReal(3)))
+    eqs = []
+    real = ExactReal.__eq__
+    monkeypatch.setattr(ExactReal, "__eq__", lambda x, y: eqs.append(1) or real(x, y))
+    report = validate_code(c1)
+    checks = len(eqs)
+    g, r = sim_check(c1, c2)
+    monkeypatch.undo()
+    assert report["b"].status == SATISFIED and report["d"].status == NOT_FALSIFIABLE
+    # clause (b)'s pairs and one compare per sum found; a scan of every value makes 1,338,250
+    assert checks < 200 * 200
+    assert g == tuple(range(400)) and r == ExactReal(3)
+    assert len(eqs) - checks <= 200  # a scan of d per target makes 40,000
+
+
 def test_approx_check_identity():
     c = code(0, 1, 2, 3)
     assert approx_check(c, c) is not None

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaspace.dvs import gen_delta_alpha, make_set, scale
 from deltaspace.equiv import (
@@ -11,6 +13,7 @@ from deltaspace.equiv import (
     NotABijection,
     PoleAtAlpha,
     RatMatrix,
+    _check_bijection,
     gl2_apply,
     gl2_equivalent,
     linearity_check,
@@ -18,7 +21,7 @@ from deltaspace.equiv import (
     triangle_bijection_check,
 )
 from deltaspace.exact import ExactReal
-from oracles import gl2_search, identity_matrix, matrix_inverse, matrix_product
+from oracles import check_bijection, gl2_search, identity_matrix, matrix_inverse, matrix_product
 
 SQRT2 = ExactReal.sqrt(2)
 SQRT3 = ExactReal.sqrt(3)
@@ -57,6 +60,33 @@ def test_bijection_validation():
         triangle_bijection_check(d, d, [(ExactReal(1), ExactReal(1))])
     with pytest.raises(NotABijection):
         triangle_bijection_check(d, d, pairs_of(d, d) + [(ExactReal(1), ExactReal(2))])
+
+
+def _bijection_outcome(check, d1, d2, pairs):
+    try:
+        return check(d1, d2, pairs)
+    except NotABijection as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(nums(1, 2, 3, 4)), st.sampled_from(nums(1, 2, 3, 5))), max_size=6))
+def test_bijection_check_matches_the_scan(pairs):
+    # pairs drawn with repeats: a repeated target must be caught as before
+    d, e = make_set(nums(1, 2, 3)), make_set(nums(2, 3, 5))
+    assert _bijection_outcome(_check_bijection, d, e, pairs) == _bijection_outcome(check_bijection, d, e, pairs)
+
+
+def test_bijection_check_keeps_a_set_of_targets(monkeypatch):
+    d = make_set(nums(*range(1, 201)))
+    e = scale(d, ExactReal(3))
+    eqs = []
+    real = ExactReal.__eq__
+    monkeypatch.setattr(ExactReal, "__eq__", lambda x, y: eqs.append(1) or real(x, y))
+    fmap = _check_bijection(d, e, pairs_of(d, e))
+    monkeypatch.undo()
+    assert len(fmap) == 200
+    assert len(eqs) < 200  # a scan of the targets seen makes 19,900
 
 
 def test_scaling_witness_found():

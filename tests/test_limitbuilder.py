@@ -42,7 +42,12 @@ def test_one_point_extensions_of_empty():
     empty = Space((), (), (), D12)
     report = extension_property_check(empty, D12, 0)
     assert report.checked == 1
-    assert [realize(empty, ext, D12).n for ext in report.unrealized] == [1]
+    (ext,) = report.unrealized
+    out, want = realize(empty, ext, D12), Space(("z",), ((n1(0),),), (0,), D12)
+    assert out == want and out.to_json() == want.to_json()
+    # no fragment cap to truncate at: the one point is the same
+    unbounded = make_set([n1(1), n1(2)])
+    assert realize(empty, ext, unbounded) == Space(("z",), ((n1(0),),), (0,), unbounded)
 
 
 def test_one_point_extensions_single_point():

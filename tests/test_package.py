@@ -1,5 +1,7 @@
 import ast
+import importlib
 import pathlib
+import re
 
 import deltaspace
 
@@ -38,3 +40,39 @@ def test_no_module_imports_a_name_it_never_reads():
     src = pathlib.Path(deltaspace.__file__).parent
     unused = {path.name: names for path in sorted(src.glob("*.py")) if (names := _unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def _glance_rows():
+    """(module, the backticked spans of its contents cell) for each row
+    of README's "Library at a glance" table."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library at a glance", 1)[1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and re.fullmatch(r"`deltaspace\.\w+`", cells[0]):
+            yield cells[0].strip("`"), re.findall(r"`([^`]+)`", cells[1])
+
+
+def test_readme_module_table_names_resolve():
+    # each name resolves on its row's module, on the package when its
+    # first part is a module, or on a class named before it in the cell
+    modules = {path.stem for path in pathlib.Path(deltaspace.__file__).parent.glob("*.py")}
+    rows = list(_glance_rows())
+    assert [module for module, _ in rows][:2] == ["deltaspace.exact", "deltaspace.dvs"]
+    missing = []
+    for module_name, names in rows:
+        module, cls = importlib.import_module(module_name), None
+        for name in names:
+            if name == "deltaspace" or not re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", name):
+                continue  # the command, or text such as `p.inverse()`
+            head, *parts = name.split(".")
+            obj = importlib.import_module(f"deltaspace.{head}") if head in modules else getattr(module, head, None)
+            if obj is None and cls is not None:
+                obj = getattr(cls, head, None)
+            for part in parts:
+                obj = getattr(obj, part, None)
+            if obj is None:
+                missing.append(f"{module_name}: {name}")
+            elif isinstance(obj, type):
+                cls = obj
+    assert missing == []

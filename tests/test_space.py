@@ -73,6 +73,28 @@ def test_copies_of_a_larger_space_is_empty_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_copies_of_hashes_each_value_of_a_once(monkeypatch):
+    # value ids cached, as loading does: a's distinct values are looked
+    # up in c's index once each, not once per pair of a's points
+    c, a = uniform_space(62, n1(1)), uniform_space(60, n1(1))
+    assert validate(c) == OK and validate(a) == OK
+    hashes = []
+    real = ExactReal.__hash__
+    monkeypatch.setattr(ExactReal, "__hash__", lambda x: hashes.append(1) or real(x))
+    found = copies_of(c, a)
+    monkeypatch.undo()
+    assert len(found) == 62 * 61 // 2 and found == sorted(found)
+    assert len(hashes) < a.n
+
+
+def test_copies_of_ignores_an_index_value_no_entry_of_a_has():
+    # from_ids may seed a's index with a value no entry has; c lacking it
+    # rules out no copy
+    a = Space.from_ids(("x", "y"), (n1(0), n1(1), n1(7)), ((0, 1), (1, 0)), (0, 1))
+    assert copies_of(uniform_space(3, n1(1)), a) == [(0, 1), (0, 2), (1, 2)]
+    assert copies_of(uniform_space(3, n1(2)), a) == []
+
+
 def test_copies_path():
     c = make_space("abc", {(0, 1): n1(1), (1, 2): n1(1), (0, 2): n1(2)}, order=(0, 1, 2))
     a = make_space("xy", {(0, 1): n1(2)}, order=(0, 1))

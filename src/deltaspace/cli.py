@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every verb reads JSON (files or "-" for stdin), writes one deterministic
-JSON document to stdout, and exits 0 on a definitive affirmative verdict,
-1 on a definitive negative, 2 on Unknown or a blown budget, 3 on bad
-input or usage, and 4 on an internal error, so a crash never reads as a
-verdict.  All numbers use the bit-exact text grammar of the exact module.
+Every verb reads JSON (files or "-" for stdin) and returns a document
+and a verdict.  `main` alone prints the document, one deterministic JSON
+document on stdout, and maps the verdict True, False or None to exit 0,
+1 or 2; any other verdict is exit 4.  Exit 2 is also a blown budget, 3
+bad input or usage, and 4 an internal error, so a crash never reads as
+a verdict.  All numbers use the bit-exact text grammar of the exact module.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .exact import ExactError, parse
 from .search import BudgetExceeded
 
 EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
+_EXIT = {True: EXIT_YES, False: EXIT_NO, None: EXIT_UNKNOWN}  # a verdict's exit code
 
 
 class InputError(Exception):
@@ -54,10 +56,6 @@ def _load(path: str, from_json, kind=dict):
         return from_json(obj)
     except INPUT_ERRORS as exc:
         raise InputError(f"{path}: {exc}") from None
-
-
-def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
 
 
 def _load_set(path: str) -> dvs.DistanceSet:
@@ -128,89 +126,74 @@ def _parse_pairs(flag: str, text: str, left: int, right: int) -> list[tuple[int,
     return out
 
 
-def _clause_json(report: dict) -> dict:
-    out = {}
+def _clauses(report: dict, **extra) -> tuple[dict, bool]:
+    """The {"clauses": ..} document of a clause report, with extra keys,
+    and its verdict: no clause is Violated."""
+    clauses = {}
     for key, st in report.items():
-        entry = {"status": st.status}
+        clauses[key] = {"status": st.status}
         if st.witness is not None:
-            entry["witness"] = [str(w) for w in st.witness]
-        out[key] = entry
-    return out
+            clauses[key]["witness"] = [str(w) for w in st.witness]
+    return {"clauses": clauses, **extra}, all(st.status != coding.VIOLATED for st in report.values())
 
 
-def cmd_gen_dvs(args) -> int:
+def cmd_gen_dvs(args):
     d = dvs.gen_delta_alpha(_number("--alpha", args.alpha), args.height, _number("--bound", args.bound))
-    _emit(d.to_json())
-    return EXIT_YES
+    return d.to_json(), True
 
 
-def cmd_close(args) -> int:
-    d = dvs.close(_load_set(args.set), _number("--bound", args.bound), args.budget)
-    _emit(d.to_json())
-    return EXIT_YES
+def cmd_close(args):
+    return dvs.close(_load_set(args.set), _number("--bound", args.bound), args.budget).to_json(), True
 
 
-def cmd_check_triangle(args) -> int:
+def cmd_check_triangle(args):
     d = _load_set(args.delta)
     terms = args.triple.split(",")
     if len(terms) != 3:
         raise InputError(f"--triple: expected three numbers x,y,z, not {args.triple!r}")
     ok = dvs.delta_triangle(*(_number("--triple", t) for t in terms), d)
-    _emit({"triangle": ok})
-    return EXIT_YES if ok else EXIT_NO
+    return {"triangle": ok}, ok
 
 
-def cmd_check_equiv(args) -> int:
+def cmd_check_equiv(args):
     d1, d2 = _load_set(args.d1), _load_set(args.d2)
     if args.bijection:
         ok = equiv.triangle_bijection_check(d1, d2, _load(args.bijection, _bijection, list))
-        _emit({"fragment_consistent": ok})
-        return EXIT_YES if ok else EXIT_NO
+        return {"fragment_consistent": ok}, ok
     w = equiv.scaling_witness(d1, d2)
-    if w is None:
-        _emit({"witness": None})
-        return EXIT_NO
-    _emit({"witness": {"r": str(w.ratio)}})
-    return EXIT_YES
+    return {"witness": None if w is None else {"r": str(w.ratio)}}, w is not None
 
 
-def cmd_gl2(args) -> int:
+def cmd_gl2(args):
     verdict = equiv.gl2_equivalent(_number("--alpha", args.alpha), _number("--beta", args.beta))
     out = {"status": verdict.status}
     if verdict.matrix is not None:
         out["matrix"] = verdict.matrix.to_json()
-    _emit(out)
-    return EXIT_YES if verdict.status == equiv.EQUIVALENT else EXIT_NO
+    return out, verdict.status == equiv.EQUIVALENT
 
 
-def cmd_amalgamate(args) -> int:
+def cmd_amalgamate(args):
     b, c = _load_valid_space(args.b), _load_valid_space(args.c)
     overlap = _parse_pairs("--overlap", args.overlap, b.n, c.n) if args.overlap else []
-    out = amalgam.free_amalgam(b, c, overlap)
-    _emit(out.to_json())
-    return EXIT_YES
+    return amalgam.free_amalgam(b, c, overlap).to_json(), True
 
 
-def cmd_saturate(args) -> int:
+def cmd_saturate(args):
     d = _load_set(args.delta)
     m = _load_ordered_space(args.space, d)
     result, report = limitbuilder.saturate(m, d, args.k, args.max_points, args.max_pairs)
-    _emit(
-        {
-            "space": result.with_delta(d).to_json(),
-            "checked": report.checked,
-            "skipped": sum(len(slots) for _, _, slots in report.groups),
-        }
-    )
-    return EXIT_YES if report.empty else EXIT_UNKNOWN
+    return {
+        "space": result.with_delta(d).to_json(),
+        "checked": report.checked,
+        "skipped": sum(len(slots) for _, _, slots in report.groups),
+    }, True if report.empty else None
 
 
-def cmd_check_extension(args) -> int:
+def cmd_check_extension(args):
     d = _load_set(args.delta)
     m = _load_ordered_space(args.space, d)
     report = limitbuilder.extension_property_check(m, d, args.k, args.max_pairs)
-    print(_extension_report_json(report))
-    return EXIT_YES if report.empty else EXIT_NO
+    return _extension_report_json(report), report.empty
 
 
 def _extension_report_json(report: limitbuilder.ExtensionReport) -> str:
@@ -236,24 +219,22 @@ def _extension_report_json(report: limitbuilder.ExtensionReport) -> str:
     return f'{{"checked": {report.checked}, "unrealized": [{", ".join(groups)}]}}'
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args):
     d = _load_set(args.delta)
     m = _load_ordered_space(args.space, d)
     pairs = _parse_pairs("--pairs", args.pairs, m.n, m.n)
     out, images = limitbuilder.density_perturb(m, pairs, _number("--eps", args.eps), d, args.max_points)
-    _emit({"space": out.to_json(), "images": images})
-    return EXIT_YES
+    return {"space": out.to_json(), "images": images}, True
 
 
-def cmd_extend_isometry(args) -> int:
+def cmd_extend_isometry(args):
     m = _load_ordered_space(args.space)
     p = space.PartialIsometry(m, tuple(_parse_pairs("--pairs", args.pairs, m.n, m.n)))
     out, p2 = limitbuilder.extend_partial_isometry(m, p, _index("--point", args.point, m.n), args.max_points)
-    _emit({"space": out.to_json(), "pairs": [list(t) for t in p2.pairs]})
-    return EXIT_YES
+    return {"space": out.to_json(), "pairs": [list(t) for t in p2.pairs]}, True
 
 
-def cmd_check_arrow(args) -> int:
+def cmd_check_arrow(args):
     c, b, a = _load_valid_space(args.c), _load_valid_space(args.b), _load_valid_space(args.a)
     verdict = ramsey.arrow(c, b, a, args.k, args.budget)
     out = {
@@ -264,67 +245,43 @@ def cmd_check_arrow(args) -> int:
     }
     if verdict.bad_coloring is not None:
         out["bad_coloring"] = {",".join(map(str, t)): col for t, col in sorted(verdict.bad_coloring.items())}
-    _emit(out)
-    if verdict.status == ramsey.HOLDS:
-        return EXIT_YES
-    if verdict.status == ramsey.FAILS:
-        return EXIT_NO
-    return EXIT_UNKNOWN
+    return out, {ramsey.HOLDS: True, ramsey.FAILS: False}.get(verdict.status)  # else Unknown
 
 
-def cmd_check_rigid(args) -> int:
-    x = _load_valid_space(args.space)
-    rigid = ramsey.is_rigid(x)
-    _emit({"rigid": rigid})
-    return EXIT_YES if rigid else EXIT_NO
+def cmd_check_rigid(args):
+    rigid = ramsey.is_rigid(_load_valid_space(args.space))
+    return {"rigid": rigid}, rigid
 
 
-def cmd_encode_code(args) -> int:
-    d = _load_set(args.set)
-    _emit(coding.encode_dvs(d).to_json())
-    return EXIT_YES
+def cmd_encode_code(args):
+    return coding.encode_dvs(_load_set(args.set)).to_json(), True
 
 
-def cmd_check_code(args) -> int:
-    report = coding.validate_code(_load_code(args.code))
-    _emit({"clauses": _clause_json(report), "note": coding.PREFIX_SEMANTICS})
-    bad = any(st.status == coding.VIOLATED for st in report.values())
-    return EXIT_NO if bad else EXIT_YES
+def cmd_check_code(args):
+    return _clauses(coding.validate_code(_load_code(args.code)), note=coding.PREFIX_SEMANTICS)
 
 
-def cmd_check_sim(args) -> int:
+def cmd_check_sim(args):
     res = coding.sim_check(_load_code(args.c1), _load_code(args.c2))
-    if res is None:
-        _emit({"sim": None, "note": coding.PREFIX_SEMANTICS})
-        return EXIT_NO
-    g, r = res
-    _emit({"sim": {"permutation": list(g), "r": str(r)}, "note": coding.PREFIX_SEMANTICS})
-    return EXIT_YES
+    sim = None if res is None else {"permutation": list(res[0]), "r": str(res[1])}
+    return {"sim": sim, "note": coding.PREFIX_SEMANTICS}, res is not None
 
 
-def cmd_check_approx(args) -> int:
+def cmd_check_approx(args):
     g = coding.approx_check(_load_code(args.c1), _load_code(args.c2))
-    if g is None:
-        _emit({"approx": None, "note": coding.PREFIX_SEMANTICS})
-        return EXIT_NO
-    _emit({"approx": {"permutation": list(g)}, "note": coding.PREFIX_SEMANTICS})
-    return EXIT_YES
+    approx = None if g is None else {"permutation": list(g)}
+    return {"approx": approx, "note": coding.PREFIX_SEMANTICS}, g is not None
 
 
-def cmd_triangle_structure(args) -> int:
+def cmd_triangle_structure(args):
     s = coding.triangle_structure(_load_set(args.set))
     if args.other:
-        t = coding.triangle_structure(_load_set(args.other))
-        m = coding.ts_isomorphic(s, t)
-        _emit({"isomorphism": list(m) if m is not None else None})
-        return EXIT_YES if m is not None else EXIT_NO
-    _emit(
-        {
-            "universe": [str(v) for v in s.universe],
-            "relation": sorted(list(t) for t in s.relation),
-        }
-    )
-    return EXIT_YES
+        m = coding.ts_isomorphic(s, coding.triangle_structure(_load_set(args.other)))
+        return {"isomorphism": list(m) if m is not None else None}, m is not None
+    return {
+        "universe": [str(v) for v in s.universe],
+        "relation": sorted(list(t) for t in s.relation),
+    }, True
 
 
 # The exponent of a decimal term such as "1e5000", as Fraction reads it.
@@ -367,18 +324,13 @@ def _sample_from_arg(text):
     return sample
 
 
-def cmd_encode_model(args) -> int:
-    m = coding.model_encode(_load_set(args.set), _sample_from_arg(args.sample))
-    _emit(m.to_json())
-    return EXIT_YES
+def cmd_encode_model(args):
+    return coding.model_encode(_load_set(args.set), _sample_from_arg(args.sample)).to_json(), True
 
 
-def cmd_check_theory(args) -> int:
+def cmd_check_theory(args):
     m = coding.model_encode(_load_set(args.set), _sample_from_arg(args.sample), args.budget)
-    report = coding.check_theory_T(m, args.budget)
-    _emit({"clauses": _clause_json(report)})
-    bad = any(st.status == coding.VIOLATED for st in report.values())
-    return EXIT_NO if bad else EXIT_YES
+    return _clauses(coding.check_theory_T(m, args.budget))
 
 
 @functools.cache
@@ -521,7 +473,12 @@ def main(argv=None) -> int:
             raise
         return EXIT_INPUT  # argparse has printed the usage error
     try:
-        return args.fn(args)
+        document, verdict = args.fn(args)
+        if verdict is not None and type(verdict) is not bool:  # 1 == True, and 1 would read as a verdict
+            raise AssertionError(f"{args.verb}: verdict {verdict!r} is not True, False or None")
+        # a str is JSON text that the verb assembled itself (check-extension)
+        print(document if isinstance(document, str) else json.dumps(document, sort_keys=True))
+        return _EXIT[verdict]
     except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN

@@ -82,14 +82,12 @@ def validate_code(code: DvsCode) -> dict[str, ClauseStatus]:
     report = {}
     # (a) infinitude is never falsifiable on a finite prefix
     report["a"] = ClauseStatus(NOT_FALSIFIABLE)
-    # (b)
-    b_status = ClauseStatus(SATISFIED)
+    # (b) the witness is the first equal pair in combinations order: the
+    # least (first, later) position pair of a repeated value
     pos = [(i, v) for i, v in enumerate(code.prefix) if v.sign() > 0]
-    for (i, x), (j, y) in itertools.combinations(pos, 2):
-        if x == y:
-            b_status = ClauseStatus(VIOLATED, (i, j))
-            break
-    report["b"] = b_status
+    first = {}  # each positive value -> its first position
+    pairs = [(j, i) for i, v in pos if (j := first.setdefault(v, i)) != i]
+    report["b"] = ClauseStatus(VIOLATED, min(pairs)) if pairs else ClauseStatus(SATISFIED)
     # (c) a finite prefix always attains its max; the claim about the
     # full sequence is only testable when the code is flagged bounded
     if code.bounded and pos:

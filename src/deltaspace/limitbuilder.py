@@ -225,6 +225,13 @@ def extension_property_check(
     return report
 
 
+def _insert_rank(ranks, subset, slot: int, n: int) -> int:
+    """The rank a new point takes directly below the subset point at
+    position slot in rank order, or n, on top of n points, when slot is
+    past the last one.  ranks[p] is point p's rank."""
+    return sorted(map(ranks.__getitem__, subset))[slot] if slot < len(subset) else n
+
+
 _ZERO = ExactReal(0)  # the new points' diagonal: immutable, so one object serves them all
 
 
@@ -239,8 +246,7 @@ def realize(m: Space, ext: Extension, d: DistanceSet) -> Space:
     _check_extension(m, ext)
     if not ext.subset and m.n > 0:
         raise BuilderError("empty-subset extension is realized by any point")
-    ranks = sorted(map(m.ranks.__getitem__, ext.subset))
-    at = ranks[ext.slot] if ext.slot < len(ranks) else m.n
+    at = _insert_rank(m.ranks, ext.subset, ext.slot, m.n)
     order = m.order[:at] + (m.n,) + m.order[at:]
     out = Space(*adjoin(m, ext.subset, [ext.dists], [[_ZERO]], ["z*" if m.n else "z"], d.cap), order, d)
     verdict = validate(out, since=m.n)
@@ -319,7 +325,7 @@ def saturate(
                 ids.append(col)
                 fresh = fresh_label(fresh, taken)  # every label from z* to fresh is taken
                 labels.append(fresh)
-                at = sorted(map(ranks.__getitem__, subset))[slot] if slot < len(subset) else z
+                at = _insert_rank(ranks, subset, slot, z)
                 order.insert(at, z)
                 ranks.append(at)
                 for r in range(at + 1, z + 1):

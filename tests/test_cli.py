@@ -625,6 +625,30 @@ def test_a_library_key_or_value_error_is_internal(tmp_path, capsys, monkeypatch,
     assert captured.err == f"internal: {type(exc).__name__}: {exc}\n"
 
 
+def test_a_verdict_that_is_not_a_bool_is_internal(tmp_path, capsys, monkeypatch):
+    # 1 == True and 0 == False, so a result or an old-style exit code
+    # taken as a verdict would exit 0 or 1 on a wrong answer
+    from deltaspace import cli
+
+    x = write_json(tmp_path, "x.json", uniform_space(2, n1(1)).to_json())
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2)]).to_json())
+    cases = [
+        (cli.ramsey, "is_rigid", lambda *args: 1, ["check-rigid", "--space", x]),
+        (cli.dvs, "delta_triangle", lambda *args: 0, ["check-triangle", "--delta", d, "--triple", "1/1,1/1,2/1"]),
+        # the parser binds each verb when it is built, so build one that reads the patched verb
+        (cli, "cmd_check_rigid", lambda args: ({"rigid": True}, 1), ["check-rigid", "--space", x]),
+    ]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    for owner, name, patched, argv in cases:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, patched)
+            assert main(argv) == 4, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err.startswith("internal: AssertionError: "), name
+    assert run(capsys, ["check-rigid", "--space", x]) == (0, {"rigid": True})
+
+
 def test_a_failed_final_check_of_saturate_is_internal(tmp_path, capsys, monkeypatch):
     # the input is valid and the vectors admissible, so a realized point
     # that breaks the space is a bug in the library, not bad input

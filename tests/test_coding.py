@@ -55,6 +55,8 @@ def test_validate_code_duplicate_positive():
     report = validate_code(code(0, 1, 0, 1))
     assert report["b"].status == VIOLATED
     assert report["b"].witness == (1, 3)
+    # the first equal pair in combinations order; a single pass meets (1, 2) first
+    assert validate_code(code(1, 2, 2, 1))["b"].witness == (0, 3)
 
 
 def test_validate_code_all_zero():
@@ -132,8 +134,9 @@ def test_sim_check_matches_the_scan(values, r, data):
 
 
 def test_code_checks_look_values_up_by_hash(monkeypatch):
-    # at 200 values, clause (d) compares a sum with the one value of equal
-    # hash, not with every value, and sim_check finds each target likewise
+    # at 200 values, clause (b) finds repeats by hash, clause (d) compares
+    # a sum with the one value of equal hash, not with every value, and
+    # sim_check finds each target likewise
     d = make_set(nums(*range(1, 201)))
     c1, c2 = encode_dvs(d), encode_dvs(scale(d, ExactReal(3)))
     eqs = []
@@ -144,8 +147,9 @@ def test_code_checks_look_values_up_by_hash(monkeypatch):
     g, r = sim_check(c1, c2)
     monkeypatch.undo()
     assert report["b"].status == SATISFIED and report["d"].status == NOT_FALSIFIABLE
-    # clause (b)'s pairs and one compare per sum found; a scan of every value makes 1,338,250
-    assert checks < 200 * 200
+    # at most one compare per sum; a scan of every value makes 1,338,250,
+    # and clause (b) comparing every pair of values adds 19,900
+    assert checks <= 200 * 201 // 2
     assert g == tuple(range(400)) and r == ExactReal(3)
     assert len(eqs) - checks <= 200  # a scan of d per target makes 40,000
 

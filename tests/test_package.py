@@ -76,3 +76,41 @@ def test_readme_module_table_names_resolve():
             elif isinstance(obj, type):
                 cls = obj
     assert missing == []
+
+
+def _exit_sites(source: str) -> tuple[list[str], list[str]]:
+    """The top-level function (or <module>) around each print to stdout,
+    one without file=, and each return of a cmd_* function whose verdict,
+    the last item of a returned tuple or else the whole value, holds an
+    EXIT_* name or an int literal: an exit code where a verdict belongs."""
+    prints, returns = [], []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+                    and not any(kw.arg == "file" for kw in node.keywords)):
+                prints.append((node.lineno, name))
+            elif isinstance(node, ast.Return) and name.startswith("cmd_") and node.value is not None:
+                verdict = node.value.elts[-1] if isinstance(node.value, ast.Tuple) else node.value
+                if any((isinstance(e, ast.Name) and e.id.startswith("EXIT_"))
+                       or (isinstance(e, ast.Constant) and type(e.value) is int) for e in ast.walk(verdict)):
+                    returns.append((node.lineno, f"{name} (line {node.lineno})"))
+    return [name for _, name in sorted(prints)], [name for _, name in sorted(returns)]
+
+
+def test_exit_site_guard_sees_a_breach():
+    source = ("def cmd_a(args):\n    print(1)\n    return EXIT_YES\n"
+              "def cmd_b(args):\n    return {}, 1\n"
+              "def cmd_c(args):\n    return {0: 1}, True if args else None\n"
+              "def cmd_d(args):\n    return {}, EXIT_YES if args else EXIT_NO\n"
+              "def main():\n    print(2)\n    print(3, file=err)\n"
+              "print(4)\n")
+    assert _exit_sites(source) == (["cmd_a", "main", "<module>"],
+                                   ["cmd_a (line 3)", "cmd_b (line 5)", "cmd_d (line 9)"])
+
+
+def test_cli_has_one_exit_site():
+    # main alone prints to stdout, and no verb returns an exit code: each
+    # returns a verdict, which main alone turns into one
+    source = (pathlib.Path(deltaspace.__file__).parent / "cli.py").read_text()
+    assert _exit_sites(source) == (["main"], [])

@@ -14,8 +14,8 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from operator import itemgetter
+from math import gcd, lcm
+from operator import add, itemgetter
 from typing import Optional
 
 from .dvs import DistanceSet
@@ -242,13 +242,12 @@ def ts_isomorphic(s: TriangleStructure, t: TriangleStructure) -> Optional[tuple[
         return (j for j in range(n) if inc_s[i] == inc_t[j])
 
     def consistent(m, i):
-        idx = range(i + 1)
-        for a, b, c in itertools.product(idx, repeat=3):
-            if i not in (a, b, c):
-                continue
-            if ((a, b, c) in s.relation) != ((m[a], m[b], m[c]) in t.relation):
-                return False
-        return True
+        # the triples over positions 0..i that hold i, each once: by the
+        # first coordinate that is i
+        idx, before = range(i + 1), range(i)
+        triples = itertools.chain(itertools.product((i,), idx, idx), itertools.product(before, (i,), idx),
+                                  itertools.product(before, before, (i,)))
+        return all(((a, b, c) in s.relation) == ((m[a], m[b], m[c]) in t.relation) for a, b, c in triples)
 
     return next(iter(injective_maps(n, candidates, consistent, SEARCH_NODES)), None)
 
@@ -304,17 +303,18 @@ def _pair_ratios(values) -> list[tuple[ExactReal, tuple[int, int]]]:
     return ratios
 
 
-def default_sample_q(d: DistanceSet) -> list[Fraction]:
-    """SMALL_RATIONALS plus every rational pairwise ratio of the fragment,
-    plus a rational separator between each pair of adjacent distinct
-    ratios (so that irrational cuts are still told apart), plus an integer
-    above the largest ratio when it is irrational, sorted.  The ratios are
-    read once, in the sorted order of _pair_ratios, so the separators and
-    rational ratios come out ascending and are merged into
-    SMALL_RATIONALS without a sort."""
+def default_sample_q(ratios) -> list[Fraction]:
+    """The default sample of a fragment whose pair ratios, sorted as
+    _pair_ratios sorts them, are ratios: SMALL_RATIONALS plus every
+    rational pairwise ratio, plus a rational separator between each pair
+    of adjacent distinct ratios (so that irrational cuts are still told
+    apart), plus an integer above the largest ratio when it is
+    irrational, sorted.  The ratios are read once, in order, so the
+    separators and rational ratios come out ascending and are merged
+    into SMALL_RATIONALS without a sort."""
     found = []
     last = None
-    for r, _ in _pair_ratios(d.values):
+    for r, _ in ratios:
         if r == last:
             continue
         if last is not None:
@@ -344,12 +344,15 @@ def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_B
     rq[q] is the set of the pairs after it, so a ratio equal to q stays
     out.  That is |d|^2 divisions and about |sample| + |d|^2 exact
     comparisons, not one product and comparison per cell.  The default
-    sample comes sorted and distinct; only a user sample is sorted here."""
+    sample is read from the same sorted ratios and comes sorted and
+    distinct; only a user sample is sorted here."""
     spent = 0
     if sample_q is None:
         spent = _charge(spent, len(d.values) ** 2, budget)
-        sample_q = default_sample_q(d)  # already sorted and distinct
+        ratios = _pair_ratios(d.values)
+        sample_q = default_sample_q(ratios)  # already sorted and distinct
     else:
+        ratios = None
         sample_q = sorted(set(Fraction(q) for q in sample_q))
     if not sample_q:
         raise CodingError("sample_q must be nonempty")
@@ -365,7 +368,8 @@ def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_B
             k = index.get(universe[i] + universe[j])
             if k is not None:
                 model.plus[(i, j)] = k
-    ratios = _pair_ratios(d.values)
+    if ratios is None:
+        ratios = _pair_ratios(d.values)
     pairs = [(i + 1, j + 1) for _, (i, j) in ratios]  # universe indices
     p = 0
     for q in sample_q:
@@ -375,53 +379,58 @@ def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_B
     return model
 
 
-def _sample_products(qs) -> list[tuple[int, int, int]]:
-    """The position triples (a, b, c) of the sorted sample with
-    qs[a] * qs[b] == qs[c], in (a, b) order.  Built on reduced
-    (numerator, denominator) pairs, so no Fraction is hashed.  Products
-    are symmetric, so only b >= a is computed, (b, a) is added beside
-    (a, b), and the list is then sorted into that order."""
-    frac = [(q.numerator, q.denominator) for q in qs]
-    where = {f: t for t, f in enumerate(frac)}
-    top_n, top_d = frac[-1]
-    triples = []
-    for a, (na, da) in enumerate(frac):
-        for b, (nb, db) in enumerate(frac[a:], a):
-            num, den = na * nb, da * db
-            if na > 0 and num * top_d > top_n * den:
-                break  # the products only grow along the row
-            g = gcd(num, den)
-            c = where.get((num // g, den // g))
+# The largest lcm, in bits, of a sample's denominators that
+# _sample_triples scales the sample by.  Past it the scaled ints grow
+# long enough that gcd-reduced (numerator, denominator) keys cost less:
+# on default samples of 60-100 rationals the int keys took 0.7-0.94x the
+# time of the reduced keys at 300-510 bits, 1.05-1.3x at 550-800 bits
+# and 1.9x at 1,300 bits.
+SCALE_BITS = 512
+
+
+def _sample_triples(qs, sums: bool) -> list[tuple[int, int, int]]:
+    """The position triples (a, b, c) of the nonempty sorted sample with
+    qs[a] * qs[b] == qs[c], or with qs[a] + qs[b] == qs[c] and a < c
+    when sums, sorted.
+
+    The sample is scaled to ints keys[t] = qs[t] * L, L the lcm of its
+    denominators, so a product is keys[a] * keys[b] == keys[c] * L and a
+    sum keys[a] + keys[b] == keys[c]: one int operation and one dict
+    lookup per pair.  When L has more than SCALE_BITS bits, the lookups
+    are on (numerator, denominator) pairs reduced by their gcd instead.
+    Along a row the sums grow, and so do the products when qs[a] > 0,
+    so a row ends at the last b whose result is at most qs[-1], found by
+    bisection in keys.  Both operations are symmetric, so only b >= a is
+    computed and (b, a) goes to row b, after the triples of the rows
+    before a; each row comes out in order, with no sort."""
+    n, scale = len(qs), lcm(*(q.denominator for q in qs))
+    keys = [q.numerator * (scale // q.denominator) for q in qs]
+    top = keys[-1] if sums else keys[-1] * scale
+    ends = [bisect_right(keys, top - x if sums else top // x, a) if sums or x > 0 else n
+            for a, x in enumerate(keys)]
+    if scale.bit_length() <= SCALE_BITS:
+        where = {x if sums else x * scale: t for t, x in enumerate(keys)}
+
+        def results(a):
+            x = keys[a]
+            return map(x.__add__ if sums else x.__mul__, keys[a:ends[a]])
+    else:
+        nums, dens = [q.numerator for q in qs], [q.denominator for q in qs]
+        where = dict(zip(zip(nums, dens), range(n)))
+
+        def results(a):
+            na, da, ns, ds = nums[a], dens[a], nums[a:ends[a]], dens[a:ends[a]]
+            num = map(add, map(na.__mul__, ds), map(da.__mul__, ns)) if sums else map(na.__mul__, ns)
+            return [(p // g, d // g) for p, d in zip(num, map(da.__mul__, ds)) for g in (gcd(p, d),)]
+    rows = [[] for _ in range(n)]
+    for a, row in enumerate(rows):
+        for b, c in enumerate(map(where.get, results(a)), a):
             if c is not None:
-                triples.append((a, b, c))
-                if a != b:
-                    triples.append((b, a, c))
-    triples.sort()
-    return triples
-
-
-def _sample_splits(qs) -> list[tuple[int, int, int]]:
-    """The position triples (t1, t2, t) of the sorted sample with
-    qs[t1] + qs[t2] == qs[t] and t1 < t, sorted; built as
-    _sample_products builds its triples."""
-    frac = [(q.numerator, q.denominator) for q in qs]
-    where = {f: t for t, f in enumerate(frac)}
-    top_n, top_d = frac[-1]
-    triples = []
-    for a, (na, da) in enumerate(frac):
-        for b, (nb, db) in enumerate(frac[a:], a):
-            num, den = na * db + nb * da, da * db
-            if num * top_d > top_n * den:
-                break  # the sums only grow along the row
-            g = gcd(num, den)
-            t = where.get((num // g, den // g))
-            if t is not None:
-                if a < t:
-                    triples.append((a, b, t))
-                if a != b and b < t:
-                    triples.append((b, a, t))
-    triples.sort()
-    return triples
+                if not sums or a < c:
+                    row.append((a, b, c))
+                if a != b and (not sums or b < c):
+                    rows[b].append((b, a, c))
+    return list(itertools.chain.from_iterable(rows))
 
 
 def _role_prefixes(triples, width) -> list[list[int]]:
@@ -539,7 +548,7 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     # hold there, so for each x, y and z the violating triples are one
     # mask.  The last violation is at the largest triple, then (x, y, z).
     spent = _charge(spent, width * width, budget)
-    triples = _sample_products(qs) if qs else []
+    triples = _sample_triples(qs, sums=False) if qs else []
     spent = _charge(spent, len(triples) * n * n, budget)
     lift_a, lift_b, lift_c = ([_lift(row, nz, pre) for row in M] for pre in _role_prefixes(triples, width))
     top, last = 1, None  # bit_length of the largest violating triple
@@ -579,7 +588,7 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     # give the splits whose q1, q2 and q hold at y, so the violating
     # splits at y are one mask.  The last violation is at the largest y,
     # then the largest q among its splits.
-    splits = _sample_splits(qs) if qs and model.plus else []
+    splits = _sample_triples(qs, sums=True) if qs and model.plus else []
     spent = _charge(spent, len(model.plus) * (n * width + len(splits)), budget)
     roles = _role_prefixes(splits, width) if model.plus else []
     status = ClauseStatus(SATISFIED)

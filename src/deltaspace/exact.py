@@ -327,20 +327,22 @@ def rational_between(lo: ExactReal, hi: ExactReal) -> Fraction:
     """Some rational strictly inside the open interval (lo, hi), found by
     exact dyadic bisection of [a, b] = [floor(lo), floor(hi) + 1].  The
     midpoint is inside once (b - a) / 2 < hi - lo, within the bit lengths
-    of b - a and floor(1 / (hi - lo)) steps; past them, a fault fails."""
+    of b - a and floor(1 / (hi - lo)) steps; past them, a fault fails.
+    After s steps a and b are ints over 2^s, and each midpoint m is
+    tested by the exact signs of lo - m and hi - m on integer forms, so
+    no number is built until the one returned."""
     if not lo < hi:
         raise ValueError("need lo < hi")
-    a, b = Fraction(lo.floor()), Fraction(hi.floor() + 1)
-    steps = int(b - a).bit_length() + (hi - lo).inverse().floor().bit_length() + 2
-    for _ in range(steps):
-        mid = (a + b) / 2
-        m = _make(mid.numerator, 0, mid.denominator, 0)
-        if lo < m < hi:
-            return mid
-        if m <= lo:
-            a = mid
+    a, b = lo.floor(), hi.floor() + 1
+    steps = (b - a).bit_length() + (hi - lo).inverse().floor().bit_length() + 2
+    for s in range(1, steps + 1):
+        mid = a + b  # over 2^s
+        if _sign((lo.p << s) - mid * lo.den, lo.q << s, lo.d) >= 0:
+            a, b = mid, b << 1  # mid <= lo
+        elif _sign((hi.p << s) - mid * hi.den, hi.q << s, hi.d) > 0:
+            return Fraction(mid, 1 << s)
         else:
-            b = mid
+            a, b = a << 1, mid  # mid >= hi
     raise AssertionError(f"no rational found between {lo} and {hi} in {steps} bisection steps")
 
 

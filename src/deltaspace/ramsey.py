@@ -141,7 +141,7 @@ def _induces(c: Space, t: tuple[int, ...], a: Space) -> bool:
     if c.order is None or a.order is None:
         return isomorphic(c.induced(t), a) is not None
     pts = sorted(t, key=c.ranks.__getitem__)
-    return all(c.dist[p][q] == w for p, row in zip(pts, _by_rank(a)) for q, w in zip(pts, row))
+    return [[c.dist[p][q] for q in pts[:r]] for r, p in enumerate(pts)] == _by_rank(a)
 
 
 def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
@@ -154,10 +154,11 @@ def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
     When c and b are ordered it searches for a monochromatic copy of b:
     c's points are picked in increasing rank, the r-th pick standing for
     b's r-th point, each pick's distances to the earlier picks compared
-    with exact ==.  A pick adds the colors of the keys whose highest-rank
-    point it is and whose points are all picked, and a branch is cut as
-    soon as it holds two colors.  Otherwise every subset of c is tested
-    with isomorphic."""
+    with exact == in one list compare, which tries identity before
+    ExactReal.__eq__.  A pick adds the colors of the keys whose
+    highest-rank point it is and whose points are all picked, and a
+    branch is cut as soon as it holds two colors.  Otherwise every
+    subset of c is tested with isomorphic."""
     if c.order is None or b.order is None:
         for bc in itertools.combinations(range(c.n), b.n):
             if isomorphic(c.induced(bc), b) is None:
@@ -184,9 +185,9 @@ def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
     stack = [iter(order[:n - k + 1])]  # stack[r]: the untried points of pick r
     while stack:
         r = len(stack) - 1
+        earlier, w = pts[:r], want[r]
         for p in stack[r]:
-            row = dist[p]
-            if not all(row[q] == w for q, w in zip(pts, want[r])):
+            if list(map(dist[p].__getitem__, earlier)) != w:
                 continue
             picked[p], col = True, cols[r]
             for t, x in tops[p]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from deltaspace.coding import (
     ClauseStatus,
     CodingError,
     DvsCode,
-    _sample_products,
-    _sample_splits,
+    SCALE_BITS,
+    _pair_ratios,
+    _sample_triples,
     approx_check,
     check_theory_T,
     default_sample_q,
@@ -256,16 +258,42 @@ def test_model_rq_matches_the_scan(d_sample):
     assert m.rq == oracles.rq_table(m.universe, qs)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(
-    fragments_and_samples().map(lambda d_sample: sorted(model_encode(*d_sample).rq)),
-    # zero and negative entries too, which no model_encode sample holds
-    st.lists(st.fractions(-3, 9, max_denominator=6), min_size=1, unique=True).map(sorted),
-))
-def test_sample_tables_match_the_scan(qs):
-    triples, splits = oracles.sample_tables(qs)
-    assert _sample_products(qs) == triples
-    assert _sample_splits(qs) == sorted((a, b, t) for t, split in enumerate(splits) for a, b in split)
+# Primes above 1000: each has more than 9 bits, so SCALE_BITS // 9 + 1
+# distinct ones multiply to an lcm past SCALE_BITS.
+PRIMES = [p for p in range(1001, 2000) if all(p % k for k in range(2, 45))]
+PAST_SCALE = SCALE_BITS // 9 + 1
+
+
+@st.composite
+def samples_past_the_scale(draw):
+    """Grid rationals, whose products and sums often land in the sample,
+    and fractions over distinct primes above 1000, whose denominators
+    take the lcm past SCALE_BITS; a numerator that is also a prime
+    denominator makes p/p2 * p2/p3 = p/p3 a possible product."""
+    dens = draw(st.lists(st.sampled_from(PRIMES), min_size=PAST_SCALE, max_size=PAST_SCALE + 8, unique=True))
+    numerators = draw(st.lists(st.sampled_from(PRIMES + [1, 2, 3]), min_size=len(dens), max_size=len(dens)))
+    grid = draw(st.lists(st.sampled_from(GRID), min_size=1))
+    return sorted(set(grid) | {Fraction(1 if p == q else p, q) for p, q in zip(numerators, dens)})
+
+
+def test_sample_tables_match_the_scan():
+    sides = set()  # whether the tables were keyed on reduced pairs, past SCALE_BITS
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        fragments_and_samples().map(lambda d_sample: sorted(model_encode(*d_sample).rq)),
+        # zero and negative entries too, which no model_encode sample holds
+        st.lists(st.fractions(-3, 9, max_denominator=6), min_size=1, unique=True).map(sorted),
+        samples_past_the_scale(),
+    ))
+    def check(qs):
+        sides.add(math.lcm(*(q.denominator for q in qs)).bit_length() > SCALE_BITS)
+        triples, splits = oracles.sample_tables(qs)
+        assert _sample_triples(qs, sums=False) == triples
+        assert _sample_triples(qs, sums=True) == sorted((a, b, t) for t, split in enumerate(splits) for a, b in split)
+
+    check()
+    assert sides == {False, True}
 
 
 @settings(max_examples=200, deadline=None)
@@ -347,7 +375,7 @@ def test_theory_budget_counts_table_steps():
 
 def test_default_sample_separates_surd_ratios():
     d = gen_delta_alpha(SQRT2, 1, ExactReal(2))
-    qs = default_sample_q(d)
+    qs = default_sample_q(_pair_ratios(d.values))
     # between any two distinct pairwise ratios there is a sample rational
     ratios = sorted({x / y for x in d.values for y in d.values})
     for lo, hi in zip(ratios, ratios[1:]):
@@ -361,7 +389,7 @@ def test_default_sample_separates_surd_ratios():
 def test_theory_T_has_a_sample_above_an_irrational_ratio_past_8(values):
     d = make_set(values)
     top = d.max() / d.values[0]
-    assert any(ExactReal(q) > top for q in default_sample_q(d))
+    assert any(ExactReal(q) > top for q in default_sample_q(_pair_ratios(d.values)))
     report = check_theory_T(model_encode(d))
     assert all(st.status != VIOLATED for st in report.values())
 

@@ -144,10 +144,10 @@ def test_rational_between():
 
 
 def test_rational_between_fails_rather_than_loops(monkeypatch):
-    # with every result built over twice its denominator, the midpoint of
-    # [3, 5] halves to below 3 and the bisection never enters (3, 4)
-    real = exact._make
-    monkeypatch.setattr(exact, "_make", lambda p, q, den, d: real(p, q, 2 * den, d))
+    # with every sign read as positive, each midpoint of [3, 5] seems at or
+    # below 3, so the bisection only raises its lower end and never enters
+    # (3, 4)
+    monkeypatch.setattr(exact, "_sign", lambda a, b, d: 1)
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="bisection steps"):
         rational_between(ExactReal(3), ExactReal(4))

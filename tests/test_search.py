@@ -5,13 +5,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltaspace.coding import DvsCode, approx_check, triangle_structure, ts_isomorphic
+from deltaspace.coding import DvsCode, TriangleStructure, approx_check, triangle_structure, ts_isomorphic
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
-from deltaspace.ramsey import FAILS, HOLDS, UNKNOWN, NotEmbeddable, arrow, verify_bad_coloring
+from deltaspace.ramsey import FAILS, HOLDS, UNKNOWN, NotEmbeddable, _induces, arrow, verify_bad_coloring
 from deltaspace.search import BudgetExceeded, Search, injective_maps
 from deltaspace.space import Space, copies_of, isomorphic, isomorphisms, make_space
 
@@ -133,12 +133,38 @@ fragments = st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True).map
 )
 
 
+@st.composite
+def structure_pairs(draw):
+    """Two triangle structures of fragments, the second often of a scaled
+    copy, which has the same structure; or a structure on up to 5 points
+    with an arbitrary relation, which unlike a triangle relation need not
+    be symmetric in its coordinates, and another one or a relabelled copy."""
+    if draw(st.booleans()):
+        d1 = draw(fragments)
+        d2 = draw(st.one_of(fragments, st.integers(1, 3).map(lambda r: make_set([v * r for v in d1.values]))))
+        return triangle_structure(d1), triangle_structure(d2)
+    n = draw(st.integers(1, 5))
+    universe, relations = tuple(map(ExactReal, range(n))), st.sets(st.tuples(*[st.integers(0, n - 1)] * 3))
+    rel = draw(relations)
+    p = draw(st.permutations(range(n)))
+    other = draw(st.one_of(relations, st.just({(p[a], p[b], p[c]) for a, b, c in rel})))
+    return TriangleStructure(universe, frozenset(rel)), TriangleStructure(universe, frozenset(other))
+
+
+# Two relabelled copies where a check that skipped the triples (a, b, i)
+# with a, b < i when position i is placed would accept a map before the
+# first isomorphism; random relations find such a pair rarely.
+SKEW = TriangleStructure(tuple(map(ExactReal, range(3))), frozenset(
+    [(0, 0, 1), (0, 1, 2), (0, 2, 0), (1, 1, 0), (1, 2, 1), (2, 0, 2), (2, 1, 2), (2, 2, 0), (2, 2, 1)]))
+SKEWED = TriangleStructure(SKEW.universe, frozenset(
+    [(0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 2, 0), (1, 0, 1), (1, 1, 2), (2, 0, 2), (2, 1, 0), (2, 2, 1)]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(fragments, st.data())
-def test_ts_isomorphic_matches_brute_force(d1, data):
-    # a scaled copy has the same triangle structure
-    d2 = data.draw(st.one_of(fragments, st.integers(1, 3).map(lambda r: make_set([v * r for v in d1.values]))))
-    s, t = triangle_structure(d1), triangle_structure(d2)
+@given(structure_pairs())
+@example((SKEW, SKEWED))
+def test_ts_isomorphic_matches_brute_force(pair):
+    s, t = pair
     assert ts_isomorphic(s, t) == oracles.ts_isomorphic(s, t)
 
 
@@ -171,7 +197,10 @@ def test_copies_of_matches_subset_scan(c, data):
         a = Space(a.labels, a.dist, tuple(data.draw(st.permutations(range(a.n)))))
     elif data.draw(st.booleans()):
         a = Space(a.labels, a.dist)
-    assert copies_of(c, a) == oracles.copies_of(c, a)
+    found = oracles.copies_of(c, a)
+    assert copies_of(c, a) == found
+    # arrow's check that each key of a bad coloring is a copy of a agrees
+    assert [t for t in itertools.combinations(range(c.n), a.n) if _induces(c, t, a)] == found
 
 
 @settings(max_examples=100, deadline=None)

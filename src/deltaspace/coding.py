@@ -158,17 +158,14 @@ def sim_check(c: DvsCode, d: DvsCode) -> Optional[tuple[tuple[int, ...], ExactRe
     return tuple(g), r
 
 
-# The node budget of the approx_check and ts_isomorphic searches.
+# The node budget of ts_isomorphic, the one triangle-pattern search.
 SEARCH_NODES = 2 * 10 ** 6
-
-
-def _triple_ok(a: ExactReal, b: ExactReal, c: ExactReal) -> bool:
-    return abs(b - c) <= a <= b + c
 
 
 def approx_check(c: DvsCode, d: DvsCode) -> Optional[tuple[int, ...]]:
     """A prefix permutation preserving the zero pattern and the triangle
-    pattern in both directions, or None."""
+    pattern in both directions, or None: zeros to zeros in index order,
+    and the positives by ts_isomorphic on their positional structures."""
     n = len(c.prefix)
     if n != len(d.prefix):
         return None
@@ -177,26 +174,15 @@ def approx_check(c: DvsCode, d: DvsCode) -> Optional[tuple[int, ...]]:
         return None
     cp = [i for i in range(n) if c.prefix[i].sign() > 0]
     dp = [i for i in range(n) if d.prefix[i].sign() > 0]
-    cv = [c.prefix[i] for i in cp]
-
-    def consistent(m, pos):
-        # each multiset of positions through the new one, which may repeat
-        # it, once: _triple_ok is symmetric in its arguments
-        for j, k in itertools.combinations_with_replacement(range(pos + 1), 2):
-            left = _triple_ok(cv[pos], cv[j], cv[k])
-            right = _triple_ok(d.prefix[m[pos]], d.prefix[m[j]], d.prefix[m[k]])
-            if left != right:
-                return False
-        return True
-
-    assign = next(iter(injective_maps(len(cp), lambda pos: dp, consistent, SEARCH_NODES)), None)
+    s, t = (_positional(tuple(code.prefix[i] for i in pos)) for code, pos in ((c, cp), (d, dp)))
+    assign = ts_isomorphic(s, t)
     if assign is None:
         return None
     g = [-1] * n
     for i, j in zip(cz, dz):
         g[i] = j
     for i, j in zip(cp, assign):
-        g[i] = j
+        g[i] = dp[j]
     return tuple(g)
 
 
@@ -205,26 +191,39 @@ class TriangleStructure:
     universe: tuple[ExactReal, ...]
     relation: frozenset  # ordered index triples (i, j, k)
 
-    def incidence(self, i: int) -> int:
-        return sum(1 for t in self.relation if i in t)
+    def incidence(self) -> list[int]:
+        """Per position, the number of triples that hold it, each counted once."""
+        counts = [0] * len(self.universe)
+        for a, b, c in self.relation:
+            counts[a] += 1
+            if b != a:
+                counts[b] += 1
+            if c != a and c != b:
+                counts[c] += 1
+        return counts
 
 
-def triangle_structure(d: DistanceSet) -> TriangleStructure:
-    """The ternary structure whose relation holds exactly on the triangle
-    triples of the fragment: (i, j, k) with |x - y| <= z <= x + y for
-    x, y, z the values at i, j, k.  Every value lies in d, so this is
-    delta_triangle's test.  The values are sorted, so for each pair
-    i <= j the k form one run, found by bisection between y - x and
-    x + y: about n^2 exact sums and n^2 log n comparisons."""
-    vals = d.values
+def _positional(vals: tuple[ExactReal, ...]) -> TriangleStructure:
+    """The ternary structure on the positions of vals whose relation holds
+    exactly on the triangle triples: (i, j, k) with |x - y| <= z <= x + y
+    for x, y, z the values at i, j, k.  With the positions sorted by
+    value, for each pair the k form one run, found by bisection between
+    y - x and x + y: about n^2 exact sums and n^2 log n comparisons."""
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    ranked = [vals[p] for p in order]
     rel = set()
-    for i, x in enumerate(vals):
-        for j in range(i, len(vals)):
-            y = vals[j]
-            ks = range(bisect_left(vals, y - x), bisect_right(vals, x + y))
+    for a, (i, x) in enumerate(zip(order, ranked)):
+        for j, y in zip(order[a:], ranked[a:]):
+            ks = order[bisect_left(ranked, y - x):bisect_right(ranked, x + y)]
             rel.update((i, j, k) for k in ks)
             rel.update((j, i, k) for k in ks)
     return TriangleStructure(vals, frozenset(rel))
+
+
+def triangle_structure(d: DistanceSet) -> TriangleStructure:
+    """The triangle structure of the fragment's sorted values: as every
+    value lies in d, its relation is delta_triangle's test."""
+    return _positional(d.values)
 
 
 def ts_isomorphic(s: TriangleStructure, t: TriangleStructure) -> Optional[tuple[int, ...]]:
@@ -233,8 +232,7 @@ def ts_isomorphic(s: TriangleStructure, t: TriangleStructure) -> Optional[tuple[
     n = len(s.universe)
     if n != len(t.universe):
         return None
-    inc_s = [s.incidence(i) for i in range(n)]
-    inc_t = [t.incidence(i) for i in range(n)]
+    inc_s, inc_t = s.incidence(), t.incidence()
     if sorted(inc_s) != sorted(inc_t):
         return None
 

@@ -768,12 +768,11 @@ def _triangle(a, b, c):
 def approx_check(c1, c2):
     """The first permutation, in index order over the positives, that keeps
     zeros on zeros (in order) and the triangle pattern of every triple."""
-    u = [Fraction(v.a) for v in c1.prefix]
-    w = [Fraction(v.a) for v in c2.prefix]
+    u, w = c1.prefix, c2.prefix
     if len(u) != len(w):
         return None
-    uz, wz = [i for i, v in enumerate(u) if v == 0], [i for i, v in enumerate(w) if v == 0]
-    up, wp = [i for i, v in enumerate(u) if v > 0], [i for i, v in enumerate(w) if v > 0]
+    uz, wz = [i for i, v in enumerate(u) if v.is_zero()], [i for i, v in enumerate(w) if v.is_zero()]
+    up, wp = [i for i, v in enumerate(u) if v.sign() > 0], [i for i, v in enumerate(w) if v.sign() > 0]
     if len(uz) != len(wz):
         return None
     for images in itertools.permutations(wp):

@@ -842,6 +842,42 @@ def test_theory_stdout_bytes_are_pinned(tmp_path, capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (name, extra)
 
 
+def test_check_approx_stdout_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the stdout of check-approx on: a rational code with zeros
+    # and repeated values against a seeded shuffle of it; the code of a
+    # seeded Q(sqrt 2) fragment against a seeded shuffle of it rescaled
+    # by 3/2; and (0, 1, 4) against (0, 1, 2), which has no answer
+    rational = [n1(v) for v in (0, 1, Fraction(3, 2), 0, 1, 2, 0, Fraction(3, 2), 3)]
+    sqrt2 = list(coding.encode_dvs(_seeded_fragment(random.Random(3), 2, 5)).prefix)
+    shuffled, rescaled = list(rational), [v * n1(Fraction(3, 2)) for v in sqrt2]
+    random.Random(6).shuffle(shuffled)
+    random.Random(8).shuffle(rescaled)
+    pins = [
+        (rational, shuffled, 0, "319fc4bb8aa14a754314d10b85041a39f648332ba1abe79db9ada19782e73fa4"),
+        (sqrt2, rescaled, 0, "4354c5fbdbecc654a547bb04a2d33efa0ecfeb3ae9b9f7135a1439907739c162"),
+        ([n1(0), n1(1), n1(4)], [n1(0), n1(1), n1(2)], 1,
+         "ccd39e4c628338bb7686b63987055ee53aca416cd2d9b4a3ff9421eea682dac0"),
+    ]
+    for k, (c1, c2, code, digest) in enumerate(pins):
+        files = [write_json(tmp_path, f"{k}{side}.json", coding.DvsCode(tuple(c)).to_json())
+                 for side, c in (("a", c1), ("b", c2))]
+        assert main(["check-approx", "--c1", files[0], "--c2", files[1]]) == code, k
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, k
+
+
+def test_check_approx_prunes_by_incidence_within_its_node_budget(tmp_path, capsys, monkeypatch):
+    # {1, ..., 8} against its reversed code: one isomorphism, the value
+    # map.  Pruned by triple incidence it is found in 10 nodes; a search
+    # that tries every image consistent with the triples so far needs 334
+    code = coding.encode_dvs(make_set([n1(v) for v in range(1, 9)]))
+    c1 = write_json(tmp_path, "c1.json", code.to_json())
+    c2 = write_json(tmp_path, "c2.json", coding.DvsCode(code.prefix[::-1]).to_json())
+    monkeypatch.setattr(coding, "SEARCH_NODES", 100)
+    assert main(["check-approx", "--c1", c1, "--c2", c2]) == 0
+    assert json.loads(capsys.readouterr().out)["approx"]["permutation"] == \
+        [1, 14, 3, 12, 5, 10, 7, 8, 9, 6, 11, 4, 13, 2, 15, 0]
+
+
 def test_theory_stdout_bytes_are_pinned_on_many_sums(tmp_path, capsys):
     # sha256 of the stdout of encode-model and check-theory on {1, ..., 6},
     # cap 6: 15 sums, so clause (6) reads a split table on every one; on

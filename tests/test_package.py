@@ -114,3 +114,22 @@ def test_cli_has_one_exit_site():
     # returns a verdict, which main alone turns into one
     source = (pathlib.Path(deltaspace.__file__).parent / "cli.py").read_text()
     assert _exit_sites(source) == (["main"], [])
+
+
+def _callers(source: str, callee: str) -> list[str]:
+    """The top-level function (or <module>) around each call of callee
+    by name, in source order."""
+    callers = []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        callers += [name for node in ast.walk(top)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == callee]
+    return callers
+
+
+def test_coding_has_one_triangle_pattern_search():
+    # approx_check and triangle-structure --other share ts_isomorphic's
+    # search, so a second injective_maps call in coding is a second search
+    assert _callers("def f():\n    g(h(1))\ng()\n", "g") == ["f", "<module>"]
+    source = (pathlib.Path(deltaspace.__file__).parent / "coding.py").read_text()
+    assert _callers(source, "injective_maps") == ["ts_isomorphic"]

@@ -168,6 +168,15 @@ def test_ts_isomorphic_matches_brute_force(pair):
     assert ts_isomorphic(s, t) == oracles.ts_isomorphic(s, t)
 
 
+@settings(max_examples=100, deadline=None)
+@given(structure_pairs())
+def test_incidence_counts_each_triple_once(pair):
+    # ts_isomorphic prunes on these counts, so what they count sets the
+    # nodes that a search charges against SEARCH_NODES
+    for s in pair:
+        assert s.incidence() == [sum(1 for t in s.relation if i in t) for i in range(len(s.universe))]
+
+
 codes = st.lists(st.integers(0, 9), min_size=0, max_size=5).map(
     lambda vs: DvsCode(tuple(ExactReal(Fraction(v, 2)) for v in vs))
 )
@@ -178,6 +187,22 @@ codes = st.lists(st.integers(0, 9), min_size=0, max_size=5).map(
 def test_approx_check_matches_brute_force(c1, data):
     shuffled = st.permutations(c1.prefix).map(lambda vs: DvsCode(tuple(vs)))
     c2 = data.draw(st.one_of(codes, shuffled))
+    assert approx_check(c1, c2) == oracles.approx_check(c1, c2)
+
+
+# a + b*sqrt(2) for a in {0, 1/2, ..., 2} and b in {0, 1/2, 1}: few
+# enough that codes repeat values, with 0 among them
+SURDS = [ExactReal(Fraction(a, 2), Fraction(b, 2), 2) for a in range(5) for b in range(3)]
+surd_codes = st.lists(st.sampled_from(SURDS), max_size=6).map(lambda vs: DvsCode(tuple(vs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(surd_codes, st.data())
+def test_approx_check_matches_brute_force_on_surd_codes(c1, data):
+    # against another code, or a shuffle of c1 rescaled by 1, 3/2 or sqrt(2)
+    r = data.draw(st.sampled_from([ExactReal(1), ExactReal(Fraction(3, 2)), ExactReal(0, 1, 2)]))
+    shuffled = st.permutations(c1.prefix).map(lambda vs: DvsCode(tuple(v * r for v in vs)))
+    c2 = data.draw(st.one_of(surd_codes, shuffled))
     assert approx_check(c1, c2) == oracles.approx_check(c1, c2)
 
 

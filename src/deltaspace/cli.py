@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import amalgam, coding, dvs, equiv, limitbuilder, ramsey, space
+from . import amalgam, coding, dvs, equiv, limitbuilder, ramsey, recheck, space
 from .exact import ExactError, parse
 from .search import BudgetExceeded
 
@@ -193,6 +193,9 @@ def cmd_check_extension(args):
     d = _load_set(args.delta)
     m = _load_ordered_space(args.space, d)
     report = limitbuilder.extension_property_check(m, d, args.k, args.max_pairs)
+    if report.groups:  # exit 1: the first unrealized extension, re-checked by a scan of m
+        subset, vec, slots = report.groups[0]
+        recheck.check_unrealized(m, subset, [report.values[t] for t in vec], slots[0])
     return _extension_report_json(report), report.empty
 
 

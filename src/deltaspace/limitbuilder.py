@@ -9,7 +9,6 @@ step), and the order-preserving perturbation of a partial isometry.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -117,41 +116,75 @@ def _subset_vectors(m: Space, d: DistanceSet, k: int, pool: int, table: ValueTab
             yield subset, vectors
 
 
-def _rows(m: Space, values, points) -> list[list[int]]:
-    """rows[s][t]: the bitmask of the points of m at distance values[t]
-    from point s, for s in points (0 for a value m does not have)."""
-    index = m.value_ids[0]
-    cols = [index.get(v) for v in values]
-    return [[0 if u is None else mask[u] for u in cols] for mask in map(m.masks.__getitem__, points)]
-
-
-def _below(order) -> list[int]:
-    """below[r]: the bitmask of the points of rank < r, for r in 0..n,
-    given the order as point indices from least to greatest."""
-    below = [0]
-    for p in order:
+def _halves(m: Space, values, points) -> tuple[list[list[int]], list[list[int]]]:
+    """(lo, hi): lo[i][t] and hi[i][t] are the bitmasks of the points of
+    m at distance values[t] from points[i] that rank strictly below and
+    strictly above it, so neither holds points[i] itself (0 for a value
+    m does not have)."""
+    index, ranks, below = m.value_ids[0], m.ranks, [0]  # below[r]: the points of rank < r
+    for p in m.order:
         below.append(below[-1] | 1 << p)
-    return below
+    cols = [index.get(v) for v in values]
+    lo, hi = [], []
+    for s in points:
+        masks, under, over = m.masks[s], below[ranks[s]], ~below[ranks[s] + 1]
+        row = [0 if u is None else masks[u] for u in cols]
+        lo.append([mask & under for mask in row])
+        hi.append([mask & over for mask in row])
+    return lo, hi
 
 
-def _slot_masks(ranks, below, subset) -> list[int]:
-    """The points in each order slot of subset: slot j holds the points
-    ranked strictly between the subset's j-th and (j+1)-th point by rank,
-    so no point of the subset.  ranks[p] is point p's rank, and below is
-    _below of the same order."""
-    cuts = [-1, *sorted(map(ranks.__getitem__, subset)), len(ranks)]
-    return [below[hi] ^ below[lo + 1] for lo, hi in zip(cuts, cuts[1:])]
+def _slot_realizers(los, his, every: int) -> list[int]:
+    """The realizers of each order slot of one distance vector, given its
+    lo and hi rows in the subset's rank order: slot j is the AND of the
+    hi rows of the first j points and the lo rows of the rest, and every,
+    the mask of all points, for the empty subset."""
+    out = list(itertools.accumulate(his, operator.and_, initial=every))
+    suffix = every
+    for j in range(len(los) - 1, -1, -1):
+        suffix &= los[j]
+        out[j] &= suffix
+    return out
 
 
-def _realizer_masks(rows, subset, vectors) -> list[int]:
-    """For each id vector, the bitmask of the points at distance id
-    vec[i] from subset[i] for every i (-1, every point, for the empty
-    subset).  ANDed with a slot's mask, it holds the realizers of
-    (subset, vec, slot); the lowest set bit is the lowest-index one."""
-    if not subset:
-        return [-1] * len(vectors)
-    sub = [rows[s] for s in subset]
-    return [functools.reduce(operator.and_, map(operator.getitem, sub, vec)) for vec in vectors]
+# _MISSING[key]: the slots j with bit j set in key, for subsets of at most 2
+# points (3 slots)
+_MISSING = tuple(tuple(j for j in range(3) if key >> j & 1) for key in range(8))
+
+
+def _missing_slots(lo, hi, ranks, subset, vectors, every: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(vec, missing slots) for each id vector of subset with an order slot
+    that no point realizes, in vector order; the slots are increasing.
+    lo[s] and hi[s] are _halves rows of each subset point s, ranks[s] its
+    rank, and every the mask of all points.  Subsets of 1 and 2 points
+    make an int key per vector whose bit j says that slot j is empty, and
+    look it up in _MISSING; other sizes go through _slot_realizers."""
+    size = len(subset)
+    if size == 1:
+        (s,) = subset
+        lo_s, hi_s = lo[s], hi[s]
+        return [(vec, _MISSING[key]) for vec in vectors for (t,) in [vec]
+                if (key := (not lo_s[t]) | (not hi_s[t]) << 1)]
+    if size == 2:  # vec is (t, u): t the id of a's distance, u of b's
+        a, b = subset
+        lo_a, hi_a, lo_b, hi_b = lo[a], hi[a], lo[b], hi[b]
+        if ranks[a] < ranks[b]:  # slots: below a, between a and b, above b
+            return [(vec, _MISSING[key]) for vec in vectors for t, u in [vec]
+                    if (key := (not lo_a[t] & (lb := lo_b[u]))
+                        | (not (h := hi_a[t]) & lb) << 1 | (not h & hi_b[u]) << 2)]
+        return [(vec, _MISSING[key]) for vec in vectors for t, u in [vec]  # below b, between, above a
+                if (key := (not lo_b[u] & (la := lo_a[t]))
+                    | (not (h := hi_b[u]) & la) << 1 | (not h & hi_a[t]) << 2)]
+    by_rank = sorted(range(size), key=lambda i: ranks[subset[i]])
+    los = [lo[subset[i]] for i in by_rank]
+    his = [hi[subset[i]] for i in by_rank]
+    out = []
+    for vec in vectors:
+        ts = [vec[i] for i in by_rank]
+        slots = _slot_realizers(list(map(operator.getitem, los, ts)), list(map(operator.getitem, his, ts)), every)
+        if not all(slots):
+            out.append((vec, tuple([j for j, mask in enumerate(slots) if not mask])))
+    return out
 
 
 def _check_ordered(m: Space) -> None:
@@ -173,14 +206,13 @@ def _check_extension(m: Space, ext: Extension) -> None:
 
 def find_realizer(m: Space, ext: Extension) -> Optional[int]:
     """The lowest-index point of m realizing ext, or None: the lowest set
-    bit of ext's realizer mask over m."""
+    bit of the realizers of ext's slot, by _slot_realizers."""
     _check_ordered(m)
     _check_extension(m, ext)
-    below = _below(m.order)
-    # the ids index ext.dists itself, so the id vector is 0, 1, ...
-    rows = dict(zip(ext.subset, _rows(m, ext.dists, ext.subset)))
-    (mask,) = _realizer_masks(rows, ext.subset, [range(len(ext.dists))])
-    mask &= _slot_masks(m.ranks, below, ext.subset)[ext.slot]
+    # the value ids index ext.dists itself, so subset point i's row is t = i
+    lo, hi = _halves(m, ext.dists, ext.subset)
+    by_rank = sorted(range(len(ext.subset)), key=lambda i: m.ranks[ext.subset[i]])
+    mask = _slot_realizers([lo[i][i] for i in by_rank], [hi[i][i] for i in by_rank], (1 << m.n) - 1)[ext.slot]
     return (mask & -mask).bit_length() - 1 if mask else None
 
 
@@ -202,26 +234,18 @@ def extension_property_check(
 ) -> ExtensionReport:
     """For every <= k-subset of m (or of its first source_n points) and
     every one-point extension over d, look for a realizing point in m:
-    one AND of neighbourhood masks per distance vector, then one per
-    order slot."""
+    each pool point's neighbourhood rows are split by rank once, and
+    _missing_slots ANDs them per distance vector and order slot."""
     pool = _pool(m, k, source_n)
     report = ExtensionReport(d.values)
-    rows = _rows(m, d.values, range(pool))
-    below = _below(m.order)
+    lo, hi = _halves(m, d.values, range(pool))
+    ranks, every, groups = m.ranks, (1 << m.n) - 1, report.groups
     both = list(itertools.chain(d.values, m.value_ids[0]))
     for subset, vectors in _subset_vectors(m, d, k, pool, ValueTable([(both, both)], None)):
-        slots = _slot_masks(m.ranks, below, subset)
-        report.checked += len(vectors) * len(slots)
+        report.checked += len(vectors) * (len(subset) + 1)
         if report.checked > max_pairs:
             raise BudgetExceeded(f"more than {max_pairs} (subset, extension) pairs")
-        every_slot = tuple(range(len(slots)))
-        for vec, mask in zip(vectors, _realizer_masks(rows, subset, vectors)):
-            if not mask:
-                report.groups.append((subset, vec, every_slot))
-                continue
-            missing = tuple([slot for slot, sm in enumerate(slots) if not mask & sm])
-            if missing:
-                report.groups.append((subset, vec, missing))
+        groups += map((subset,).__add__, _missing_slots(lo, hi, ranks, subset, vectors, every))  # (subset, vec, slots)
     return report
 
 
@@ -263,8 +287,10 @@ def saturate(
     ORIGINAL m.  Existing points are reused before new ones are added, so
     re-saturation at the same k adds nothing.  When the point budget runs
     out, the partial result is returned with the skipped extensions
-    listed in the report.  Each subset's extensions are looked up on
-    neighbourhood masks, kept up to date as points are added.
+    listed in the report.  Each subset's extensions are looked up by
+    _missing_slots on the pool points' rank-split neighbourhood rows,
+    kept up to date as points are added: a new point's bit goes into the
+    hi row of each pool point ranked below it and the lo row of the rest.
     Precondition: m is a valid ordered space over d.  d must be bounded,
     else FragmentUnbounded: an unbounded fragment is closed only up to
     its largest value, and a new distance past it would fail the final
@@ -291,45 +317,52 @@ def saturate(
     # t + 1), then the sums past the cap; no entry gets an id past the
     # cap's, table.top
     table = ValueTable([((_ZERO,) + d.values, d.values)], d.cap)
-    rows = _rows(m, d.values, range(pool))
+    lo, hi = _halves(m, d.values, range(pool))
     index, m_ids = m.value_ids
     to_table = table.ids(index).__getitem__
     ids = [list(map(to_table, row)) for row in m_ids]  # ids[p][q]: the id of d(p, q)
     # an empty m gets one point, z; other new points are z*, z*', ...
     labels, taken, fresh = list(m.labels), set(m.labels), "z*" if m.n else "z"
     order, ranks = list(m.order), list(m.ranks)
-    below = _below(order)
     for subset, vectors in _subset_vectors(m, d, k, pool, table):
-        if len(below) <= len(ids):  # points were added since below was built
-            below = _below(order)
+        # The pairs past max_pairs are skipped, realized or not: the first
+        # `full` vectors are checked whole, then `part` slots of the next.
+        width = len(subset) + 1
+        full, part = divmod(max(max_pairs - report.checked, 0), width)
+        report.checked += width * len(vectors)
         # Each (vec, slot) comes once per subset, so the masks made at the
-        # subset's turn need no point realized for the same subset.
-        slots = _slot_masks(ranks, below, subset)
+        # subset's turn need no point realized for the same subset.  Each
+        # entry is (vec, the slots to realize, the slots skipped).
+        every = (1 << len(ids)) - 1
+        todo = [(vec, slots, ()) for vec, slots in _missing_slots(lo, hi, ranks, subset, vectors[:full], every)]
+        if full < len(vectors):  # the pair budget runs out in this subset
+            tried = [slot for _, slots in _missing_slots(lo, hi, ranks, subset, vectors[full:full + 1], every)
+                     for slot in slots if slot < part]
+            todo.append((vectors[full], tried, range(part, width)))
+            todo += [(vec, (), range(width)) for vec in vectors[full + 1:]]
         near = [ids[s] for s in subset]  # the lists in ids, so they grow with it
-        for vec, mask in zip(vectors, _realizer_masks(rows, subset, vectors)):
+        for vec, slots, skipped in todo:
             missing = []
-            for slot, sm in enumerate(slots):
-                report.checked += 1
-                if report.checked <= max_pairs and mask & sm:
-                    continue  # an existing point realizes it
-                if report.checked > max_pairs or len(ids) + 1 > max_points:
+            for slot in slots:
+                if len(ids) + 1 > max_points:
                     missing.append(slot)
                     continue
                 z = len(ids)
                 col = column(table, z, near, subset, [t + 1 for t in vec])
                 for row, u in zip(ids, col):
                     row.append(u)
-                for row, u in zip(rows, col):  # the pool points' masks
-                    row[u - 1] |= 1 << z
+                at = _insert_rank(ranks, subset, slot, z)
+                for lo_s, hi_s, r, u in zip(lo, hi, ranks, col):  # the pool points' rows
+                    (hi_s if r < at else lo_s)[u - 1] |= 1 << z
                 col.append(0)  # the column, with its diagonal, is z's row
                 ids.append(col)
                 fresh = fresh_label(fresh, taken)  # every label from z* to fresh is taken
                 labels.append(fresh)
-                at = _insert_rank(ranks, subset, slot, z)
                 order.insert(at, z)
                 ranks.append(at)
                 for r in range(at + 1, z + 1):
                     ranks[order[r]] = r
+            missing += skipped
             if missing:
                 report.groups.append((subset, vec, tuple(missing)))
     cur = m
@@ -380,8 +413,8 @@ def extend_partial_isometry(
         cur = realize(m, ext, d)
         y = cur.n - 1
     p2 = PartialIsometry(cur, p.pairs + ((x, y),))
-    if not p2.is_isometry():
-        raise AssertionError("extension broke the isometry")
+    if not p2.is_isometry() or not p2.order_preserving:
+        raise AssertionError("extension broke the isometry or the order")
     return cur, p2
 
 

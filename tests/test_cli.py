@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deltaspace import coding
+from deltaspace import coding, limitbuilder
 from deltaspace.cli import build_parser, main
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
@@ -100,6 +100,46 @@ def test_saturate_and_check_extension(tmp_path, capsys):
     code, out = run(capsys, ["check-extension", "--space", m, "--delta", d, "-k", "1"])
     assert code == 1  # unrealized extensions exist before saturation
     assert out["unrealized"]
+
+
+def test_check_extension_rechecks_the_extension_behind_exit_1(tmp_path, capsys, monkeypatch):
+    # m is one point saturated at k = 1, so every extension of {0} is
+    # realized, and some of the new points' are not.  A kernel that
+    # reports a realized slot of {0} as missing puts it first in the
+    # report; the scan of m before exit 1 finds its realizer, so the run
+    # is exit 4, not exit 1 with a false report
+    delta = make_set([n1(1), n1(2)], cap=n1(2))
+    sat, _ = limitbuilder.saturate(uniform_space(1, n1(1), delta=delta), delta, 1)
+    m = write_json(tmp_path, "m.json", sat.to_json())
+    d = write_json(tmp_path, "d.json", delta.to_json())
+    argv = ["check-extension", "--space", m, "--delta", d, "-k", "1"]
+    code, out = run(capsys, argv)
+    assert code == 1 and out["unrealized"][0]["subset"] != [0]
+    kernel = limitbuilder._missing_slots
+
+    def slot_0_missing(lo, hi, ranks, subset, vectors, every):
+        # each 1-point subset's first vector loses slot 0
+        return [(vec, (0,)) for vec in vectors[:1]] if len(subset) == 1 else kernel(lo, hi, ranks, subset, vectors, every)
+
+    monkeypatch.setattr(limitbuilder, "_missing_slots", slot_0_missing)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "reported unrealized, but point" in captured.err
+
+
+def test_extend_isometry_rechecks_the_order(tmp_path, capsys, monkeypatch):
+    # the slot = 0 mutant looks up the realizer of the lowest order slot,
+    # not x's.  On the uniform chain 0 < 1 < 2 it maps 2 to 0, below the
+    # image of 1: an isometry that breaks the order, so exit 4
+    m = write_json(tmp_path, "m.json", uniform_space(3, n1(1)).to_json())
+    argv = ["extend-isometry", "--space", m, "--pairs", "1:1", "--point", "2"]
+    code, out = run(capsys, argv)
+    assert code == 0 and out["pairs"] == [[1, 1], [2, 2]]
+    find = limitbuilder.find_realizer
+    monkeypatch.setattr(limitbuilder, "find_realizer", lambda m, ext: find(m, ext._replace(slot=0)))
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "broke the isometry or the order" in captured.err
 
 
 def test_saturate_prints_the_delta_it_ran_over(tmp_path, capsys):

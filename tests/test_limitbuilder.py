@@ -441,6 +441,47 @@ def test_saturate_matches_the_scan_past_a_machine_word():
     assert fast[0] == slow[0] and flat(fast[1]) == flat(slow[1])
 
 
+# -- subsets of three points: the prefix and suffix ANDs of the rank-split rows --
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(3, 5), st.integers(0, 2), st.data())
+def test_mask_check_matches_the_scan_at_k3(seed, n, twins, data):
+    rng = random.Random(seed)
+    d = data.draw(st.sampled_from([D12, D13]))
+    m = with_twins(rng, random_space(rng, n, d), twins)
+    source_n = data.draw(st.integers(0, m.n))
+    assert flat(extension_property_check(m, d, 3, source_n=source_n)) == \
+        flat(oracles.extension_property_check(m, d, 3, source_n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(3, 9), st.data())
+def test_find_realizer_on_three_point_subsets_matches_the_scan(seed, n, data):
+    rng = random.Random(seed)
+    d = data.draw(st.sampled_from([D12, D13, HALVES]))
+    m = with_twins(rng, random_space(rng, n, d), data.draw(st.integers(0, 3)))
+    for _ in range(6):
+        subset = tuple(rng.sample(range(m.n), 3))  # in any index order
+        vecs = list(oracles.distance_vectors(m.induced(subset), d))
+        for vec in rng.sample(vecs, min(4, len(vecs))) + [tuple(rng.choice(d.values) for _ in subset)]:
+            for slot in range(4):
+                ext = Extension(subset, vec, slot)
+                assert find_realizer(m, ext) == oracles.find_realizer(m, ext)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 4), st.integers(1, 12), st.integers(1, 300), st.data())
+def test_saturate_matches_the_scan_loop_at_k3(seed, n, max_points, max_pairs, data):
+    rng = random.Random(seed)
+    d = data.draw(st.sampled_from([D12, D13]))
+    m = random_space(rng, n, d)
+    source_n = data.draw(st.one_of(st.none(), st.integers(0, n)))
+    fast = saturate(m, d, 3, max_points, max_pairs, source_n)
+    slow = oracles.saturate(m, d, 3, max_points, max_pairs, source_n)
+    assert fast[0] == slow[0] and flat(fast[1]) == flat(slow[1])
+
+
 @pytest.mark.parametrize("labels, first", [
     (("z*''", "a", "z*", "b"), "z*'"),  # a gap: z*' is free, then z*''' is next
     (("z*", "z*'", "z*''", "b"), "z*'''"),

@@ -133,3 +133,32 @@ def test_coding_has_one_triangle_pattern_search():
     assert _callers("def f():\n    g(h(1))\ng()\n", "g") == ["f", "<module>"]
     source = (pathlib.Path(deltaspace.__file__).parent / "coding.py").read_text()
     assert _callers(source, "injective_maps") == ["ts_isomorphic"]
+
+
+ENGINES = {"limitbuilder", "ramsey", "coding", "search", "amalgam"}
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Every module name a source imports, each part of a dotted name and
+    each name imported from a package counted on its own."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_engine_import_guard_sees_an_engine():
+    assert _imported_modules("from . import ramsey\n") & ENGINES == {"ramsey"}
+    assert _imported_modules("from .search import Search\n") & ENGINES == {"search"}
+    assert _imported_modules("import deltaspace.coding as c\n") & ENGINES == {"coding"}
+    assert _imported_modules("from __future__ import annotations\n") & ENGINES == set()
+
+
+def test_recheck_imports_no_engine():
+    # the re-checks share nothing with the engines whose witnesses they check
+    source = (pathlib.Path(deltaspace.__file__).parent / "recheck.py").read_text()
+    assert _imported_modules(source) & ENGINES == set()

@@ -11,9 +11,14 @@ a, and every copy of b, found afresh, must hold two colors.
 The search colors the copies of a in index order, so a copy of b can
 come out monochromatic only when its last copy of a is colored.  Each
 copy of a keeps two bitmasks over the copies of b: those that contain it
-and those it closes.  The search keeps, per color in use, the copies of
-b that hold that color, their union, and the copies of b that hold two
-colors; a node is dead when it closes a copy of b that holds one.
+and those it closes.  The search is one flat loop, _color, with its
+state in locals: has[col], the copies of b that hold color col, for each
+color in use; every, their union; and mixed, the copies of b that hold
+two colors.  A node (a color tried at a position) is dead when it closes
+a copy of b that holds one color; a dead node changes no state, and the
+loop tries the next color.  A live node at position i keeps has[col],
+every and mixed in saved[i] before it changes them, and backtracking to
+position i restores saved[i] and tries the color after the one placed.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .search import BudgetExceeded, Search
+from .search import BudgetExceeded
 from .space import Space, copies_of, isomorphic, isomorphisms
 
 
@@ -80,40 +85,11 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
             contains[i] |= 1 << j
         if members:
             closes[max(members)] |= 1 << j
-    # has[col]: the B-copies that hold a placed copy of color col; every:
-    # their union; mixed: the B-copies that hold two colors.  A color has
-    # an entry only while a placed copy has that color, so has <= m for
-    # any k.  saved[i]: has[col], every and mixed before position i.
-    has = {}
-    every = mixed = 0
-    saved = [None] * m
-
-    def place(i, col):
-        nonlocal every, mixed
-        held, bits = has.get(col, 0), contains[i]
-        saved[i] = held, every, mixed
-        mixed |= bits & every & ~held
-        has[col] = held | bits
-        every |= bits
-        return not closes[i] & ~mixed  # else a B-copy came out monochromatic
-
-    def undo(i, col):
-        nonlocal every, mixed
-        held, every, mixed = saved[i]
-        if held:
-            has[col] = held
-        else:  # a later undo of col may have dropped it already, if contains[i] is 0
-            has.pop(col, None)
-
-    # symmetry reduction: the first copy is pinned to color 0
-    first, rest = range(1), range(k)
-    search = Search(m, lambda i: rest if i else first, place, undo, budget)
     try:
-        bad = next(iter(search), None)
+        bad, verdict.nodes = _color(m, k, contains, closes, budget)
     except BudgetExceeded:
-        verdict.nodes = search.nodes
+        verdict.nodes = budget + 1  # the node that crossed the budget is counted
         return verdict
-    verdict.nodes = search.nodes
     if bad is None:
         verdict.status = HOLDS
         return verdict
@@ -125,6 +101,54 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
     verdict.status = FAILS
     verdict.bad_coloring = coloring
     return verdict
+
+
+def _color(m: int, k: int, contains: list[int], closes: list[int], budget: int):
+    """(colors, nodes): the first coloring of positions 0..m-1, in the
+    order of the recursive search that tries colors 0..k-1 at each
+    position (only 0 at position 0), that completes no monochromatic
+    B-copy, or None when there is none.  One node is counted per color
+    tried, before the budget check; past budget nodes it raises
+    BudgetExceeded."""
+    # has, every, mixed and saved as in the module docstring.  A color has
+    # an entry in has only while a placed copy has that color, so has <= m
+    # for any k.
+    colors, saved = [0] * m, [None] * m
+    has = {}
+    get = has.get
+    every = mixed = nodes = 0
+    i = col = 0
+    top = 1  # the colors of position i are range(top)
+    while True:
+        if col < top:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"search exceeded {budget} nodes")
+            held, bits = get(col, 0), contains[i]
+            now_mixed = mixed | bits & every & ~held
+            if closes[i] & ~now_mixed:  # dead: a B-copy came out monochromatic
+                col += 1
+                continue
+            saved[i], colors[i] = (held, every, mixed), col
+            mixed = now_mixed
+            has[col] = held | bits
+            every |= bits
+            i += 1
+            if i == m:
+                return colors, nodes
+            col, top = 0, k
+            continue
+        if not i:
+            return None, nodes
+        # position i is exhausted: restore position i - 1 and try its next color
+        i -= 1
+        held, every, mixed = saved[i]
+        col = colors[i]
+        if held:
+            has[col] = held
+        else:  # a later restore of col may have dropped it already, if contains[i] is 0
+            has.pop(col, None)
+        col, top = col + 1, k if i else 1
 
 
 def _by_rank(x: Space) -> list[list]:

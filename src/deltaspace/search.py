@@ -1,7 +1,11 @@
-"""The one backtracking engine and the one budget exception.
+"""The backtracking engine and the one budget exception.
 
-The arrow search and every bijection search run on this engine.  It keeps
-an explicit stack, so a search may be deeper than the recursion limit.
+Every bijection search and the ordered `space.copies_of` run on this
+engine.  It keeps an explicit stack, so a search may be deeper than the
+recursion limit.  The one exception is the arrow coloring search,
+`ramsey._color`: its per-node work is a few int mask steps, so the
+engine's per-node `place` and `undo` calls were most of its cost, and
+it runs as a flat loop of its own.
 """
 
 from __future__ import annotations

@@ -118,12 +118,13 @@ def test_cli_has_one_exit_site():
 
 def _callers(source: str, callee: str) -> list[str]:
     """The top-level function (or <module>) around each call of callee
-    by name, in source order."""
+    by name, or as an attribute (`search.Search(...)`), in source order."""
     callers = []
     for top in ast.parse(source).body:
         name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         callers += [name for node in ast.walk(top)
-                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == callee]
+                    if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None),
+                                                                 getattr(node.func, "attr", None))]
     return callers
 
 
@@ -133,6 +134,17 @@ def test_coding_has_one_triangle_pattern_search():
     assert _callers("def f():\n    g(h(1))\ng()\n", "g") == ["f", "<module>"]
     source = (pathlib.Path(deltaspace.__file__).parent / "coding.py").read_text()
     assert _callers(source, "injective_maps") == ["ts_isomorphic"]
+
+
+def test_search_engine_has_two_callers():
+    # the ordered copies_of and the bijection searches run on Search;
+    # arrow's coloring loop is its own (ramsey._color), so a third loop
+    # on the engine, or arrow back on it, is an edit here
+    assert _callers("def f():\n    search.Search(1)\n", "Search") == ["f"]
+    src = pathlib.Path(deltaspace.__file__).parent
+    sites = [f"{path.stem}.{name}" for path in sorted(src.glob("*.py")) for name in _callers(path.read_text(), "Search")]
+    assert sites == ["search.injective_maps", "space.copies_of"]
+    assert "Search" not in _imported_modules((src / "ramsey.py").read_text())
 
 
 ENGINES = {"limitbuilder", "ramsey", "coding", "search", "amalgam"}

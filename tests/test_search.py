@@ -13,7 +13,7 @@ from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
 from deltaspace.ramsey import FAILS, HOLDS, UNKNOWN, NotEmbeddable, _induces, arrow, verify_bad_coloring
 from deltaspace.search import BudgetExceeded, Search, injective_maps
-from deltaspace.space import Space, copies_of, isomorphic, isomorphisms, make_space
+from deltaspace.space import Space, copies_of, isomorphic, isomorphisms, make_space, uniform_space
 
 import oracles
 
@@ -253,6 +253,63 @@ def test_arrow_matches_brute_force(c, k, data):
     cut = arrow(c, b, a, k, budget)
     assert cut.status == UNKNOWN and cut.bad_coloring is None
     assert cut.nodes == over.value.nodes == budget + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces(min_n=4, max_n=7, values=(ONE, ONE, ONE, TWO)), st.sampled_from((4, 5, 6)), st.data())
+def test_arrow_with_more_colors_than_copies_matches_the_search_oracle(c, k, data):
+    # b of 2 or 3 points, a smaller and not empty, on mostly 1s: the
+    # Holds cases exhaust colorings such as the proper vertex colorings
+    # of K5, so backtracking crosses many colors that no placed copy
+    # holds; a run past 5,000 nodes is compared as Unknown
+    b = c.induced(data.draw(st.permutations(range(c.n)))[:data.draw(st.integers(2, 3))])
+    a = b.induced(data.draw(st.permutations(range(b.n)))[:data.draw(st.integers(1, b.n - 1))])
+    copies_a, copies_b = oracles.copies_of(c, a), oracles.copies_of(c, b)
+    verdict = arrow(c, b, a, k, budget=5000)
+    try:
+        searched, nodes = oracles.arrow_search(copies_a, copies_b, k, 5000)
+    except oracles.OverBudget as over:
+        assert (verdict.status, verdict.nodes) == (UNKNOWN, over.nodes)
+        return
+    assert verdict.nodes == nodes
+    if searched is None:
+        assert verdict.status == HOLDS and verdict.bad_coloring is None
+    else:
+        assert verdict.status == FAILS and verdict.bad_coloring == dict(zip(copies_a, searched))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces(min_n=1, max_n=5), st.sampled_from((2, 3, 4)), st.data())
+def test_arrow_at_a_budget_of_its_node_count_finishes(c, k, data):
+    # the last node tried is within the budget, so the verdict is the
+    # unbudgeted one; one node less is Unknown
+    b = c.induced(data.draw(st.lists(st.integers(0, c.n - 1), min_size=1, max_size=min(c.n, 4), unique=True)))
+    a = b.induced(data.draw(st.lists(st.integers(0, b.n - 1), min_size=0, max_size=b.n, unique=True)))
+    verdict = arrow(c, b, a, k)
+    assert arrow(c, b, a, k, budget=verdict.nodes) == verdict
+    cut = arrow(c, b, a, k, budget=verdict.nodes - 1)
+    assert (cut.status, cut.nodes, cut.bad_coloring) == (UNKNOWN, verdict.nodes, None)
+
+
+# The known-answer jobs of the benchmark's arrow workload, as (c points,
+# b points, a points, k, holds): K_n -> (K_m) on edges and pigeonholes on
+# vertices, in uniform spaces.  K9 -> (K4) on edges with 2 colors (12,474
+# nodes) is left out: its oracle run takes about 1 s.
+ARROW_WORKLOAD = [(6, 3, 2, 2, True), (5, 3, 2, 2, False), (8, 4, 2, 2, False),
+                  (7, 4, 1, 2, True), (6, 4, 1, 2, False), (10, 4, 1, 3, True),
+                  (11, 4, 1, 3, True), (9, 5, 1, 2, True), (8, 5, 1, 2, False)]
+
+
+@pytest.mark.parametrize("n, nb, na, k, holds", ARROW_WORKLOAD)
+def test_arrow_workload_instances_match_the_search_oracle(n, nb, na, k, holds):
+    c, b, a = (uniform_space(p, ONE) for p in (n, nb, na))
+    copies_a, copies_b = oracles.copies_of(c, a), oracles.copies_of(c, b)
+    searched, nodes = oracles.arrow_search(copies_a, copies_b, k)
+    verdict = arrow(c, b, a, k)
+    assert (verdict.status, verdict.nodes) == (HOLDS if holds else FAILS, nodes)
+    assert (searched is None) == holds
+    assert verdict.bad_coloring == (None if holds else dict(zip(copies_a, searched)))
+    assert arrow(c, b, a, k, budget=nodes) == verdict
 
 
 def _reordered(data, x):

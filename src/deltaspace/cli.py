@@ -182,10 +182,12 @@ def cmd_saturate(args):
     d = _load_set(args.delta)
     m = _load_ordered_space(args.space, d)
     result, report = limitbuilder.saturate(m, d, args.k, args.max_points, args.max_pairs)
+    # a code's low len(subset) + 1 bits are its missing slots (see ExtensionReport)
+    skipped = sum((code & (2 << len(subset)) - 1).bit_count() for subset, codes in report.groups for code in codes)
     return {
         "space": result.with_delta(d).to_json(),
         "checked": report.checked,
-        "skipped": sum(len(slots) for _, _, slots in report.groups),
+        "skipped": skipped,
     }, True if report.empty else None
 
 
@@ -194,7 +196,8 @@ def cmd_check_extension(args):
     m = _load_ordered_space(args.space, d)
     report = limitbuilder.extension_property_check(m, d, args.k, args.max_pairs)
     if report.groups:  # exit 1: the first unrealized extension, re-checked by a scan of m
-        subset, vec, slots = report.groups[0]
+        subset, codes = report.groups[0]
+        vec, slots = report.decode(len(subset), codes[0])
         recheck.check_unrealized(m, subset, [report.values[t] for t in vec], slots[0])
     return _extension_report_json(report), report.empty
 
@@ -202,24 +205,25 @@ def cmd_check_extension(args):
 def _extension_report_json(report: limitbuilder.ExtensionReport) -> str:
     """json.dumps(..., sort_keys=True) of {"checked": .., "unrealized":
     [{"dists": [..], "slot": .., "subset": [..]}, ..]}, assembled from
-    text fragments: the heads of a group's entries, each up to its slot,
-    made once per distinct (id vector, slots), and an entry's tail once
-    per subset.  A group's text is one join of its heads with the tail
-    between them."""
+    text fragments: the heads of a code's entries, each up to its slot,
+    made once per distinct (subset size, code), and an entry's tail once
+    per subset.  A subset's text is one join of its codes' heads with
+    the tail between them."""
     text = [json.dumps(str(v)) for v in report.values]
-    heads, groups, last = {}, [], None
-    for subset, vec, slots in report.groups:
-        if subset is not last:  # a subset's groups are consecutive
-            last = subset
-            tail = f', "subset": [{", ".join(map(str, subset))}]}}'
-            sep = f"{tail}, "
-        key = (vec, slots)
-        head = heads.get(key)
-        if head is None:
-            dists = f'{{"dists": [{", ".join([text[t] for t in vec])}], "slot": '
-            head = heads[key] = [f"{dists}{slot}" for slot in slots]
-        groups.append(f"{sep.join(head)}{tail}")
-    return f'{{"checked": {report.checked}, "unrealized": [{", ".join(groups)}]}}'
+    by_size, out = {}, []  # by_size[size][code]: the heads of the code's entries
+    for subset, codes in report.groups:
+        size = len(subset)
+        known, heads = by_size.setdefault(size, {}), []
+        for code in codes:
+            head = known.get(code)
+            if head is None:
+                vec, slots = report.decode(size, code)
+                dists = f'{{"dists": [{", ".join([text[t] for t in vec])}], "slot": '
+                head = known[code] = [f"{dists}{slot}" for slot in slots]
+            heads += head
+        tail = f', "subset": [{", ".join(map(str, subset))}]}}'
+        out.append(f"{f'{tail}, '.join(heads)}{tail}")
+    return f'{{"checked": {report.checked}, "unrealized": [{", ".join(out)}]}}'
 
 
 def cmd_perturb(args):

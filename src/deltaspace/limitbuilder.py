@@ -9,6 +9,7 @@ step), and the order-preserving perturbation of a partial isometry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -56,24 +57,54 @@ class Extension(NamedTuple):
     slot: int
 
 
+def _vector_index(vec, base: int) -> int:
+    """The index of the id vector vec in itertools.product(range(base),
+    repeat=len(vec)) order."""
+    v = 0
+    for t in vec:
+        v = v * base + t
+    return v
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _decode(base: int, size: int, code: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(vec, slots) of the code of an id vector over base values for a
+    size-point subset (see ExtensionReport).  Cached for the process, not
+    per report: a run meets few distinct codes, but each run makes a new
+    report, so a cache per report misses on nearly every saturate code."""
+    v, vec = code >> size + 1, []
+    for _ in range(size):
+        v, t = divmod(v, base)
+        vec.append(t)
+    return tuple(reversed(vec)), tuple([j for j in range(size + 1) if code >> j & 1])
+
+
 @dataclass
 class ExtensionReport:
     """checked counts the (subset, extension) pairs examined.  groups
-    holds the unrealized ones, one (subset, vec, slots) per subset and
-    distance vector with a missing slot: vec indexes values, and slots
-    is the tuple of missing order slots, increasing.  Groups come in
-    check order."""
+    holds the unrealized ones, one (subset, codes) per subset with a
+    missing slot, in check order.  Each code is one int per id vector
+    with a missing slot, v << (size + 1) | key: v is the vector's index
+    in itertools.product(range(len(values)), repeat=size) order, size the
+    subset's, and bit j of key is set when order slot j is missing.
+    Codes come in vector order; decode turns one into (vec, slots)."""
 
     values: tuple[ExactReal, ...]
     checked: int = 0
-    groups: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
+    groups: list[tuple[tuple[int, ...], list[int]]] = field(default_factory=list)
+
+    def decode(self, size: int, code: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(vec, slots) of a code of a size-point subset: the id vector,
+        indexing values, and the missing order slots, increasing."""
+        return _decode(len(self.values), size, code)
 
     @property
     def unrealized(self) -> list[Extension]:
         """The unrealized extensions, one per missing slot, in check order."""
-        values = self.values
+        values, base = self.values, len(self.values)
         return [Extension(subset, tuple([values[t] for t in vec]), slot)
-                for subset, vec, slots in self.groups for slot in slots]
+                for subset, codes in self.groups for code in codes
+                for vec, slots in [_decode(base, len(subset), code)] for slot in slots]
 
     @property
     def empty(self) -> bool:
@@ -103,7 +134,7 @@ def _subset_vectors(m: Space, d: DistanceSet, k: int, pool: int, table: ValueTab
                                            if w <= add[x][y] and x <= add[w][y] and y <= add[w][x])
         return ok
 
-    for size in range(k + 1):
+    for size in range(min(k, pool) + 1):
         pairs = list(itertools.combinations(range(size), 2))
         memo = {}  # the ids of the subset's pair distances -> its vectors
         for subset in itertools.combinations(range(pool), size):
@@ -147,43 +178,40 @@ def _slot_realizers(los, his, every: int) -> list[int]:
     return out
 
 
-# _MISSING[key]: the slots j with bit j set in key, for subsets of at most 2
-# points (3 slots)
-_MISSING = tuple(tuple(j for j in range(3) if key >> j & 1) for key in range(8))
-
-
-def _missing_slots(lo, hi, ranks, subset, vectors, every: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(vec, missing slots) for each id vector of subset with an order slot
-    that no point realizes, in vector order; the slots are increasing.
-    lo[s] and hi[s] are _halves rows of each subset point s, ranks[s] its
-    rank, and every the mask of all points.  Subsets of 1 and 2 points
-    make an int key per vector whose bit j says that slot j is empty, and
-    look it up in _MISSING; other sizes go through _slot_realizers."""
+def _missing_slots(lo, hi, ranks, subset, vectors, every: int) -> list[int]:
+    """The code (see ExtensionReport) of each id vector of subset with an
+    order slot that no point realizes, in vector order.  lo[s] and hi[s]
+    are _halves rows of each subset point s, ranks[s] its rank, and every
+    the mask of all points.  Subsets of 1 and 2 points make the key of
+    each vector from its rows directly; other sizes go through
+    _slot_realizers."""
     size = len(subset)
     if size == 1:
         (s,) = subset
         lo_s, hi_s = lo[s], hi[s]
-        return [(vec, _MISSING[key]) for vec in vectors for (t,) in [vec]
-                if (key := (not lo_s[t]) | (not hi_s[t]) << 1)]
+        return [t << 2 | key for (t,) in vectors if (key := (not lo_s[t]) | (not hi_s[t]) << 1)]
     if size == 2:  # vec is (t, u): t the id of a's distance, u of b's
         a, b = subset
         lo_a, hi_a, lo_b, hi_b = lo[a], hi[a], lo[b], hi[b]
+        base = len(lo_a)
         if ranks[a] < ranks[b]:  # slots: below a, between a and b, above b
-            return [(vec, _MISSING[key]) for vec in vectors for t, u in [vec]
+            return [(t * base + u) << 3 | key for t, u in vectors
                     if (key := (not lo_a[t] & (lb := lo_b[u]))
                         | (not (h := hi_a[t]) & lb) << 1 | (not h & hi_b[u]) << 2)]
-        return [(vec, _MISSING[key]) for vec in vectors for t, u in [vec]  # below b, between, above a
+        return [(t * base + u) << 3 | key for t, u in vectors  # below b, between, above a
                 if (key := (not lo_b[u] & (la := lo_a[t]))
                     | (not (h := hi_b[u]) & la) << 1 | (not h & hi_a[t]) << 2)]
     by_rank = sorted(range(size), key=lambda i: ranks[subset[i]])
     los = [lo[subset[i]] for i in by_rank]
     his = [hi[subset[i]] for i in by_rank]
+    base = len(los[0]) if size else 0
     out = []
     for vec in vectors:
         ts = [vec[i] for i in by_rank]
         slots = _slot_realizers(list(map(operator.getitem, los, ts)), list(map(operator.getitem, his, ts)), every)
-        if not all(slots):
-            out.append((vec, tuple([j for j, mask in enumerate(slots) if not mask])))
+        key = sum([1 << j for j, mask in enumerate(slots) if not mask])
+        if key:
+            out.append(_vector_index(vec, base) << size + 1 | key)
     return out
 
 
@@ -245,7 +273,9 @@ def extension_property_check(
         report.checked += len(vectors) * (len(subset) + 1)
         if report.checked > max_pairs:
             raise BudgetExceeded(f"more than {max_pairs} (subset, extension) pairs")
-        groups += map((subset,).__add__, _missing_slots(lo, hi, ranks, subset, vectors, every))  # (subset, vec, slots)
+        codes = _missing_slots(lo, hi, ranks, subset, vectors, every)
+        if codes:
+            groups.append((subset, codes))
     return report
 
 
@@ -324,47 +354,55 @@ def saturate(
     # an empty m gets one point, z; other new points are z*, z*', ...
     labels, taken, fresh = list(m.labels), set(m.labels), "z*" if m.n else "z"
     order, ranks = list(m.order), list(m.ranks)
+    base = len(d.values)
     for subset, vectors in _subset_vectors(m, d, k, pool, table):
         # The pairs past max_pairs are skipped, realized or not: the first
         # `full` vectors are checked whole, then `part` slots of the next.
-        width = len(subset) + 1
+        size = len(subset)
+        width = size + 1
         full, part = divmod(max(max_pairs - report.checked, 0), width)
         report.checked += width * len(vectors)
         # Each (vec, slot) comes once per subset, so the masks made at the
         # subset's turn need no point realized for the same subset.  Each
-        # entry is (vec, the slots to realize, the slots skipped).
-        every = (1 << len(ids)) - 1
-        todo = [(vec, slots, ()) for vec, slots in _missing_slots(lo, hi, ranks, subset, vectors[:full], every)]
+        # batch is (limit, codes): the slots below limit of each code are
+        # realized while points last, and the rest stay missing.
+        every, slot_bits = (1 << len(ids)) - 1, (1 << width) - 1
+        batches = [(width, _missing_slots(lo, hi, ranks, subset, vectors[:full], every))]
         if full < len(vectors):  # the pair budget runs out in this subset
-            tried = [slot for _, slots in _missing_slots(lo, hi, ranks, subset, vectors[full:full + 1], every)
-                     for slot in slots if slot < part]
-            todo.append((vectors[full], tried, range(part, width)))
-            todo += [(vec, (), range(width)) for vec in vectors[full + 1:]]
+            split = _missing_slots(lo, hi, ranks, subset, vectors[full:full + 1], every)
+            batches.append((part, [_vector_index(vectors[full], base) << width
+                                   | (split[0] if split else 0) | slot_bits >> part << part]))
+            batches.append((0, [_vector_index(vec, base) << width | slot_bits for vec in vectors[full + 1:]]))
         near = [ids[s] for s in subset]  # the lists in ids, so they grow with it
-        for vec, slots, skipped in todo:
-            missing = []
-            for slot in slots:
-                if len(ids) + 1 > max_points:
-                    missing.append(slot)
-                    continue
-                z = len(ids)
-                col = column(table, z, near, subset, [t + 1 for t in vec])
-                for row, u in zip(ids, col):
-                    row.append(u)
-                at = _insert_rank(ranks, subset, slot, z)
-                for lo_s, hi_s, r, u in zip(lo, hi, ranks, col):  # the pool points' rows
-                    (hi_s if r < at else lo_s)[u - 1] |= 1 << z
-                col.append(0)  # the column, with its diagonal, is z's row
-                ids.append(col)
-                fresh = fresh_label(fresh, taken)  # every label from z* to fresh is taken
-                labels.append(fresh)
-                order.insert(at, z)
-                ranks.append(at)
-                for r in range(at + 1, z + 1):
-                    ranks[order[r]] = r
-            missing += skipped
-            if missing:
-                report.groups.append((subset, vec, tuple(missing)))
+        codes = []
+        for limit, todo in batches:
+            for code in todo:
+                vec, slots = _decode(base, size, code)
+                for slot in slots:
+                    if slot >= limit:
+                        break
+                    if len(ids) + 1 > max_points:
+                        continue
+                    z = len(ids)
+                    col = column(table, z, near, subset, [t + 1 for t in vec])
+                    for row, u in zip(ids, col):
+                        row.append(u)
+                    at = _insert_rank(ranks, subset, slot, z)
+                    for lo_s, hi_s, r, u in zip(lo, hi, ranks, col):  # the pool points' rows
+                        (hi_s if r < at else lo_s)[u - 1] |= 1 << z
+                    col.append(0)  # the column, with its diagonal, is z's row
+                    ids.append(col)
+                    fresh = fresh_label(fresh, taken)  # every label from z* to fresh is taken
+                    labels.append(fresh)
+                    order.insert(at, z)
+                    ranks.append(at)
+                    for r in range(at + 1, z + 1):
+                        ranks[order[r]] = r
+                    code ^= 1 << slot  # realized
+                if code & slot_bits:
+                    codes.append(code)
+        if codes:
+            report.groups.append((subset, codes))
     cur = m
     if len(ids) > m.n:
         cur = Space.from_ids(labels, table.values[:table.top + 1], ids, order, d)

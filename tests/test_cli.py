@@ -118,13 +118,51 @@ def test_check_extension_rechecks_the_extension_behind_exit_1(tmp_path, capsys, 
     kernel = limitbuilder._missing_slots
 
     def slot_0_missing(lo, hi, ranks, subset, vectors, every):
-        # each 1-point subset's first vector loses slot 0
-        return [(vec, (0,)) for vec in vectors[:1]] if len(subset) == 1 else kernel(lo, hi, ranks, subset, vectors, every)
+        # each 1-point subset's first vector loses slot 0: key 1 in its code
+        return [t << 2 | 1 for (t,) in vectors[:1]] if len(subset) == 1 else kernel(lo, hi, ranks, subset, vectors, every)
 
     monkeypatch.setattr(limitbuilder, "_missing_slots", slot_0_missing)
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "reported unrealized, but point" in captured.err
+
+
+@pytest.mark.parametrize("verb", ["check-extension", "saturate"])
+def test_k_past_the_point_count_answers_as_k_equal_to_it(tmp_path, capsys, verb):
+    # no subset of 3 points has more than 3, so -k 10**9 is -k 3; the
+    # subset loop ran over every size up to k, which took minutes
+    d = make_set([n1(1), n1(2)], cap=n1(2))
+    m = write_json(tmp_path, "m.json", random_space(random.Random(1), 3, d).to_json())
+    dp = write_json(tmp_path, "d.json", d.to_json())
+    outs = []
+    for k in (3, 10 ** 9):
+        code = main([verb, "--space", m, "--delta", dp, "-k", str(k)])
+        outs.append((code, capsys.readouterr().out))
+    assert outs[0][1] and outs[1] == outs[0]
+
+
+# (max points, max pairs, the index of the first pair past the budget, or
+# None): a point budget that runs out; a pair budget that runs out at
+# slot 2 of a 2-point subset's vector, and at slot 1 of a 3-point one's
+SATURATE_BUDGETS = [(6, 10 ** 6, None), (64, 40, (2, 2)), (64, 102, (3, 1))]
+
+
+@pytest.mark.parametrize("max_points, max_pairs, split", SATURATE_BUDGETS)
+def test_saturate_skipped_counts_the_unrealized_extensions(tmp_path, capsys, max_points, max_pairs, split):
+    # skipped is the number of missing-slot bits in the report's codes
+    d = make_set([n1(1), n1(2)], cap=n1(2))
+    m = random_space(random.Random(4), 4, d)
+    if split is not None:
+        ext = list(oracles.subset_extensions(m, d, 3))[max_pairs]
+        assert (len(ext.subset), ext.slot) == split
+    fast, report = limitbuilder.saturate(m, d, 3, max_points, max_pairs)
+    slow, scan = oracles.saturate(m, d, 3, max_points, max_pairs)
+    assert fast == slow and (report.checked, report.unrealized) == (scan.checked, scan.unrealized)
+    argv = ["saturate", "--space", write_json(tmp_path, "m.json", m.to_json()),
+            "--delta", write_json(tmp_path, "d.json", d.to_json()), "-k", "3",
+            "--max-points", str(max_points), "--max-pairs", str(max_pairs)]
+    code, out = run(capsys, argv)
+    assert code == 2 and out["skipped"] == len(report.unrealized) > 0
 
 
 def test_extend_isometry_rechecks_the_order(tmp_path, capsys, monkeypatch):
@@ -1009,5 +1047,24 @@ def test_extension_report_bytes_match_the_dict_writer(tmp_path_factory, seed, n,
     with contextlib.redirect_stdout(out):
         code = main(argv)
     report = extension_property_check(m, d, k)
+    assert code == (0 if report.empty else 1)
+    assert out.getvalue() == oracles.extension_report_json(report) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(0, 6), frag=st.sampled_from(range(len(REPORT_FRAGMENTS))))
+@example(seed=5, n=6, frag=0)
+def test_extension_report_bytes_match_the_dict_writer_at_k3(tmp_path_factory, seed, n, frag):
+    # 3-point subsets: the kernel's general path and its codes, through
+    # the writer, against the report built as a dict and dumped
+    d = REPORT_FRAGMENTS[frag]
+    m = random_space(random.Random(seed), n, d)
+    tmp = tmp_path_factory.mktemp("report")
+    argv = ["check-extension", "--space", write_json(tmp, "m.json", m.to_json()),
+            "--delta", write_json(tmp, "d.json", d.to_json()), "-k", "3"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report = extension_property_check(m, d, 3)
     assert code == (0 if report.empty else 1)
     assert out.getvalue() == oracles.extension_report_json(report) + "\n"

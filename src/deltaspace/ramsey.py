@@ -2,11 +2,13 @@
 structures, plus rigidity checking.
 
 A verdict of Holds is only ever produced by a completed search over all
-colorings (backtracking counts as complete when its tree is exhausted);
-anything cut short by the budget is Unknown.  A verdict of Fails carries
-the bad coloring and is re-verified, by code the search does not use,
-before being returned: every key of the coloring must induce a copy of
-a, and every copy of b, found afresh, must hold two colors.
+colorings (backtracking counts as complete when its tree is exhausted,
+and a subtree that a swap of two colors maps onto one searched counts
+as searched); anything cut short by the budget is Unknown.  A verdict
+of Fails carries the bad coloring and is re-verified, by code the
+search does not use, before being returned: every key of the coloring
+must induce a copy of a, and every copy of b, found afresh, must hold
+two colors.
 
 The search colors the copies of a in index order, so a copy of b can
 come out monochromatic only when its last copy of a is colored.  Each
@@ -19,6 +21,10 @@ a copy of b that holds one color; a dead node changes no state, and the
 loop tries the next color.  A live node at position i keeps has[col],
 every and mixed in saved[i] before it changes them, and backtracking to
 position i restores saved[i] and tries the color after the one placed.
+A color is unheld at a position when no copy of b holds it (has[col] is
+0 or absent).  Two unheld colors are interchangeable, so a position
+searches its first unheld color only and counts the later ones, each a
+subtree of the same size, without visiting them.
 """
 
 from __future__ import annotations
@@ -79,12 +85,17 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
     # i completes them
     index = {t: i for i, t in enumerate(copies_a)}
     contains, closes = [0] * m, [0] * m
+    get = index.get
     for j, bc in enumerate(copies_b):
-        members = [index[s] for s in itertools.combinations(bc, a.n) if s in index]
-        for i in members:
-            contains[i] |= 1 << j
-        if members:
-            closes[max(members)] |= 1 << j
+        bit, last = 1 << j, -1
+        for s in itertools.combinations(bc, a.n):
+            i = get(s, -1)
+            if i >= 0:
+                contains[i] |= bit
+                if i > last:
+                    last = i
+        if last >= 0:
+            closes[last] |= bit
     try:
         bad, verdict.nodes = _color(m, k, contains, closes, budget)
     except BudgetExceeded:
@@ -109,27 +120,42 @@ def _color(m: int, k: int, contains: list[int], closes: list[int], budget: int):
     position (only 0 at position 0), that completes no monochromatic
     B-copy, or None when there is none.  One node is counted per color
     tried, before the budget check; past budget nodes it raises
-    BudgetExceeded."""
-    # has, every, mixed and saved as in the module docstring.  A color has
-    # an entry in has only while a placed copy has that color, so has <= m
-    # for any k.
+    BudgetExceeded.
+
+    Only the first unheld color of a position is searched.  Two unheld
+    colors are interchangeable: swapping them maps the subtree of one
+    onto the other's, node for node, and neither holds a bad coloring
+    once the first is exhausted.  The colors held are always 0..j-1, so
+    every color after the first unheld one is unheld too, and the rest
+    of the position is counted at once: the first one's subtree size
+    (1 if its node is dead) times the colors left.  The budget is then
+    checked as the exhausted position is left, so a count that crosses
+    it raises as the node it crossed at would have."""
+    # has, every, mixed and saved as in the module docstring; saved[i]
+    # also keeps the node count at the live node, so that restoring it
+    # gives the size of its subtree.  A color has an entry in has only
+    # while a placed copy has that color, so has <= m for any k.
     colors, saved = [0] * m, [None] * m
     has = {}
     get = has.get
     every = mixed = nodes = 0
     i = col = 0
     top = 1  # the colors of position i are range(top)
+    over = f"search exceeded {budget} nodes"
     while True:
         if col < top:
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(f"search exceeded {budget} nodes")
+                raise BudgetExceeded(over)
             held, bits = get(col, 0), contains[i]
             now_mixed = mixed | bits & every & ~held
             if closes[i] & ~now_mixed:  # dead: a B-copy came out monochromatic
                 col += 1
+                if not held:  # the first unheld color: the rest are unheld and dead too
+                    nodes += top - col
+                    col = top
                 continue
-            saved[i], colors[i] = (held, every, mixed), col
+            saved[i], colors[i] = (held, every, mixed, nodes), col
             mixed = now_mixed
             has[col] = held | bits
             every |= bits
@@ -138,17 +164,24 @@ def _color(m: int, k: int, contains: list[int], closes: list[int], budget: int):
                 return colors, nodes
             col, top = 0, k
             continue
+        # position i is exhausted, its colors tried or counted: a count may
+        # have crossed the budget
+        if nodes > budget:
+            raise BudgetExceeded(over)
         if not i:
             return None, nodes
-        # position i is exhausted: restore position i - 1 and try its next color
+        # restore position i - 1 and try its next color
         i -= 1
-        held, every, mixed = saved[i]
-        col = colors[i]
+        held, every, mixed, start = saved[i]
+        col, top = colors[i], k if i else 1
         if held:
             has[col] = held
+            col += 1
         else:  # a later restore of col may have dropped it already, if contains[i] is 0
             has.pop(col, None)
-        col, top = col + 1, k if i else 1
+            # col was the first unheld color: each later color's subtree is as large
+            nodes += (top - col - 1) * (nodes - start + 1)
+            col = top
 
 
 def _by_rank(x: Space) -> list[list]:

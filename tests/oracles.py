@@ -32,7 +32,7 @@ from deltaspace.coding import (NOT_FALSIFIABLE, SATISFIED, SMALL_RATIONALS, VIOL
                                EncodedModel)
 from deltaspace.dvs import delta_triangle
 from deltaspace.equiv import NotABijection, PoleAtAlpha, RatMatrix, gl2_apply
-from deltaspace.exact import DivisionByZero, ExactReal, MixedRadicands, _squarefree_split
+from deltaspace.exact import DivisionByZero, ExactReal, MixedRadicands
 from deltaspace.limitbuilder import BuilderError, Extension, NoSmallEnoughDelta, ZNotInDelta
 from deltaspace.search import BudgetExceeded
 from deltaspace.space import OK, PartialIsometry, Space, Violation
@@ -478,11 +478,29 @@ def extension_report_json(report):
 # A number is the triple (a, b, d) for a + b*sqrt(d), normalised as the
 # Fraction-based constructor did; ExactReal must agree with it exactly.
 
+def squarefree_split(n):
+    """(s, m) with n = s*s*m and m squarefree, by trial division with
+    every d from 2 while d*d is at most what is left of n: d*d is taken
+    out while it divides, then d once if it still divides.  What is left
+    at the end has no factor up to its square root, so it is 1 or a
+    prime."""
+    s, m, d = 1, 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            s *= d
+        if n % d == 0:
+            n //= d
+            m *= d
+        d += 1
+    return s, m * n
+
+
 def old(a, b=0, d=0):
     a, b = Fraction(a), Fraction(b)
     if b == 0:
         return a, Fraction(0), 0
-    s, m = _squarefree_split(d)
+    s, m = squarefree_split(d)
     if m == 1:
         return a + b * s, Fraction(0), 0
     return a, b * s, m

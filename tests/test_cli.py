@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from deltaspace import coding, limitbuilder
@@ -1031,7 +1031,24 @@ REPORT_FRAGMENTS = [
 ]
 
 
-@settings(max_examples=40, deadline=None)
+# A broken writer took minutes to report.  Each failing run of a writer
+# test made pytest diff two report texts of one long line each with
+# difflib, and shrinking made more failing runs, each writing two files
+# and running cli.main.  So the writer tests do not shrink, and compare
+# the texts through first_difference, whose failure pytest need not diff.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
+def first_difference(got: str, want: str):
+    """None when the texts are equal, else the first index where they
+    differ and up to 40 characters of each on either side of it."""
+    if got == want:
+        return None
+    i = next((j for j, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+    return i, got[max(0, i - 40):i + 40], want[max(0, i - 40):i + 40]
+
+
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(seed=st.integers(0, 10 ** 6), n=st.integers(0, 7), k=st.integers(0, 2),
        frag=st.sampled_from(range(len(REPORT_FRAGMENTS))))
 @example(seed=0, n=0, k=0, frag=0)  # one unrealized extension, of the empty subset
@@ -1048,10 +1065,10 @@ def test_extension_report_bytes_match_the_dict_writer(tmp_path_factory, seed, n,
         code = main(argv)
     report = extension_property_check(m, d, k)
     assert code == (0 if report.empty else 1)
-    assert out.getvalue() == oracles.extension_report_json(report) + "\n"
+    assert first_difference(out.getvalue(), oracles.extension_report_json(report) + "\n") is None
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
 @given(seed=st.integers(0, 10 ** 6), n=st.integers(0, 6), frag=st.sampled_from(range(len(REPORT_FRAGMENTS))))
 @example(seed=5, n=6, frag=0)
 def test_extension_report_bytes_match_the_dict_writer_at_k3(tmp_path_factory, seed, n, frag):
@@ -1067,4 +1084,4 @@ def test_extension_report_bytes_match_the_dict_writer_at_k3(tmp_path_factory, se
         code = main(argv)
     report = extension_property_check(m, d, 3)
     assert code == (0 if report.empty else 1)
-    assert out.getvalue() == oracles.extension_report_json(report) + "\n"
+    assert first_difference(out.getvalue(), oracles.extension_report_json(report) + "\n") is None

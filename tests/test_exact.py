@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -217,7 +218,7 @@ def assert_canonical(x: ExactReal):
     assert math.gcd(x.p, x.q, x.den) == 1
     assert (x.d == 0) == (x.q == 0)
     if x.d:
-        assert _squarefree_split(x.d)[0] == 1
+        assert oracles.squarefree_split(x.d)[0] == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -273,9 +274,34 @@ def test_public_constructor_splits_the_radicand(a, b, d):
     x = ExactReal(a, b, d)
     assert components(x) == old(a, b, d)
     assert_canonical(x)
-    s, m = _squarefree_split(d)
+    s, m = oracles.squarefree_split(d)
     split = ExactReal(a, b * s, m) if m > 1 else ExactReal(a + b * s)
     assert x == split and hash(x) == hash(split)
+
+
+def _primes_near(centre, count):
+    """The count primes closest below centre and the count from centre up."""
+    def prime(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    below = itertools.islice(filter(prime, range(centre - 1, 1, -1)), count)
+    return [*below, *itertools.islice(filter(prime, itertools.count(centre)), count)]
+
+
+# primes near 10**4 and 10**6, whose products split only past the cube
+# root or need the closing isqrt to tell p*p from p*q
+NEAR_PRIMES = _primes_near(10 ** 4, 4) + _primes_near(10 ** 6, 4)
+structured = st.builds(lambda p, q, shape: (p * p, p * q, p * p * q)[shape],
+                       st.sampled_from(NEAR_PRIMES), st.sampled_from(NEAR_PRIMES), st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(1, MAX_RADICAND), structured.filter(lambda n: n <= MAX_RADICAND)))
+def test_squarefree_split_matches_plain_trial_division(n):
+    assert _squarefree_split(n) == oracles.squarefree_split(n)
+
+
+def test_squarefree_split_matches_plain_trial_division_below_two_thousand():
+    assert [_squarefree_split(n) for n in range(1, 2000)] == [oracles.squarefree_split(n) for n in range(1, 2000)]
 
 
 @settings(max_examples=100, deadline=None)

@@ -217,3 +217,19 @@ def test_unordered_uniform_not_rigid_without_enumerating_automorphisms():
 def test_unordered_scalene_triangle_rigid():
     x = make_space("abc", {(0, 1): n1(2), (1, 2): n1(3), (0, 2): n1(4)})
     assert is_rigid(x)
+
+
+def test_arrow_budget_inside_a_counted_run_of_colors():
+    # K7 -> (K3) on vertices with 3 colors holds.  Past the first color
+    # that no B-copy holds, the rest of a position is counted in one step,
+    # not searched; a budget that runs out inside that step is still
+    # Unknown with budget + 1 nodes, every budget below the count is,
+    # and a budget of the count gives the verdict
+    c, b, a = uniform_space(7, n1(1)), uniform_space(3, n1(1)), uniform_space(1, n1(1))
+    verdict = arrow(c, b, a, 3)
+    assert verdict.status == HOLDS
+    assert verdict.nodes == oracles.arrow_search(oracles.copies_of(c, a), oracles.copies_of(c, b), 3)[1] == 271
+    for budget in range(verdict.nodes):
+        cut = arrow(c, b, a, 3, budget)
+        assert (cut.status, cut.nodes, cut.bad_coloring) == (UNKNOWN, budget + 1, None)
+    assert arrow(c, b, a, 3, verdict.nodes) == verdict

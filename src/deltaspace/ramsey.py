@@ -187,7 +187,8 @@ def _color(m: int, k: int, contains: list[int], closes: list[int], budget: int):
 def _by_rank(x: Space) -> list[list]:
     """rows[r][t]: the distance between x's r-th and t-th points in its
     order, for t < r."""
-    return [[x.dist[x.order[r]][x.order[t]] for t in range(r)] for r in range(x.n)]
+    order = x.order
+    return [[row[q] for q in order[:r]] for r, row in enumerate(map(x.dist.__getitem__, order))]
 
 
 def _induces(c: Space, t: tuple[int, ...], a: Space) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,23 +92,12 @@ class Space:
     @functools.cached_property
     def masks(self) -> tuple[tuple[int, ...], ...]:
         """masks[a][u] is the bitmask of the points at distance id u from
-        point a: bit p is set when value_ids[1][a][p] == u.
-
-        With few distinct values in a large space, each row is read as
-        bytes and each mask parsed from the row translated to binary
-        digits, at C speed.  On a shared 2-core VM, 1,200 points over 2
-        values took 30 ms this way against 87 ms for the bit-by-bit
-        loop, and 24 points over 2 values 0.050 against 0.041 ms: hence
-        the size rule, which keeps the loop for small spaces."""
+        point a: bit p is set when value_ids[1][a][p] == u."""
         index, ids = self.value_ids
-        n, size = self.n, len(index)
-        if size * (n + 100) <= 8 * n:
-            digits = [bytes(49 if x == u else 48 for x in range(256)) for u in range(size)]  # b"1" at u
-            return tuple([tuple([int(text.translate(d)[::-1], 2) for d in digits]) for text in map(bytearray, ids)])
-        bits = [1 << p for p in range(n)]
+        bits = [1 << p for p in range(self.n)]
         out = []
         for row in ids:
-            mask = [0] * size
+            mask = [0] * len(index)
             for bit, u in zip(bits, row):
                 mask[u] |= bit
             out.append(tuple(mask))
@@ -346,25 +334,24 @@ def copies_of(c: Space, a: Space) -> list[tuple[int, ...]]:
     are picked in increasing rank, the r-th pick standing for a.order[r].
     The candidates for a pick are one int from c's masks: the points
     ranked above the last pick that leave room for the picks after it,
-    ANDed with the mask of the wanted distance from each earlier pick,
-    so placing a candidate compares no distance.  Each of a's distinct
-    values is looked up in c's index once; one that c lacks has the
-    empty mask.  Otherwise every subset is tested with `isomorphic`."""
+    ANDed with the mask of the wanted distance from the last pick.  A
+    candidate's distances to the picks before the last are compared on
+    c's value ids in one list compare, so placing it compares nothing.
+    Each of a's distinct values is looked up in c's index once.
+    Otherwise every subset is tested with `isomorphic`."""
     if c.order is None or a.order is None:
         return [s for s in itertools.combinations(range(c.n), a.n) if isomorphic(c.induced(s), a) is not None]
     k, n, order, ranks = a.n, c.n, c.order, c.ranks
     if k > n:  # no room, and room[r] below would count from the end
         return []
-    index = c.value_ids[0]
+    index, ids = c.value_ids
     a_index, a_ids = a.value_ids
-    # masks[p][u]: the points of c at a's distance id u from point p, none
-    # when c lacks that distance
-    to_c = [index.get(v) for v in a_index]
-    masks = [tuple([0 if w is None else row[w] for w in to_c]) for row in c.masks]
-    # want[r][t]: a's id of the distance between its r-th and t-th points,
-    # gathered by one itemgetter per row once there are two to gather
-    want = [operator.itemgetter(*a.order[:r])(a_ids[p]) if r > 1 else tuple(a_ids[p][q] for q in a.order[:r])
-            for r, p in enumerate(a.order)]
+    to_c = [index.get(v, -1) for v in a_index]  # c's id of each of a's values, -1 if c lacks it
+    # want[r][t]: c's id of the distance between a's r-th and t-th points
+    want = [[to_c[a_ids[p][q]] for q in a.order[:r]] for r, p in enumerate(a.order)]
+    if any(-1 in row for row in want):  # a has a distance that c lacks
+        return []
+    masks = c.masks if k > 1 else None  # a one-point a reads no mask
     # prefix[j]: the points ranked below j; room[r]: those ranked low
     # enough to leave room for the picks after the r-th
     prefix = [0]
@@ -374,14 +361,18 @@ def copies_of(c: Space, a: Space) -> list[tuple[int, ...]]:
     pts = [0] * k  # pts[r]: the point of the r-th pick
 
     def choices(r):  # the points ranked above the last pick at the wanted distances from every pick
+        if not r:
+            return order[:n - k + 1]
+        last = pts[r - 1]
         # room[r] holds every point ranked up to the last pick, so ^ removes them
-        cand = room[r] ^ prefix[ranks[pts[r - 1]] + 1] if r else room[0]
-        for p, u in zip(pts, want[r]):
-            cand &= masks[p][u]
+        cand = (room[r] ^ prefix[ranks[last] + 1]) & masks[last][want[r][-1]]
+        head, w = pts[:r - 1], want[r][:-1]  # the picks before the last, compared on c's ids
         out = []
         while cand:
             low = cand & -cand
-            out.append(low.bit_length() - 1)
+            q = low.bit_length() - 1
+            if [ids[q][s] for s in head] == w:
+                out.append(q)
             cand ^= low
         return out
 

@@ -87,7 +87,12 @@ def test_arrow_budget_unknown():
 
 def test_arrow_memory_does_not_grow_with_the_colors_tried():
     # b holds one copy of a, so every color placed on that copy completes
-    # it and the search tries all 20,000 colors there before the budget
+    # it.  No copy of b holds a color there, so the first color is tried
+    # and found dead, and the other 10**9 - 1 colors are counted in one
+    # step, not tried: the count crosses the budget at once.  Counting
+    # them must not cost memory per color.  The colors held at a position
+    # are 0..j-1, j at most the copies placed, so a loop that tries many
+    # colors needs many copies of a and keeps has within their number
     b = make_space("xyz", {(0, 1): n1(1), (0, 2): n1(2), (1, 2): n1(2)})
     c = make_space("pqrs", {(0, 1): n1(1), (0, 2): n1(1), (0, 3): n1(1),
                             (1, 2): n1(1), (1, 3): n1(2), (2, 3): n1(2)})

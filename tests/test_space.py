@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaspace import space
@@ -523,25 +523,6 @@ def test_masks_list_the_points_at_each_distance():
     assert list(index) == [n1(0), n1(1), n1(2)]
     assert ids == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
     assert x.masks == ((0b001, 0b010, 0b100), (0b010, 0b101, 0), (0b100, 0b010, 0b001))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 160), st.integers(1, 6), st.randoms(use_true_random=False))
-@example(160, 2, random.Random(1))  # the bytes path
-@example(160, 4, random.Random(2))  # the bytes path
-@example(160, 5, random.Random(3))  # the loop, just past the size rule
-@example(24, 2, random.Random(4))  # the loop
-def test_masks_match_their_definition_on_both_paths(n, size, rng):
-    # up to 160 points over 1 to 9 ids: large spaces over few values read
-    # their rows as bytes, the others take the bit-by-bit loop; both must
-    # set bit p of masks[a][u] exactly when point p is at id u from a
-    values = [n1(v) for v in range(size)]
-    ids = [[0] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        ids[i][j] = ids[j][i] = rng.randrange(1, size) if size > 1 else 0
-    x = Space.from_ids([f"p{i}" for i in range(n)], values, ids)
-    assert x.masks == tuple(tuple(sum(1 << p for p in range(n) if ids[a][p] == u) for u in range(size))
-                            for a in range(n))
 
 
 def test_two_radicands_keep_the_loop_witness():

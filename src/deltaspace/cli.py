@@ -337,7 +337,10 @@ def cmd_encode_model(args):
 
 def cmd_check_theory(args):
     m = coding.model_encode(_load_set(args.set), _sample_from_arg(args.sample), args.budget)
-    return _clauses(coding.check_theory_T(m, args.budget))
+    report = coding.check_theory_T(m, args.budget)
+    if report["4"].status == coding.VIOLATED:  # re-checked on the cut tables alone
+        recheck.check_product_cut(m.rq, report["4"].witness)
+    return _clauses(report)
 
 
 @functools.cache

@@ -9,6 +9,7 @@ reported as not falsifiable rather than silently asserted.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from bisect import bisect_left, bisect_right
@@ -386,10 +387,11 @@ def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_B
 SCALE_BITS = 512
 
 
-def _sample_triples(qs, sums: bool) -> list[tuple[int, int, int]]:
+def _sample_triples(qs, sums: bool, skip=()) -> list[tuple[int, int, int]]:
     """The position triples (a, b, c) of the nonempty sorted sample with
     qs[a] * qs[b] == qs[c], or with qs[a] + qs[b] == qs[c] and a < c
-    when sums, sorted.
+    when sums, sorted, but for those whose three positions all lie in
+    the set skip.
 
     The sample is scaled to ints keys[t] = qs[t] * L, L the lcm of its
     denominators, so a product is keys[a] * keys[b] == keys[c] * L and a
@@ -422,8 +424,9 @@ def _sample_triples(qs, sums: bool) -> list[tuple[int, int, int]]:
             return [(p // g, d // g) for p, d in zip(num, map(da.__mul__, ds)) for g in (gcd(p, d),)]
     rows = [[] for _ in range(n)]
     for a, row in enumerate(rows):
+        inside = a in skip
         for b, c in enumerate(map(where.get, results(a)), a):
-            if c is not None:
+            if c is not None and not (inside and b in skip and c in skip):
                 if not sums or a < c:
                     row.append((a, b, c))
                 if a != b and (not sums or b < c):
@@ -446,6 +449,55 @@ def _role_prefixes(triples, width) -> list[list[int]]:
             pre.append(pre[-1] | m)
         tables.append(pre)
     return tables
+
+
+@functools.cache
+def _small_products():
+    """The sorted product triples of SMALL_RATIONALS, by position in it,
+    with for each role the prefix table of _role_prefixes over those
+    positions, for each small rational the mask of the triples that hold
+    it, and its (numerator, denominator) key.  Built once per process, on
+    first use: 685 triples, under 1 ms and about 70 KB."""
+    triples = _sample_triples(SMALL_RATIONALS, sums=False)
+    pre = a, b, c = _role_prefixes(triples, len(SMALL_RATIONALS))
+    # a prefix table's step at s is the triples with s in that role
+    holds = [a[s + 1] ^ a[s] | b[s + 1] ^ b[s] | c[s + 1] ^ c[s] for s in range(len(SMALL_RATIONALS))]
+    keys = [(s.numerator, s.denominator) for s in SMALL_RATIONALS]
+    return triples, pre, holds, keys
+
+
+def _product_triples(qs):
+    """The product triples of the sorted sample qs, in two blocks:
+    (small, keep, listed, below).  small[s] is the sample position of
+    SMALL_RATIONALS[s], None where qs lacks it.  The small block is the
+    triples of _small_products that keep masks: those whose small
+    rationals qs all holds.  The listed block is the sorted triples of qs
+    with a position outside the small rationals, from _sample_triples.
+    Each product triple of qs is in exactly one block.  below[t], for
+    t = 0..|qs|, is where a small prefix table is read for sample
+    position t: one past the last small rational of qs below t."""
+    triples, _, holds, keys = _small_products()
+    at = {(q.numerator, q.denominator): t for t, q in enumerate(qs)}
+    small = list(map(at.get, keys))
+    keep = (1 << len(triples)) - 1
+    below = [0] * (len(qs) + 1)
+    for s, t in enumerate(small):
+        if t is None:
+            keep &= ~holds[s]
+        else:
+            below[t + 1] = s + 1
+    listed = _sample_triples(qs, sums=False, skip=set(small) - {None}) if qs else []
+    return small, keep, listed, list(itertools.accumulate(below, max))
+
+
+def _product_prefixes(keep, listed, below, width) -> list[list[int]]:
+    """For each role, the prefix table of _role_prefixes over the two
+    blocks of _product_triples as one mask: the kept small triples in the
+    low bits, read at below[t], and the listed block above them."""
+    triples, pre, _, _ = _small_products()
+    shift = len(triples)
+    return [[(sp[k] & keep) | lp << shift for k, lp in zip(below, lpre)]
+            for sp, lpre in zip(pre, _role_prefixes(listed, width))]
 
 
 def _lift(row, nz, pre) -> list[int]:
@@ -477,45 +529,50 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     its last violation in loop order.
 
     The clauses run on int bitmasks that are derived from model.rq on
-    every call, so rq stays the one table: for qs the sorted sample,
-    M[i][j] has bit t set iff (i, j) is in rq[qs[t]].  Clauses (4) and
-    (6) lift cuts onto the sample's product or split triples, once per
-    role, and then take one mask step per (x, y, z) or per sum and y;
-    the split triples are built only when the model has sums.  Before
+    every call, in one pass over it, so rq stays the one table: for qs
+    the sorted sample, M[i][j] has bit t set iff (i, j) is in rq[qs[t]].
+    Clauses (4) and (6) lift cuts onto the sample's product or split
+    triples, once per role, and then take one mask step per (x, y, z) or
+    per sum and y; the split triples are built only when the model has
+    sums.  The product triples come in two blocks (_product_triples):
+    the triples of SMALL_RATIONALS, built once per process, less those
+    that hold a small rational the sample lacks, and the triples listed
+    on each call, those with a member outside the small rationals.
+    Clause (4)'s witness is the larger of the two blocks' largest
+    violating triples, then the last (x, y, z) that violates it.  Before
     each block its steps (one per table cell read, or per row of cells
-    read as one mask) are charged against budget, None for no limit,
-    whether or not a table is built; BudgetExceeded when the total
-    passes it.
+    read as one mask, and one per product triple of both blocks and
+    pair) are charged against budget, None for no limit, whether or not
+    a table is built; BudgetExceeded when the total passes it.
     """
     report = {}
-    qs = sorted(model.rq)
+    by_q = sorted(model.rq.items(), key=itemgetter(0))
+    qs = [q for q, _ in by_q]
     nz = model.nonzero()
     u = model.universe
     n, width = len(u), len(qs)
     spent = _charge(0, width * n * n, budget)
 
-    # the masks; pairs outside the universe get none (a negative index
-    # would alias a slot)
+    # the masks, and (1) nothing relates to 0, in one pass over rq; pairs
+    # outside the universe get no mask bit (a negative index would alias
+    # a slot)
     M = [[0] * n for _ in range(n)]
-    for t, q in enumerate(qs):
+    status = ClauseStatus(SATISFIED)
+    for t, (q, pairs) in enumerate(by_q):
         bit = 1 << t
-        for i, j in model.rq[q]:
+        for i, j in pairs:
             if 0 <= i < n and 0 <= j < n:
                 M[i][j] |= bit
-    full = (1 << width) - 1
-
-    # (1) nothing relates to 0
-    status = ClauseStatus(SATISFIED)
-    for q in qs:
-        for i, j in model.rq[q]:
             if i == 0 or j == 0:
                 status = ClauseStatus(VIOLATED, (q, i, j))
     report["1"] = status
+    full = (1 << width) - 1
+    unit = bisect_left(qs, 1)  # the sample rationals below 1 are qs[:unit]
 
     # (2) cuts are downward closed within the sample; the cut at (x, x) is
     # exactly {q < 1}
     status = ClauseStatus(SATISFIED)
-    below1 = sum(1 << t for t, q in enumerate(qs) if q < 1)
+    below1 = (1 << unit) - 1
     for i in nz:
         Mi = M[i]
         for j in nz:
@@ -544,36 +601,48 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     # force R_pq(x, z), and their absence forbids it.  Lifted by role, the
     # cuts M[x][y], M[y][z] and M[x][z] give the triples whose p, q and pq
     # hold there, so for each x, y and z the violating triples are one
-    # mask.  The last violation is at the largest triple, then (x, y, z).
+    # mask over the two blocks of _product_triples.  The last violation
+    # is at the largest triple, then (x, y, z): each block is sorted, so
+    # its top violating bit is its largest violating triple, and only
+    # when there is a violation are x, y and z walked again for it.
     spent = _charge(spent, width * width, budget)
-    triples = _sample_triples(qs, sums=False) if qs else []
-    spent = _charge(spent, len(triples) * n * n, budget)
-    lift_a, lift_b, lift_c = ([_lift(row, nz, pre) for row in M] for pre in _role_prefixes(triples, width))
-    top, last = 1, None  # bit_length of the largest violating triple
+    small, keep, listed, below = _product_triples(qs)
+    spent = _charge(spent, (keep.bit_count() + len(listed)) * n * n, budget)
+    lift_a, lift_b, lift_c = ([_lift(row, nz, pre) for row in M]
+                              for pre in _product_prefixes(keep, listed, below, width))
+    seen = 0
     for x in nz:
         row_a, row_c = lift_a[x], lift_c[x]
         for y in nz:
             A, row_b = row_a[y], lift_b[y]
             for z in nz:
                 B, C = row_b[z], row_c[z]
-                bad = (A & B & ~C) | (C & ~(A | B))
-                if bad.bit_length() >= top:
-                    top, last = bad.bit_length(), (x, y, z)
+                seen |= (A & B & ~C) | (C & ~(A | B))
     status = ClauseStatus(SATISFIED)
-    if last is not None:
-        a, b, _ = triples[top - 1]
+    if seen:
+        smalls = _small_products()[0]
+        shift = len(smalls)
+        tops = []  # each block's largest violating triple, and its bit
+        if seen & keep:
+            k = (seen & keep).bit_length() - 1
+            tops.append((tuple(small[s] for s in smalls[k]), k))
+        if seen >> shift:
+            k = (seen >> shift).bit_length() - 1
+            tops.append((listed[k], shift + k))
+        (a, b, _), k = max(tops)
+        # the last (x, y, z) where triple k has p and q agree, and pq not
+        last = next((x, y, z) for x in reversed(nz) for y in reversed(nz) for z in reversed(nz)
+                    if lift_a[x][y] >> k & 1 == lift_b[y][z] >> k & 1 != lift_c[x][z] >> k & 1)
         status = ClauseStatus(VIOLATED, (qs[a], qs[b]) + last)
     report["4"] = status
 
     # (5) the order is linear with 0 least and agrees with R_1
     status = ClauseStatus(SATISFIED)
-    one = Fraction(1)
-    if one in model.rq:
-        t1 = qs.index(one)
+    if unit < width and qs[unit] == 1:
         for i in nz:
             for j in nz:
                 le = u[i] <= u[j]
-                via_r = (i == j) or bool(M[j][i] >> t1 & 1)
+                via_r = (i == j) or bool(M[j][i] >> unit & 1)
                 if le != via_r:
                     status = ClauseStatus(VIOLATED, (i, j))
     else:
@@ -594,7 +663,7 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     def cuts(i):  # an index outside the universe has no row in M
         if 0 <= i < n:
             return M[i]
-        return [sum(1 << t for t, q in enumerate(qs) if (i, j) in model.rq[q]) for j in range(n)]
+        return [sum(1 << t for t, (_, pairs) in enumerate(by_q) if (i, j) in pairs) for j in range(n)]
 
     for (i, i2), k in model.plus.items():
         A, B, C = (_lift(cuts(x), nz, pre) for x, pre in zip((i, i2, k), roles))

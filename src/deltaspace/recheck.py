@@ -1,9 +1,10 @@
 """Run-time re-checks of a verb's witness by plain exact evaluation.
 
-A check reads a space's distances and order as they are, with no masks,
-tables or search, so it shares nothing with the engine that found the
-witness: this module imports no engine (limitbuilder, ramsey, coding,
-search or amalgam), and a tier-1 test holds it to that.  A witness that
+A check reads a space's distances and order, or a model's cut tables,
+as they are, with no masks, derived tables or search, so it shares
+nothing with the engine that found the witness: this module imports no
+engine (limitbuilder, ramsey, coding, search or amalgam), and a tier-1
+test holds it to that.  A witness that
 fails its check is an AssertionError, which the CLI reports as an
 internal error (exit 4), never as a verdict.
 """
@@ -31,3 +32,17 @@ def check_unrealized(m, subset, dists, slot: int) -> None:
     if p is not None:
         raise AssertionError(f"the extension of {tuple(subset)} in slot {slot} was reported "
                              f"unrealized, but point {p} realizes it")
+
+
+def check_product_cut(rq, witness) -> None:
+    """AssertionError unless the clause (4) witness (p, q, x, y, z) of
+    the cut tables rq is a violation: (x, y) in rq[p] and (y, z) in
+    rq[q] must disagree with (x, z) in rq[p * q], both holding where it
+    does not, or neither holding where it does."""
+    p, q, x, y, z = witness
+    where = f"clause (4) was reported violated at p = {p}, q = {q}, (x, y, z) = {(x, y, z)}"
+    if not {p, q, p * q} <= rq.keys():
+        raise AssertionError(f"{where}, but p, q or pq has no cut table")
+    a, b, c = (x, y) in rq[p], (y, z) in rq[q], (x, z) in rq[p * q]
+    if not ((a and b and not c) or (c and not a and not b)):
+        raise AssertionError(f"{where}, but R_p(x, y), R_q(y, z) and R_pq(x, z) are {a}, {b} and {c}")

@@ -416,6 +416,42 @@ def test_check_theory_budget_stops_before_the_default_sample(tmp_path, capsys, m
     assert code == 2 and out is None  # 87^2 pair ratios exceed 1000 steps
 
 
+def test_check_theory_rechecks_the_clause_4_witness(tmp_path, capsys, monkeypatch):
+    # the witness that clause (4) printed on {1, ..., 6} with ~C dropped
+    # from its mask formula: R_11/2(6, 1), R_1/2(1, 1) and R_11/4(6, 1) all
+    # hold, which is no violation, so the run is exit 4, not exit 1
+    d = write_json(tmp_path, "d.json", make_set([n1(v) for v in range(1, 7)], cap=n1(6)).to_json())
+    argv = ["check-theory", "--set", d]
+    assert run(capsys, argv)[0] == 0
+    check = coding.check_theory_T
+
+    def wrong_witness(model, budget):
+        report = check(model, budget)
+        report["4"] = coding.ClauseStatus(coding.VIOLATED, (Fraction(11, 2), Fraction(1, 2), 6, 1, 1))
+        return report
+
+    monkeypatch.setattr(coding, "check_theory_T", wrong_witness)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "clause (4) was reported violated at p = 11/2" in captured.err
+
+
+def test_check_theory_exit_1_on_clause_4_passes_the_recheck(tmp_path, capsys, monkeypatch):
+    # a cut that loses (3, 1) at q = 2 breaks clause (4) for real: the
+    # witness passes the re-check and the run is exit 1
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2), n1(3)], cap=n1(3)).to_json())
+    encode = coding.model_encode
+
+    def one_pair_lost(*args):
+        m = encode(*args)
+        m.rq[Fraction(2)] -= {(3, 1)}
+        return m
+
+    monkeypatch.setattr(coding, "model_encode", one_pair_lost)
+    code, out = run(capsys, ["check-theory", "--set", d])
+    assert code == 1 and out["clauses"]["4"] == {"status": "Violated", "witness": ["8/3", "3/4", "3", "1", "1"]}
+
+
 def test_check_theory_rejects_a_non_positive_sample(tmp_path, capsys):
     d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2)], cap=n1(2)).to_json())
     for sample in ("0,1", "-1/2", "1,-3"):

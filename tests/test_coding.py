@@ -15,8 +15,12 @@ from deltaspace.coding import (
     CodingError,
     DvsCode,
     SCALE_BITS,
+    SMALL_RATIONALS,
     _pair_ratios,
+    _product_prefixes,
+    _product_triples,
     _sample_triples,
+    _small_products,
     approx_check,
     check_theory_T,
     default_sample_q,
@@ -296,6 +300,54 @@ def test_sample_tables_match_the_scan():
     assert sides == {False, True}
 
 
+# Rationals outside SMALL_RATIONALS that are products of two of them
+# (9 = 3 * 3, 9/10 = 3/2 * 3/5, 1/16 = 1/2 * 1/8, 21/40 = 3/5 * 7/8) or
+# factors of one (1/16 * 8 = 1/2, 16/9 * 3/8 = 2/3)
+OUTSIDE = [Fraction(9), Fraction(9, 10), Fraction(1, 16), Fraction(21, 40), Fraction(16, 9), Fraction(64),
+           Fraction(11, 9), Fraction(10, 3)]
+
+
+@st.composite
+def samples_short_of_the_small_rationals(draw):
+    """Some of SMALL_RATIONALS, never all of them, and some of OUTSIDE."""
+    small = draw(st.lists(st.sampled_from(SMALL_RATIONALS), max_size=len(SMALL_RATIONALS) - 1, unique=True))
+    outside = draw(st.lists(st.sampled_from(OUTSIDE), min_size=0 if small else 1, unique=True))
+    return sorted(small + outside)
+
+
+def test_product_tables_match_the_scan():
+    # the product triples of each sample, the kept small triples and the
+    # listed ones in mask-bit order, and their prefix tables, against the
+    # gcd-and-dict tables over every position pair
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        fragments().map(lambda d: sorted(model_encode(d).rq)),
+        samples_short_of_the_small_rationals(),
+        samples_past_the_scale(),
+    ))
+    def check(qs):
+        small, keep, listed, below = _product_triples(qs)
+        triples = _small_products()[0]
+        by_bit = {k: tuple(small[s] for s in t) for k, t in enumerate(triples) if keep >> k & 1}
+        kept = list(by_bit.values())
+        by_bit.update((len(triples) + k, t) for k, t in enumerate(listed))
+        # each product triple of qs is in one block, once, and each block
+        # is sorted, so its top bit is its largest triple
+        assert sorted(by_bit.values()) == oracles.sample_tables(qs)[0]
+        assert kept == sorted(kept) and listed == sorted(listed)
+        tables = _product_prefixes(keep, listed, below, len(qs))
+        for r, pre in enumerate(tables):
+            assert pre == [sum(1 << k for k, t in by_bit.items() if t[r] < w) for w in range(len(qs) + 1)]
+
+    check()
+
+
+def test_small_block_is_the_whole_table_of_the_small_rationals():
+    small, keep, listed, _ = _product_triples(list(SMALL_RATIONALS))
+    assert small == list(range(len(SMALL_RATIONALS))) and listed == []
+    assert keep == (1 << len(_small_products()[0])) - 1 and len(_small_products()[0]) == 685
+
+
 @settings(max_examples=200, deadline=None)
 @given(fragments())
 def test_triangle_structure_matches_the_scan(d):
@@ -371,6 +423,25 @@ def test_theory_budget_counts_table_steps():
     assert model_encode(d, sorted(m.rq), budget=len(m.rq) * 16) == m
     with pytest.raises(BudgetExceeded):
         check_theory_T(m, budget=len(m.rq) * 16)  # the masks alone take that much
+
+
+def test_theory_budget_pins_the_clause_4_charge():
+    # every block's charge, as check_theory_T's docstring lists them, with
+    # the product and split triples counted by the oracle's tables: the
+    # check passes at exactly that budget and not one step below it, so a
+    # product triple lost from either block moves the limit
+    m = model_encode(make_set(nums(1, 2, 3), cap=ExactReal(3)))
+    qs = sorted(m.rq)
+    n, width = len(m.universe), len(qs)
+    triples, splits = oracles.sample_tables(qs)
+    assert m.plus and len(triples) == 685  # the default sample of {1, 2, 3} adds no product
+    charge = (width * n * n  # the masks
+              + n ** 3  # clause (3)
+              + width * width + len(triples) * n * n  # clause (4)
+              + len(m.plus) * (n * width + sum(map(len, splits))))  # clause (6)
+    assert check_theory_T(m, budget=charge) == check_theory_T(m, budget=None)
+    with pytest.raises(BudgetExceeded):
+        check_theory_T(m, budget=charge - 1)
 
 
 def test_default_sample_separates_surd_ratios():

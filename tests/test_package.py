@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import deltaspace
 
@@ -174,3 +177,16 @@ def test_recheck_imports_no_engine():
     # the re-checks share nothing with the engines whose witnesses they check
     source = (pathlib.Path(deltaspace.__file__).parent / "recheck.py").read_text()
     assert _imported_modules(source) & ENGINES == set()
+
+
+def test_import_builds_no_theory_table():
+    # the product triples of SMALL_RATIONALS are built on first use; built
+    # at import, they would be set-up work of every verb, theory or not
+    src = pathlib.Path(deltaspace.__file__).parent.parent
+    code = ("import deltaspace, deltaspace.cli\n"
+            "from deltaspace import coding\n"
+            "assert coding._small_products.cache_info().currsize == 0\n"
+            "coding._small_products()\n"
+            "assert coding._small_products.cache_info().currsize == 1\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from deltaspace.coding import (
     NOT_FALSIFIABLE,
     SATISFIED,
+    SMALL_RATIONALS,
     VIOLATED,
     EncodedModel,
     check_theory_T,
@@ -54,8 +55,10 @@ def fragment_values(draw, count=st.integers(1, 3)):
     return out
 
 
+# 9/2 = 3/2 * 3 and 9 = 3 * 3 lie outside SMALL_RATIONALS, so a clause (4)
+# witness can be a triple of the listed block
 BUILT_SAMPLE = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2),
-                Fraction(3), Fraction(4)]
+                Fraction(3), Fraction(4), Fraction(9, 2), Fraction(9)]
 samples = st.one_of(
     st.none(),  # the default sample
     st.just([Fraction(1)]),
@@ -115,22 +118,26 @@ def built_models(draw):
     return EncodedModel(universe, ExactReal(0), plus, rq)
 
 
-def _branch(model, key, st_):
-    """The branch of clause `key` that produced st_, for coverage."""
+def _branches(model, key, st_):
+    """The branches of clause `key` that produced st_, for coverage; for
+    (4) also the block of its witness triple: small when p, q and pq are
+    all SMALL_RATIONALS, listed when one is outside them."""
     w = st_.witness
     if st_.status != VIOLATED:
-        return key, st_.status
+        return [(key, st_.status)]
     if key == "2":
-        return key, w[0] if isinstance(w[0], str) else "hole"
+        return [(key, w[0] if isinstance(w[0], str) else "hole")]
     if key == "4":
-        p, _, i, j, _ = w
-        return key, "product missing" if (i, j) in model.rq[p] else "product unforced"
-    return key, VIOLATED
+        p, q, i, j, _ = w
+        block = "small triple" if {p, q, p * q} <= set(SMALL_RATIONALS) else "listed triple"
+        return [(key, "product missing" if (i, j) in model.rq[p] else "product unforced"), (key, block)]
+    return [(key, VIOLATED)]
 
 
 REQUIRED = {
     ("1", VIOLATED), ("2", "hole"), ("2", "full cut"), ("2", "unit cut"), ("3", VIOLATED),
-    ("4", "product missing"), ("4", "product unforced"), ("5", VIOLATED), ("5", NOT_FALSIFIABLE),
+    ("4", "product missing"), ("4", "product unforced"), ("4", "small triple"), ("4", "listed triple"),
+    ("5", VIOLATED), ("5", NOT_FALSIFIABLE),
     ("6", VIOLATED), ("7", SATISFIED), ("7", NOT_FALSIFIABLE),
 }
 
@@ -143,7 +150,7 @@ def _agree(models, examples, reached):
         expected = oracles.check_theory_T(model)
         assert check_theory_T(model) == expected
         for key, st_ in expected.items():
-            reached[_branch(model, key, st_)] += 1
+            reached.update(_branches(model, key, st_))
 
     check()
 

@@ -269,7 +269,10 @@ def cmd_check_code(args):
 
 
 def cmd_check_sim(args):
-    res = coding.sim_check(_load_code(args.c1), _load_code(args.c2))
+    c1, c2 = _load_code(args.c1), _load_code(args.c2)
+    res = coding.sim_check(c1, c2)
+    if res is not None:  # re-checked on the two prefixes alone
+        recheck.check_similarity(c1.prefix, c2.prefix, *res)
     sim = None if res is None else {"permutation": list(res[0]), "r": str(res[1])}
     return {"sim": sim, "note": coding.PREFIX_SEMANTICS}, res is not None
 
@@ -340,6 +343,8 @@ def cmd_check_theory(args):
     report = coding.check_theory_T(m, args.budget)
     if report["4"].status == coding.VIOLATED:  # re-checked on the cut tables alone
         recheck.check_product_cut(m.rq, report["4"].witness)
+    if report["7"].status == coding.SATISFIED:
+        recheck.check_small_ratio(m.universe, m.rq, report["7"].witness)
     return _clauses(report)
 
 

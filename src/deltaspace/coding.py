@@ -237,7 +237,7 @@ def ts_isomorphic(s: TriangleStructure, t: TriangleStructure) -> Optional[tuple[
     if sorted(inc_s) != sorted(inc_t):
         return None
 
-    def candidates(i):
+    def candidates(m, i):
         return (j for j in range(n) if inc_s[i] == inc_t[j])
 
     def consistent(m, i):
@@ -248,7 +248,7 @@ def ts_isomorphic(s: TriangleStructure, t: TriangleStructure) -> Optional[tuple[
                                   itertools.product(before, before, (i,)))
         return all(((a, b, c) in s.relation) == ((m[a], m[b], m[c]) in t.relation) for a, b, c in triples)
 
-    return next(iter(injective_maps(n, candidates, consistent, SEARCH_NODES)), None)
+    return next(injective_maps(n, candidates, consistent, SEARCH_NODES), None)
 
 
 # ---------------------------------------------------------------------------

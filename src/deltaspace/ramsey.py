@@ -8,15 +8,16 @@ as searched); anything cut short by the budget is Unknown.  A verdict
 of Fails carries the bad coloring and is re-verified, by code the
 search does not use, before being returned: every key of the coloring
 must induce a copy of a, and every copy of b, found afresh, must hold
-two colors.
+two colors.  c, b and a must all be ordered or all unordered: between
+the two kinds no copy is defined, so no embedding is reported missing.
 
 The search colors the copies of a in index order, so a copy of b can
 come out monochromatic only when its last copy of a is colored.  Each
 copy of a keeps two bitmasks over the copies of b: those that contain it
-and those it closes.  The search is one flat loop, _color, with its
-state in locals: has[col], the copies of b that hold color col, for each
-color in use; every, their union; and mixed, the copies of b that hold
-two colors.  A node (a color tried at a position) is dead when it closes
+and those it closes.  The search is one flat loop, _color, not a run
+of search.injective_maps, with its state in locals: has[col], the copies
+of b that hold color col, for each color in use; every, their union; and
+mixed, the copies of b that hold two colors.  A node (a color tried at a position) is dead when it closes
 a copy of b that holds one color; a dead node changes no state, and the
 loop tries the next color.  A live node at position i keeps has[col],
 every and mixed in saved[i] before it changes them, and backtracking to
@@ -64,6 +65,8 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
     monochromatic copy of b."""
     if k < 1:
         raise RamseyError("need k >= 1")
+    if len({x.order is None for x in (c, b, a)}) > 1:
+        raise RamseyError("c, b and a must all be ordered or all unordered")
     copies_a = copies_of(c, a)
     copies_b = copies_of(c, b)
     if not copies_b:

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .dvs import DistanceSet
 from .exact import ExactReal, parse
-from .search import Search, injective_maps
+from .search import injective_maps
 
 
 class SpaceError(Exception):
@@ -330,13 +330,13 @@ def copies_of(c: Space, a: Space) -> list[tuple[int, ...]]:
     """All point subsets of c inducing a substructure isomorphic to a, as
     sorted tuples in itertools.combinations order.
 
-    When c and a are both ordered, an embedding is a search: c's points
-    are picked in increasing rank, the r-th pick standing for a.order[r].
-    The candidates for a pick are one int from c's masks: the points
-    ranked above the last pick that leave room for the picks after it,
-    ANDed with the mask of the wanted distance from the last pick.  A
-    candidate's distances to the picks before the last are compared on
-    c's value ids in one list compare, so placing it compares nothing.
+    When c and a are both ordered, an embedding is an injective_maps
+    run: c's points are picked in increasing rank, the r-th standing for
+    a.order[r].  The candidates for a pick are one int from c's masks:
+    the points ranked above the last pick that leave room for the picks
+    after it, ANDed with the mask of the wanted distance from the last
+    pick.  A candidate's distances to the picks before the last are
+    compared on c's value ids in one list compare, so each is consistent.
     Each of a's distinct values is looked up in c's index once.
     Otherwise every subset is tested with `isomorphic`."""
     if c.order is None or a.order is None:
@@ -358,9 +358,8 @@ def copies_of(c: Space, a: Space) -> list[tuple[int, ...]]:
     for p in order:
         prefix.append(prefix[-1] | 1 << p)
     room = prefix[n - k + 1:]
-    pts = [0] * k  # pts[r]: the point of the r-th pick
 
-    def choices(r):  # the points ranked above the last pick at the wanted distances from every pick
+    def candidates(pts, r):  # the points ranked above the last pick at the wanted distances from every pick
         if not r:
             return order[:n - k + 1]
         last = pts[r - 1]
@@ -376,12 +375,7 @@ def copies_of(c: Space, a: Space) -> list[tuple[int, ...]]:
             cand ^= low
         return out
 
-    def place(r, p):
-        pts[r] = p
-        return True
-
-    search = Search(k, choices, place, lambda r, p: None)
-    return sorted(tuple(sorted(picks)) for picks in search)
+    return sorted(tuple(sorted(picks)) for picks in injective_maps(k, candidates, lambda pts, r: True))
 
 
 def _profile(x: Space, i: int):
@@ -416,7 +410,7 @@ def isomorphisms(x: Space, y: Space):
         return
     n = x.n
 
-    def candidates(i):
+    def candidates(m, i):
         return (j for j in range(n) if px[i] == py[j])
 
     def consistent(m, i):

@@ -11,7 +11,8 @@ sample tables over every position pair, the n^3 triangle-structure
 scan, the dict-and-dumps extension report, the copies_of subset scan,
 validate_code, sim_check and the bijection check with their value
 scans),
-brute-force enumerations that use no search code, an arrow search that
+brute-force enumerations that use no search code, a recursive
+injective_maps that counts its nodes, an arrow search that
 keeps no incremental state, the subset scan that re-checked a bad
 coloring before the pruned search, gl2_search, an exhaustive matrix search,
 the realizer scan that the profile index replaced, the profile index
@@ -189,6 +190,30 @@ def arrow_search(copies_a, copies_b, k, budget=None):
         return False
 
     return (tuple(colors) if search(0) else None), nodes
+
+
+def injective_maps(n, candidates, consistent):
+    """(maps, nodes): the injective maps on 0..n-1 that a recursive search
+    yields, in its order, and its node count: one per image tried that no
+    position before it holds.  candidates(m, i) and consistent(m, i) see
+    the partial map m as a tuple of the images of 0..i-1, and of 0..i."""
+    maps, m, nodes = [], [], 0
+
+    def search(i):
+        nonlocal nodes
+        if i == n:
+            maps.append(tuple(m))
+            return
+        for j in candidates(tuple(m), i):
+            if j not in m:
+                nodes += 1
+                m.append(j)
+                if consistent(tuple(m), i):
+                    search(i + 1)
+                m.pop()
+
+    search(0)
+    return maps, nodes
 
 
 def verify_bad_coloring(c, b, a, coloring):

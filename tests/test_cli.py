@@ -436,6 +436,31 @@ def test_check_theory_rechecks_the_clause_4_witness(tmp_path, capsys, monkeypatc
     assert captured.out == "" and "clause (4) was reported violated at p = 11/2" in captured.err
 
 
+def test_check_theory_rechecks_the_clause_7_witness(tmp_path, capsys, monkeypatch):
+    # on {1, 2, 3} with the sample {1, 2, 3}, clause (7) is Satisfied with
+    # the witness (1, 1, 1): 1 <= 1 * 1 (clause (3) fails, so exit 1).  A
+    # witness 3 <= 1 * 1, one at q = 2, which is not the least sample
+    # rational, or one at the index of 0 is exit 4
+    d = write_json(tmp_path, "d.json", make_set([n1(1), n1(2), n1(3)], cap=n1(3)).to_json())
+    argv = ["check-theory", "--set", d, "--sample", "1,2,3"]
+    code, out = run(capsys, argv)
+    assert code == 1 and out["clauses"]["7"] == {"status": "Satisfied", "witness": ["1", "1", "1"]}
+    check = coding.check_theory_T
+    for witness, text in (((Fraction(1), 3, 1), "but 3/1 > 1 * 1/1"),
+                          ((Fraction(2), 1, 1), "but the least sample rational is 1"),
+                          ((Fraction(1), 0, 1), "nonzero indices")):
+        def wrong_witness(model, budget, witness=witness):
+            report = check(model, budget)
+            report["7"] = coding.ClauseStatus(coding.SATISFIED, witness)
+            return report
+
+        monkeypatch.setattr(coding, "check_theory_T", wrong_witness)
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "clause (7) was reported satisfied" in captured.err
+        assert text in captured.err, captured.err
+
+
 def test_check_theory_exit_1_on_clause_4_passes_the_recheck(tmp_path, capsys, monkeypatch):
     # a cut that loses (3, 1) at q = 2 breaks clause (4) for real: the
     # witness passes the re-check and the run is exit 1
@@ -562,6 +587,21 @@ def test_check_arrow_exit_codes(tmp_path, capsys):
     assert code == 2 and out["status"] == "Unknown"
 
 
+def test_check_arrow_refuses_mixed_ordered_and_unordered_inputs(tmp_path, capsys):
+    # an unordered 3-point uniform b does embed into the 6-point uniform
+    # c as a metric space; with c ordered and b not, arrow names the
+    # mismatch rather than report that b does not embed, and the same
+    # for an unordered a under ordered c and b
+    c6 = write_json(tmp_path, "c6.json", uniform_space(6, n1(1)).to_json())
+    b3 = write_json(tmp_path, "b3.json", uniform_space(3, n1(1)).to_json())
+    a2 = write_json(tmp_path, "a2.json", uniform_space(2, n1(1)).to_json())
+    b3u = write_json(tmp_path, "b3u.json", uniform_space(3, n1(1), ordered=False).to_json())
+    a2u = write_json(tmp_path, "a2u.json", uniform_space(2, n1(1), ordered=False).to_json())
+    for b, a in ((b3u, a2), (b3u, a2u), (b3, a2u)):
+        assert_input_error(capsys, ["check-arrow", "--c", c6, "--b", b, "--a", a, "-k", "2"],
+                           "c, b and a must all be ordered or all unordered")
+
+
 def test_a_fails_on_extra_copies_of_a_is_internal(tmp_path, capsys, monkeypatch):
     # with every pair of c reported as a copy of a, the search finds a bad
     # coloring that the re-check of b's copies accepts; only the check that
@@ -615,6 +655,23 @@ def test_code_verbs(tmp_path, capsys):
     assert out["sim"]["r"] == "2/1"
     code, out = run(capsys, ["check-approx", "--c1", c1, "--c2", c2])
     assert code == 0
+
+
+def test_check_sim_rechecks_its_witness(tmp_path, capsys, monkeypatch):
+    # {1, 2} and {2, 4} are similar at r = 2 under the identity; a
+    # permutation that sends 1 to the place of 4, or that is no
+    # permutation, is exit 4, not exit 0 with a false witness
+    c1 = write_json(tmp_path, "c1.json", coding.encode_dvs(make_set([n1(1), n1(2)])).to_json())
+    c2 = write_json(tmp_path, "c2.json", coding.encode_dvs(make_set([n1(2), n1(4)])).to_json())
+    argv = ["check-sim", "--c1", c1, "--c2", c2]
+    code, out = run(capsys, argv)
+    assert code == 0 and out["sim"] == {"permutation": [0, 1, 2, 3], "r": "2/1"}
+    for g, text in (((0, 3, 2, 1), "d[3] = 4/1 is not r * c[1] = 2/1"), ((0, 1, 1, 3), "no permutation")):
+        monkeypatch.setattr(coding, "sim_check", lambda c, d, g=g: (g, n1(2)))
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "check-sim reported the permutation" in captured.err
+        assert text in captured.err, captured.err
 
 
 def test_theory_verbs(tmp_path, capsys):

@@ -121,7 +121,7 @@ def test_cli_has_one_exit_site():
 
 def _callers(source: str, callee: str) -> list[str]:
     """The top-level function (or <module>) around each call of callee
-    by name, or as an attribute (`search.Search(...)`), in source order."""
+    by name, or as an attribute (`search.injective_maps(...)`), in source order."""
     callers = []
     for top in ast.parse(source).body:
         name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
@@ -140,14 +140,18 @@ def test_coding_has_one_triangle_pattern_search():
 
 
 def test_search_engine_has_two_callers():
-    # the ordered copies_of and the bijection searches run on Search;
-    # arrow's coloring loop is its own (ramsey._color), so a third loop
-    # on the engine, or arrow back on it, is an edit here
-    assert _callers("def f():\n    search.Search(1)\n", "Search") == ["f"]
+    # the engine's callers are two modules: the ordered copies_of and the
+    # bijection searches run on injective_maps; arrow's coloring loop is
+    # its own (ramsey._color), so a further search on the engine, arrow
+    # back on it, or an engine class beside it is an edit here
+    assert _callers("def f():\n    search.injective_maps(1)\n", "injective_maps") == ["f"]
     src = pathlib.Path(deltaspace.__file__).parent
-    sites = [f"{path.stem}.{name}" for path in sorted(src.glob("*.py")) for name in _callers(path.read_text(), "Search")]
-    assert sites == ["search.injective_maps", "space.copies_of"]
-    assert "Search" not in _imported_modules((src / "ramsey.py").read_text())
+    sites = [f"{path.stem}.{name}" for path in sorted(src.glob("*.py"))
+             for name in _callers(path.read_text(), "injective_maps")]
+    assert sites == ["coding.ts_isomorphic", "space.copies_of", "space.isomorphisms"]
+    assert "injective_maps" not in _imported_modules((src / "ramsey.py").read_text())
+    tree = ast.parse((src / "search.py").read_text())
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == ["BudgetExceeded"]
 
 
 ENGINES = {"limitbuilder", "ramsey", "coding", "search", "amalgam"}
@@ -168,7 +172,7 @@ def _imported_modules(source: str) -> set[str]:
 
 def test_engine_import_guard_sees_an_engine():
     assert _imported_modules("from . import ramsey\n") & ENGINES == {"ramsey"}
-    assert _imported_modules("from .search import Search\n") & ENGINES == {"search"}
+    assert _imported_modules("from .search import injective_maps\n") & ENGINES == {"search"}
     assert _imported_modules("import deltaspace.coding as c\n") & ENGINES == {"coding"}
     assert _imported_modules("from __future__ import annotations\n") & ENGINES == set()
 

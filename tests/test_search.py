@@ -11,60 +11,81 @@ from hypothesis import strategies as st
 from deltaspace.coding import DvsCode, TriangleStructure, approx_check, triangle_structure, ts_isomorphic
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
-from deltaspace.ramsey import FAILS, HOLDS, UNKNOWN, NotEmbeddable, _induces, arrow, verify_bad_coloring
-from deltaspace.search import BudgetExceeded, Search, injective_maps
+from deltaspace.ramsey import FAILS, HOLDS, UNKNOWN, RamseyError, _induces, arrow, verify_bad_coloring
+from deltaspace.search import BudgetExceeded, injective_maps
 from deltaspace.space import Space, copies_of, isomorphic, isomorphisms, make_space, uniform_space
 
 import oracles
 
 
-def product_search(n, k, budget=None):
-    return Search(n, lambda i: range(k), lambda i, c: True, lambda i, c: None, budget)
+def permutation_maps(n, k, budget=None):
+    return injective_maps(n, lambda m, i: range(k), lambda m, i: True, budget)
 
 
 def test_search_yields_in_depth_first_order_and_counts_nodes():
-    search = product_search(3, 2)
-    assert list(search) == list(itertools.product(range(2), repeat=3))
-    assert search.nodes == 2 + 4 + 8
-
-
-def test_search_pairs_every_place_with_one_undo():
-    log = []
-
-    def place(i, c):
-        log.append(("place", i, c))
-        return c != 1
-
-    def undo(i, c):
-        log.append(("undo", i, c))
-
-    assert list(Search(2, lambda i: range(3), place, undo)) == [(0, 0), (0, 2), (2, 0), (2, 2)]
-    placed = [e[1:] for e in log if e[0] == "place"]
-    undone = [e[1:] for e in log if e[0] == "undo"]
-    assert sorted(placed) == sorted(undone) and len(placed) == 3 + 2 * 3
+    assert list(permutation_maps(3, 3)) == list(itertools.permutations(range(3)))
+    # 3 + 6 + 6 nodes: a budget of 15 completes, one of 14 does not
+    assert list(permutation_maps(3, 3, budget=15)) == list(itertools.permutations(range(3)))
+    with pytest.raises(BudgetExceeded, match="search exceeded 14 nodes"):
+        list(permutation_maps(3, 3, budget=14))
 
 
 def test_search_empty_assignment():
-    assert list(product_search(0, 2)) == [()]
-    assert list(product_search(2, 0)) == []
+    assert list(permutation_maps(0, 2)) == [()]
+    assert list(permutation_maps(0, 2, budget=0)) == [()]
+    assert list(permutation_maps(2, 0)) == []
+    assert list(permutation_maps(3, 2)) == []  # no injective map of 3 into 2
 
 
 def test_search_budget_counts_the_node_that_crosses_it():
-    search = product_search(3, 2, budget=5)
-    with pytest.raises(BudgetExceeded):
-        list(search)
-    assert search.nodes == 6
+    # consistent sees each node within the budget; the 6th node raises
+    # before it is placed, after the maps found by then are yielded
+    tried = []
+
+    def consistent(m, i):
+        tried.append((i, m[i]))
+        return True
+
+    maps = injective_maps(3, lambda m, i: range(3), consistent, budget=5)
+    assert [next(maps), next(maps)] == [(0, 1, 2), (0, 2, 1)]
+    with pytest.raises(BudgetExceeded, match="search exceeded 5 nodes"):
+        next(maps)
+    assert tried == [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)]
 
 
 def test_search_depth_is_not_bounded_by_recursion():
-    search = product_search(20000, 1)
-    assert list(search) == [(0,) * 20000]
-    assert search.nodes == 20000
+    def chain(budget):
+        return injective_maps(20000, lambda m, i: (i,), lambda m, i: True, budget)
+
+    assert list(chain(20000)) == [tuple(range(20000))]
+    with pytest.raises(BudgetExceeded):
+        list(chain(19999))
 
 
 def test_injective_maps_are_the_permutations():
-    maps = injective_maps(4, lambda i: range(4), lambda m, i: True)
-    assert list(maps) == list(itertools.permutations(range(4)))
+    assert list(permutation_maps(4, 4)) == list(itertools.permutations(range(4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(st.lists(st.integers(0, 5), max_size=6), min_size=n, max_size=n)),
+       st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))))
+def test_injective_maps_match_the_recursive_oracle(images, allowed):
+    # images[i] lists i's candidates, repeats included; a pair of images
+    # (m[t], m[i]) with t < i must be allowed
+    n = len(images)
+
+    def candidates(m, i):
+        return images[i]
+
+    def consistent(m, i):
+        return all((m[t], m[i]) in allowed for t in range(i))
+
+    maps, nodes = oracles.injective_maps(n, candidates, consistent)
+    assert list(injective_maps(n, candidates, consistent)) == maps
+    assert list(injective_maps(n, candidates, consistent, budget=nodes)) == maps
+    if nodes:
+        with pytest.raises(BudgetExceeded, match=f"search exceeded {nodes - 1} nodes"):
+            list(injective_maps(n, candidates, consistent, budget=nodes - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +357,7 @@ def test_bad_coloring_recheck_matches_subset_scan(c, mixed, data):
     if kind == "found":  # a bad coloring found by arrow, when it finds one
         try:
             verdict = arrow(c, b, a, data.draw(st.sampled_from((2, 3))), budget=10 ** 4)
-        except NotEmbeddable:
+        except RamseyError:  # b or a does not embed, or the orders are mixed
             verdict = None
         if verdict is not None and verdict.status == FAILS:
             coloring = verdict.bad_coloring

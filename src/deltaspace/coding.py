@@ -15,8 +15,8 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add, itemgetter
+from math import lcm
+from operator import itemgetter
 from typing import Optional
 
 from .dvs import DistanceSet
@@ -378,15 +378,6 @@ def model_encode(d: DistanceSet, sample_q=None, budget: Optional[int] = THEORY_B
     return model
 
 
-# The largest lcm, in bits, of a sample's denominators that
-# _sample_triples scales the sample by.  Past it the scaled ints grow
-# long enough that gcd-reduced (numerator, denominator) keys cost less:
-# on default samples of 60-100 rationals the int keys took 0.7-0.94x the
-# time of the reduced keys at 300-510 bits, 1.05-1.3x at 550-800 bits
-# and 1.9x at 1,300 bits.
-SCALE_BITS = 512
-
-
 def _sample_triples(qs, sums: bool, skip=()) -> list[tuple[int, int, int]]:
     """The position triples (a, b, c) of the nonempty sorted sample with
     qs[a] * qs[b] == qs[c], or with qs[a] + qs[b] == qs[c] and a < c
@@ -396,36 +387,22 @@ def _sample_triples(qs, sums: bool, skip=()) -> list[tuple[int, int, int]]:
     The sample is scaled to ints keys[t] = qs[t] * L, L the lcm of its
     denominators, so a product is keys[a] * keys[b] == keys[c] * L and a
     sum keys[a] + keys[b] == keys[c]: one int operation and one dict
-    lookup per pair.  When L has more than SCALE_BITS bits, the lookups
-    are on (numerator, denominator) pairs reduced by their gcd instead.
-    Along a row the sums grow, and so do the products when qs[a] > 0,
-    so a row ends at the last b whose result is at most qs[-1], found by
-    bisection in keys.  Both operations are symmetric, so only b >= a is
-    computed and (b, a) goes to row b, after the triples of the rows
-    before a; each row comes out in order, with no sort."""
+    lookup per pair, exact at any L.  Along a row the sums grow, and so
+    do the products when qs[a] > 0, so a row ends at the last b whose
+    result is at most qs[-1], found by bisection in keys.  Both operations
+    are symmetric, so only b >= a is computed and (b, a) goes to row b,
+    after the triples of the rows before a; each row comes out in order,
+    with no sort."""
     n, scale = len(qs), lcm(*(q.denominator for q in qs))
     keys = [q.numerator * (scale // q.denominator) for q in qs]
     top = keys[-1] if sums else keys[-1] * scale
     ends = [bisect_right(keys, top - x if sums else top // x, a) if sums or x > 0 else n
             for a, x in enumerate(keys)]
-    if scale.bit_length() <= SCALE_BITS:
-        where = {x if sums else x * scale: t for t, x in enumerate(keys)}
-
-        def results(a):
-            x = keys[a]
-            return map(x.__add__ if sums else x.__mul__, keys[a:ends[a]])
-    else:
-        nums, dens = [q.numerator for q in qs], [q.denominator for q in qs]
-        where = dict(zip(zip(nums, dens), range(n)))
-
-        def results(a):
-            na, da, ns, ds = nums[a], dens[a], nums[a:ends[a]], dens[a:ends[a]]
-            num = map(add, map(na.__mul__, ds), map(da.__mul__, ns)) if sums else map(na.__mul__, ns)
-            return [(p // g, d // g) for p, d in zip(num, map(da.__mul__, ds)) for g in (gcd(p, d),)]
+    where = {x if sums else x * scale: t for t, x in enumerate(keys)}
     rows = [[] for _ in range(n)]
     for a, row in enumerate(rows):
-        inside = a in skip
-        for b, c in enumerate(map(where.get, results(a)), a):
+        x, inside = keys[a], a in skip
+        for b, c in enumerate(map(where.get, map(x.__add__ if sums else x.__mul__, keys[a:ends[a]])), a):
             if c is not None and not (inside and b in skip and c in skip):
                 if not sums or a < c:
                     row.append((a, b, c))

@@ -97,16 +97,16 @@ def scaling_witness(d1: DistanceSet, d2: DistanceSet) -> Optional[ScalingWitness
 
     An order-preserving scaling must map min to min, so no search is
     needed.  Caps must match when both sets are bounded; a boundedness
-    mismatch cannot be explained by scaling.
+    mismatch cannot be explained by scaling.  Two empty sets are scaled
+    by cap(d2)/cap(d1) when bounded, and by 1 when not.
     """
-    if len(d1.values) != len(d2.values):
-        return None
-    if not d1.values:
-        return None
-    if d1.bounded != d2.bounded:
+    if len(d1.values) != len(d2.values) or d1.bounded != d2.bounded:
         return None
     try:
-        r = d2.values[0] / d1.values[0]
+        if d1.values:
+            r = d2.values[0] / d1.values[0]
+        else:
+            r = d2.cap / d1.cap if d1.bounded else ExactReal(1)
         if d1.bounded and d2.cap != d1.cap * r:
             return None
         return ScalingWitness(r, d1, d2)

@@ -5,11 +5,11 @@ A verdict of Holds is only ever produced by a completed search over all
 colorings (backtracking counts as complete when its tree is exhausted,
 and a subtree that a swap of two colors maps onto one searched counts
 as searched); anything cut short by the budget is Unknown.  A verdict
-of Fails carries the bad coloring and is re-verified, by code the
-search does not use, before being returned: every key of the coloring
-must induce a copy of a, and every copy of b, found afresh, must hold
-two colors.  c, b and a must all be ordered or all unordered: between
-the two kinds no copy is defined, so no embedding is reported missing.
+of Fails carries the bad coloring and is re-verified by recheck before
+being returned: every key of the coloring must induce a copy of a, and
+every copy of b, found afresh, must hold two colors.  c, b and a must
+all be ordered or all unordered: between the two kinds no copy is
+defined, so no embedding is reported missing.
 
 The search colors the copies of a in index order, so a copy of b can
 come out monochromatic only when its last copy of a is colored.  Each
@@ -34,8 +34,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from .recheck import _induces, verify_bad_coloring
 from .search import BudgetExceeded
-from .space import Space, copies_of, isomorphic, isomorphisms
+from .space import Space, copies_of, isomorphisms
 
 
 class RamseyError(Exception):
@@ -71,18 +72,7 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
     copies_b = copies_of(c, b)
     if not copies_b:
         raise NotEmbeddable("b does not embed into c")
-    if a.n > 0 and not copies_of(b, a):
-        raise NotEmbeddable("a does not embed into b")
-    verdict = ArrowVerdict(UNKNOWN, copies_a=len(copies_a), copies_b=len(copies_b))
-    if k == 1:
-        verdict.status = HOLDS
-        return verdict
-
     m = len(copies_a)
-    if m == 0:
-        # the empty coloring is constant on every copy of B
-        verdict.status = HOLDS
-        return verdict
     # contains[i], closes[i]: the B-copies (bit j for B-copy j) that hold
     # A-copy i, and those whose highest-index A-copy is i, so that placing
     # i completes them
@@ -99,6 +89,12 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
                     last = i
         if last >= 0:
             closes[last] |= bit
+    if not any(closes):  # a copy of a in b would lie inside every copy of b
+        raise NotEmbeddable("a does not embed into b")
+    verdict = ArrowVerdict(UNKNOWN, copies_a=m, copies_b=len(copies_b))
+    if k == 1:
+        verdict.status = HOLDS
+        return verdict
     try:
         bad, verdict.nodes = _color(m, k, contains, closes, budget)
     except BudgetExceeded:
@@ -185,90 +181,6 @@ def _color(m: int, k: int, contains: list[int], closes: list[int], budget: int):
             # col was the first unheld color: each later color's subtree is as large
             nodes += (top - col - 1) * (nodes - start + 1)
             col = top
-
-
-def _by_rank(x: Space) -> list[list]:
-    """rows[r][t]: the distance between x's r-th and t-th points in its
-    order, for t < r."""
-    order = x.order
-    return [[row[q] for q in order[:r]] for r, row in enumerate(map(x.dist.__getitem__, order))]
-
-
-def _induces(c: Space, t: tuple[int, ...], a: Space) -> bool:
-    """Whether the points t of c induce a copy of a: exact == by rank
-    when c and a are ordered, else isomorphic.  Uses no copies_of."""
-    if len(t) != a.n:
-        return False
-    if c.order is None or a.order is None:
-        return isomorphic(c.induced(t), a) is not None
-    pts = sorted(t, key=c.ranks.__getitem__)
-    return [[c.dist[p][q] for q in pts[:r]] for r, p in enumerate(pts)] == _by_rank(a)
-
-
-def verify_bad_coloring(c: Space, b: Space, a: Space, coloring: dict) -> bool:
-    """Independent re-check that a coloring witnesses failure: every copy
-    of b contains two differently colored copies of a, the copies of a
-    being the coloring's keys.  It finds the copies of b itself and shares
-    no code with the arrow search or copies_of; arrow checks the keys
-    with _induces first.
-
-    When c and b are ordered it searches for a monochromatic copy of b:
-    c's points are picked in increasing rank, the r-th pick standing for
-    b's r-th point, each pick's distances to the earlier picks compared
-    with exact == in one list compare, which tries identity before
-    ExactReal.__eq__.  A pick adds the colors of the keys whose
-    highest-rank point it is and whose points are all picked, and a
-    branch is cut as soon as it holds two colors.  Otherwise every
-    subset of c is tested with isomorphic."""
-    if c.order is None or b.order is None:
-        for bc in itertools.combinations(range(c.n), b.n):
-            if isomorphic(c.induced(bc), b) is None:
-                continue
-            bset = set(bc)
-            cols = {col for t, col in coloring.items() if set(t) <= bset}
-            if len(cols) <= 1:
-                return False
-        return True
-    k, n, order, ranks, dist = b.n, c.n, c.order, c.ranks, c.dist
-    if k > n:  # no copy of b, and the slice bound below would count from the end
-        return True
-    want = _by_rank(b)
-    tops = [[] for _ in range(n)]  # tops[p]: the keys (points, color) whose highest-rank point is p
-    cols = [None] * (k + 1)  # cols[r]: the one color of the keys inside the first r picks, or None
-    for t, col in coloring.items():
-        if t:
-            tops[max(t, key=ranks.__getitem__)].append((t, col))
-        else:  # the empty key lies inside every copy of b
-            cols[0] = col
-    if k == 0:
-        return False  # the empty copy of b holds at most one color
-    picked, pts = [False] * n, [0] * k
-    stack = [iter(order[:n - k + 1])]  # stack[r]: the untried points of pick r
-    while stack:
-        r = len(stack) - 1
-        earlier, w = pts[:r], want[r]
-        for p in stack[r]:
-            if list(map(dist[p].__getitem__, earlier)) != w:
-                continue
-            picked[p], col = True, cols[r]
-            for t, x in tops[p]:
-                if all(picked[q] for q in t):
-                    if col is None:
-                        col = x
-                    elif x != col:
-                        break  # two colors: every completion of this branch holds them
-            else:
-                if r + 1 == k:
-                    return False  # a copy of b with at most one color
-                pts[r], cols[r + 1] = p, col
-                stack.append(iter(order[ranks[p] + 1:n - k + r + 2]))
-                break
-            picked[p] = False
-        else:
-            stack.pop()
-            if r:
-                picked[pts[r - 1]] = False
-    return True
 
 
 def is_rigid(x: Space) -> bool:

@@ -1,15 +1,19 @@
 """Run-time re-checks of a verb's witness by plain exact evaluation.
 
 A check reads a space's distances and order, a model's universe and
-cut tables, or two codes' prefixes, as they are, with no masks, derived
-tables or search, so it shares nothing with the engine that found the
-witness: this module imports no engine (limitbuilder, ramsey, coding,
-search or amalgam), and a tier-1 test holds it to that.  A witness that
-fails its check is an AssertionError, which the CLI reports as an
-internal error (exit 4), never as a verdict.
+cut tables, or two codes' prefixes, as they are, with no masks or
+derived tables, and may run a plain loop of its own, by design, so it
+shares nothing with the engine that found the witness: this module
+imports no engine (limitbuilder, ramsey, coding, search or amalgam) and
+not space, and a tier-1 test holds it to that.  A witness that fails
+its check is an AssertionError, which the CLI reports as an internal
+error (exit 4), never as a verdict.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections import Counter
 
 from .exact import MixedRadicands
 
@@ -79,3 +83,96 @@ def check_similarity(c, d, g, r) -> None:
             raise AssertionError(f"{where}, but r * c[{i}] = {r} * {v} mixes radicands") from None
         if d[g[i]] != image:
             raise AssertionError(f"{where}, but d[{g[i]}] = {d[g[i]]} is not r * c[{i}] = {image}")
+
+
+def _by_rank(x) -> list[list]:
+    """rows[r][t]: the distance between x's r-th and t-th points in its
+    order, for t < r."""
+    order = x.order
+    return [[row[q] for q in order[:r]] for r, row in enumerate(map(x.dist.__getitem__, order))]
+
+
+def _induces(c, t: tuple[int, ...], a) -> bool:
+    """Whether the points t of c induce a copy of a, with no copies_of or
+    isomorphic: by rank with exact == when c and a are ordered, never
+    when one is ordered and the other not.  When both are unordered, the
+    multisets of distances, counted by hash (a sort could mix radicands),
+    must agree, and then some bijection of t onto a's points must keep
+    every distance."""
+    if len(t) != a.n or (c.order is None) != (a.order is None):
+        return False
+    if c.order is None:
+        pairs = list(itertools.combinations(range(a.n), 2))
+        want = [a.dist[i][j] for i, j in pairs]
+        if Counter(c.dist[t[i]][t[j]] for i, j in pairs) != Counter(want):
+            return False
+        # g[i]: the image of a's point i
+        return any([c.dist[g[i]][g[j]] for i, j in pairs] == want for g in itertools.permutations(t))
+    pts = sorted(t, key=c.ranks.__getitem__)
+    return [[c.dist[p][q] for q in pts[:r]] for r, p in enumerate(pts)] == _by_rank(a)
+
+
+def verify_bad_coloring(c, b, a, coloring: dict) -> bool:
+    """Independent re-check that a coloring witnesses failure: every copy
+    of b contains two differently colored copies of a, the copies of a
+    being the coloring's keys.  It finds the copies of b itself and shares
+    no code with the arrow search, copies_of or isomorphic; arrow checks
+    the keys with _induces first.
+
+    When c and b are ordered it searches for a monochromatic copy of b:
+    c's points are picked in increasing rank, the r-th pick standing for
+    b's r-th point, each pick's distances to the earlier picks compared
+    with exact == in one list compare, which tries identity before
+    ExactReal.__eq__.  A pick adds the colors of the keys whose
+    highest-rank point it is and whose points are all picked, and a
+    branch is cut as soon as it holds two colors.  Otherwise every
+    subset of c is tested with _induces."""
+    if c.order is None or b.order is None:
+        for bc in itertools.combinations(range(c.n), b.n):
+            if not _induces(c, bc, b):
+                continue
+            bset = set(bc)
+            cols = {col for t, col in coloring.items() if set(t) <= bset}
+            if len(cols) <= 1:
+                return False
+        return True
+    k, n, order, ranks, dist = b.n, c.n, c.order, c.ranks, c.dist
+    if k > n:  # no copy of b, and the slice bound below would count from the end
+        return True
+    want = _by_rank(b)
+    tops = [[] for _ in range(n)]  # tops[p]: the keys (points, color) whose highest-rank point is p
+    cols = [None] * (k + 1)  # cols[r]: the one color of the keys inside the first r picks, or None
+    for t, col in coloring.items():
+        if t:
+            tops[max(t, key=ranks.__getitem__)].append((t, col))
+        else:  # the empty key lies inside every copy of b
+            cols[0] = col
+    if k == 0:
+        return False  # the empty copy of b holds at most one color
+    picked, pts = [False] * n, [0] * k
+    stack = [iter(order[:n - k + 1])]  # stack[r]: the untried points of pick r
+    while stack:
+        r = len(stack) - 1
+        earlier, w = pts[:r], want[r]
+        for p in stack[r]:
+            if list(map(dist[p].__getitem__, earlier)) != w:
+                continue
+            picked[p], col = True, cols[r]
+            for t, x in tops[p]:
+                if all(picked[q] for q in t):
+                    if col is None:
+                        col = x
+                    elif x != col:
+                        break  # two colors: every completion of this branch holds them
+            else:
+                if r + 1 == k:
+                    return False  # a copy of b with at most one color
+                pts[r], cols[r + 1] = p, col
+                stack.append(iter(order[ranks[p] + 1:n - k + r + 2]))
+                break
+            picked[p] = False
+        else:
+            stack.pop()
+            if r:
+                picked[pts[r - 1]] = False
+    return True

@@ -5,7 +5,8 @@
 the recursion limit.  The one exception is the arrow coloring search,
 `ramsey._color`: its per-node work is a few int mask steps, so a call
 per node into the engine was most of its cost, and it is a flat loop of
-its own.
+its own.  The re-checks in `recheck` are no engines: by design, they
+run plain loops of their own, sharing no code with the engines.
 """
 
 from __future__ import annotations

@@ -37,7 +37,8 @@ from deltaspace.limitbuilder import (
     extension_property_check,
     saturate,
 )
-from deltaspace.ramsey import FAILS, HOLDS, arrow, is_rigid, verify_bad_coloring
+from deltaspace.ramsey import FAILS, HOLDS, arrow, is_rigid
+from deltaspace.recheck import verify_bad_coloring
 from deltaspace.space import OK, PartialIsometry, isomorphisms, uniform_space, validate
 from oracles import cap_distances, gl2_search
 from util import closed_fragment, doubled_space, extend_with_random_points, random_space

@@ -71,6 +71,19 @@ def test_check_equiv(tmp_path, capsys):
     assert code == 1 and out == {"witness": None}
 
 
+def test_check_equiv_on_empty_fragments(tmp_path, capsys):
+    # r = 1 scales the empty set onto itself, and r = cap2/cap1 scales one
+    # bounded empty fragment onto another; emptiness or boundedness on one
+    # side only has no witness
+    sets = {"e": make_set([]), "e2": make_set([], cap=n1(2)), "e3": make_set([], cap=n1(3)),
+            "d": make_set([n1(1)])}
+    path = {name: write_json(tmp_path, f"{name}.json", d.to_json()) for name, d in sets.items()}
+    for d1, d2, want in (("e", "e", {"r": "1/1"}), ("e2", "e3", {"r": "3/2"}), ("e", "d", None),
+                         ("d", "e", None), ("e", "e2", None), ("e3", "e", None)):
+        code, out = run(capsys, ["check-equiv", "--d1", path[d1], "--d2", path[d2]])
+        assert (code, out) == (0 if want else 1, {"witness": want}), (d1, d2)
+
+
 def test_gl2(capsys):
     code, out = run(capsys, ["gl2", "--alpha", "1/1*sqrt(2)", "--beta", "1/1+3/1*sqrt(2)"])
     assert code == 0
@@ -628,6 +641,29 @@ def test_a_fails_on_extra_copies_of_a_is_internal(tmp_path, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal: AssertionError: a key of the bad coloring is not a copy of a\n"
+
+
+def test_unordered_fails_recheck_does_not_share_isomorphic(tmp_path, capsys, monkeypatch):
+    # K6 -> (K3) on edges with 2 colors holds.  With isomorphisms patched
+    # never to match two of the triangles, the unordered copies_of misses
+    # them and the search finds a bad coloring; the re-check finds every
+    # triangle itself, so the run is an internal error, never a Fails
+    from deltaspace import space
+    argv = ["check-arrow", "-k", "2"]
+    for name, n in (("c", 6), ("b", 3), ("a", 2)):
+        argv += [f"--{name}", write_json(tmp_path, f"{name}.json", uniform_space(n, n1(1), ordered=False).to_json())]
+    code, out = run(capsys, argv)
+    assert code == 0 and out["status"] == "Holds" and out["copies_b"] == 20
+    isomorphisms = space.isomorphisms
+
+    def blind(x, y):
+        return iter(()) if x.labels in (("p0", "p1", "p2"), ("p0", "p1", "p3")) else isomorphisms(x, y)
+
+    monkeypatch.setattr(space, "isomorphisms", blind)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal: AssertionError: bad coloring failed re-verification\n"
 
 
 def test_check_rigid(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from deltaspace.coding import (
     ClauseStatus,
     CodingError,
     DvsCode,
-    SCALE_BITS,
     SMALL_RATIONALS,
     _pair_ratios,
     _product_prefixes,
@@ -262,17 +260,17 @@ def test_model_rq_matches_the_scan(d_sample):
     assert m.rq == oracles.rq_table(m.universe, qs)
 
 
-# Primes above 1000: each has more than 9 bits, so SCALE_BITS // 9 + 1
-# distinct ones multiply to an lcm past SCALE_BITS.
+# Primes above 1000: each has more than 9 bits, so 57 distinct ones
+# multiply to an lcm of more than 512 bits, past every benchmark sample.
 PRIMES = [p for p in range(1001, 2000) if all(p % k for k in range(2, 45))]
-PAST_SCALE = SCALE_BITS // 9 + 1
+PAST_SCALE = 57
 
 
 @st.composite
 def samples_past_the_scale(draw):
     """Grid rationals, whose products and sums often land in the sample,
     and fractions over distinct primes above 1000, whose denominators
-    take the lcm past SCALE_BITS; a numerator that is also a prime
+    take the lcm past 512 bits; a numerator that is also a prime
     denominator makes p/p2 * p2/p3 = p/p3 a possible product."""
     dens = draw(st.lists(st.sampled_from(PRIMES), min_size=PAST_SCALE, max_size=PAST_SCALE + 8, unique=True))
     numerators = draw(st.lists(st.sampled_from(PRIMES + [1, 2, 3]), min_size=len(dens), max_size=len(dens)))
@@ -280,24 +278,17 @@ def samples_past_the_scale(draw):
     return sorted(set(grid) | {Fraction(1 if p == q else p, q) for p, q in zip(numerators, dens)})
 
 
-def test_sample_tables_match_the_scan():
-    sides = set()  # whether the tables were keyed on reduced pairs, past SCALE_BITS
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(
-        fragments_and_samples().map(lambda d_sample: sorted(model_encode(*d_sample).rq)),
-        # zero and negative entries too, which no model_encode sample holds
-        st.lists(st.fractions(-3, 9, max_denominator=6), min_size=1, unique=True).map(sorted),
-        samples_past_the_scale(),
-    ))
-    def check(qs):
-        sides.add(math.lcm(*(q.denominator for q in qs)).bit_length() > SCALE_BITS)
-        triples, splits = oracles.sample_tables(qs)
-        assert _sample_triples(qs, sums=False) == triples
-        assert _sample_triples(qs, sums=True) == sorted((a, b, t) for t, split in enumerate(splits) for a, b in split)
-
-    check()
-    assert sides == {False, True}
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    fragments_and_samples().map(lambda d_sample: sorted(model_encode(*d_sample).rq)),
+    # zero and negative entries too, which no model_encode sample holds
+    st.lists(st.fractions(-3, 9, max_denominator=6), min_size=1, unique=True).map(sorted),
+    samples_past_the_scale(),
+))
+def test_sample_tables_match_the_scan(qs):
+    triples, splits = oracles.sample_tables(qs)
+    assert _sample_triples(qs, sums=False) == triples
+    assert _sample_triples(qs, sums=True) == sorted((a, b, t) for t, split in enumerate(splits) for a, b in split)
 
 
 # Rationals outside SMALL_RATIONALS that are products of two of them

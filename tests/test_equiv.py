@@ -120,6 +120,13 @@ def test_scaling_witness_cross_field_is_none():
 
 def test_scaling_witness_boundedness_mismatch():
     assert scaling_witness(make_set(nums(1, 2), cap=ExactReal(2)), make_set(nums(1, 2))) is None
+    assert scaling_witness(make_set([], cap=ExactReal(2)), make_set([])) is None
+
+
+def test_scaling_witness_of_empty_fragments():
+    assert scaling_witness(make_set([]), make_set([])).ratio == ExactReal(1)
+    assert scaling_witness(make_set([], cap=ExactReal(2)), make_set([], cap=ExactReal(3))).ratio == ExactReal(Fraction(3, 2))
+    assert scaling_witness(make_set([]), make_set(nums(1))) is None
 
 
 def test_witness_implies_triangle_bijection():

@@ -178,9 +178,18 @@ def test_engine_import_guard_sees_an_engine():
 
 
 def test_recheck_imports_no_engine():
-    # the re-checks share nothing with the engines whose witnesses they check
+    # the re-checks share nothing with the engines whose witnesses they
+    # check, nor with space's copies_of and isomorphic, which the engines
+    # use: a re-check reads a space's attributes only
     source = (pathlib.Path(deltaspace.__file__).parent / "recheck.py").read_text()
-    assert _imported_modules(source) & ENGINES == set()
+    assert _imported_modules(source) & (ENGINES | {"space"}) == set()
+
+
+def test_ramsey_is_the_arrow_search_alone():
+    # a re-check defined in ramsey would share the module it checks
+    source = (pathlib.Path(deltaspace.__file__).parent / "ramsey.py").read_text()
+    functions = [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+    assert functions == ["arrow", "_color", "is_rigid"]
 
 
 def test_import_builds_no_theory_table():

@@ -16,8 +16,8 @@ from deltaspace.ramsey import (
     NotEmbeddable,
     arrow,
     is_rigid,
-    verify_bad_coloring,
 )
+from deltaspace.recheck import _induces, verify_bad_coloring
 from deltaspace.space import Space, isomorphisms, make_space, uniform_space
 from util import random_space
 import oracles
@@ -67,6 +67,18 @@ def test_arrow_monotone_in_c():
 def test_arrow_not_embeddable():
     with pytest.raises(NotEmbeddable):
         arrow(uniform_space(2, n1(1)), uniform_space(3, n1(1)), uniform_space(2, n1(1)), 2)
+
+
+def test_arrow_a_not_embeddable_into_b_is_read_off_the_copies():
+    # a, two points at distance 2, embeds into c but not into b, a
+    # triangle of 1s: arrow says so for one color and for two
+    c = make_space([f"p{i}" for i in range(4)], {(i, j): n1(2 if j == 3 else 1)
+                                                for i in range(4) for j in range(i + 1, 4)}, (0, 1, 2, 3))
+    b = uniform_space(3, n1(1))
+    a = make_space("uv", {(0, 1): n1(2)}, (0, 1))
+    for k in (1, 2):
+        with pytest.raises(NotEmbeddable, match="^a does not embed into b$"):
+            arrow(c, b, a, k)
 
 
 def test_arrow_not_embeddable_when_a_is_larger_than_c():
@@ -141,6 +153,28 @@ def test_bad_coloring_verifier_does_not_use_copies_of(monkeypatch):
     assert not verify_bad_coloring(c, b, a, dict.fromkeys(verdict.bad_coloring, 0))
 
 
+def test_unordered_recheck_on_mixed_radicands():
+    # the re-check counts distances by hash: sorting sqrt(2) against
+    # sqrt(3) would raise MixedRadicands
+    r2, r3 = ExactReal(0, 1, 2), ExactReal(0, 1, 3)
+    x = make_space("uvw", {(0, 1): n1(1), (0, 2): r2, (1, 2): r3})
+    y = make_space("uvw", {(0, 1): r3, (0, 2): n1(1), (1, 2): r2})
+    z = make_space("uvw", {(0, 1): r2, (0, 2): r2, (1, 2): r3})
+    assert _induces(x, (0, 1, 2), y) and not _induces(x, (0, 1, 2), z)
+    assert _induces(x, (0, 2), y.induced((1, 2))) and not _induces(x, (1, 2), y.induced((1, 2)))
+
+
+def test_unordered_recheck_tells_apart_spaces_of_equal_distances():
+    # a 6-cycle and two triangles of 1s, 2 elsewhere: each has six 1s and
+    # nine 2s, every point at 1 from two points and at 2 from three, and
+    # no bijection keeps every distance
+    pts = [f"p{i}" for i in range(6)]
+    cycle = make_space(pts, {(i, j): n1(1 if (j - i) % 6 in (1, 5) else 2) for i in range(6) for j in range(i + 1, 6)})
+    triangles = make_space(pts, {(i, j): n1(1 if i // 3 == j // 3 else 2) for i in range(6) for j in range(i + 1, 6)})
+    assert _induces(cycle, tuple(range(6)), cycle) and _induces(triangles, tuple(range(6)), triangles)
+    assert not _induces(cycle, tuple(range(6)), triangles) and not _induces(triangles, tuple(range(6)), cycle)
+
+
 def at_scale():
     """(c, b, a) of 16/5/2, 18/5/2 and 20/5/1 points: random ordered
     spaces over {1, 2}, with b induced on c and a on b."""
@@ -171,14 +205,13 @@ def test_arrow_at_scale_is_pinned():
 def test_ordered_recheck_is_a_search_not_the_subset_scan(monkeypatch):
     # on ordered inputs neither arrow nor the re-check of its Fails may
     # fall back to testing subsets with isomorphic on induced spaces
-    from deltaspace import ramsey, space
+    from deltaspace import space
     c, b, a = at_scale()[0]
 
     def refuse(*args):
         raise AssertionError("the ordered re-check tested a subset")
 
-    for module in (ramsey, space):
-        monkeypatch.setattr(module, "isomorphic", refuse)
+    monkeypatch.setattr(space, "isomorphic", refuse)
     monkeypatch.setattr(Space, "induced", refuse)
     verdict = arrow(c, b, a, 2)
     assert verdict.status == FAILS

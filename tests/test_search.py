@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from deltaspace.coding import DvsCode, TriangleStructure, approx_check, triangle_structure, ts_isomorphic
 from deltaspace.dvs import make_set
 from deltaspace.exact import ExactReal
-from deltaspace.ramsey import FAILS, HOLDS, UNKNOWN, RamseyError, _induces, arrow, verify_bad_coloring
+from deltaspace.ramsey import FAILS, HOLDS, UNKNOWN, RamseyError, arrow
+from deltaspace.recheck import _induces, verify_bad_coloring
 from deltaspace.search import BudgetExceeded, injective_maps
 from deltaspace.space import Space, copies_of, isomorphic, isomorphisms, make_space, uniform_space
 

@@ -73,10 +73,17 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
     if not copies_b:
         raise NotEmbeddable("b does not embed into c")
     m = len(copies_a)
+    index = {t: i for i, t in enumerate(copies_a)}
+    # a copy of a in b lies inside every copy of b, so one copy tells
+    if not any(s in index for s in itertools.combinations(copies_b[0], a.n)):
+        raise NotEmbeddable("a does not embed into b")
+    verdict = ArrowVerdict(UNKNOWN, copies_a=m, copies_b=len(copies_b))
+    if k == 1:
+        verdict.status = HOLDS
+        return verdict
     # contains[i], closes[i]: the B-copies (bit j for B-copy j) that hold
     # A-copy i, and those whose highest-index A-copy is i, so that placing
     # i completes them
-    index = {t: i for i, t in enumerate(copies_a)}
     contains, closes = [0] * m, [0] * m
     get = index.get
     for j, bc in enumerate(copies_b):
@@ -89,12 +96,6 @@ def arrow(c: Space, b: Space, a: Space, k: int, budget: int = 10 ** 7) -> ArrowV
                     last = i
         if last >= 0:
             closes[last] |= bit
-    if not any(closes):  # a copy of a in b would lie inside every copy of b
-        raise NotEmbeddable("a does not embed into b")
-    verdict = ArrowVerdict(UNKNOWN, copies_a=m, copies_b=len(copies_b))
-    if k == 1:
-        verdict.status = HOLDS
-        return verdict
     try:
         bad, verdict.nodes = _color(m, k, contains, closes, budget)
     except BudgetExceeded:

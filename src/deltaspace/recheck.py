@@ -92,22 +92,35 @@ def _by_rank(x) -> list[list]:
     return [[row[q] for q in order[:r]] for r, row in enumerate(map(x.dist.__getitem__, order))]
 
 
-def _induces(c, t: tuple[int, ...], a) -> bool:
+def _shape(dist, pts) -> tuple:
+    """(classes, want) of the points pts of an unordered space: classes
+    groups them by each one's multiset of distances to the others,
+    counted by hash (a sort could mix radicands), and want lists their
+    pairwise distances, the points taken class by class."""
+    classes = {}
+    for p in pts:
+        classes.setdefault(frozenset(Counter(dist[p][q] for q in pts if q != p).items()), []).append(p)
+    return classes, [dist[p][q] for p, q in itertools.combinations(itertools.chain(*classes.values()), 2)]
+
+
+def _induces(c, t: tuple[int, ...], a, shape=None) -> bool:
     """Whether the points t of c induce a copy of a, with no copies_of or
     isomorphic: by rank with exact == when c and a are ordered, never
-    when one is ordered and the other not.  When both are unordered, the
-    multisets of distances, counted by hash (a sort could mix radicands),
-    must agree, and then some bijection of t onto a's points must keep
-    every distance."""
+    when one is ordered and the other not.  When both are unordered,
+    the multisets of distances must agree, then t's classes must match
+    a's in size, and then some bijection that maps each class onto a's
+    must keep every distance.  shape is a's _shape, if given."""
     if len(t) != a.n or (c.order is None) != (a.order is None):
         return False
     if c.order is None:
-        pairs = list(itertools.combinations(range(a.n), 2))
-        want = [a.dist[i][j] for i, j in pairs]
-        if Counter(c.dist[t[i]][t[j]] for i, j in pairs) != Counter(want):
+        classes, want = shape or _shape(a.dist, range(a.n))
+        if Counter(c.dist[p][q] for p, q in itertools.combinations(t, 2)) != Counter(want):
             return False
-        # g[i]: the image of a's point i
-        return any([c.dist[g[i]][g[j]] for i, j in pairs] == want for g in itertools.permutations(t))
+        got = _shape(c.dist, t)[0]
+        if any(len(got.get(key, ())) != len(ps) for key, ps in classes.items()):
+            return False
+        return any([c.dist[p][q] for p, q in itertools.combinations(itertools.chain(*g), 2)] == want
+                   for g in itertools.product(*map(itertools.permutations, map(got.__getitem__, classes))))
     pts = sorted(t, key=c.ranks.__getitem__)
     return [[c.dist[p][q] for q in pts[:r]] for r, p in enumerate(pts)] == _by_rank(a)
 
@@ -128,13 +141,10 @@ def verify_bad_coloring(c, b, a, coloring: dict) -> bool:
     branch is cut as soon as it holds two colors.  Otherwise every
     subset of c is tested with _induces."""
     if c.order is None or b.order is None:
+        shape = _shape(b.dist, range(b.n))
         for bc in itertools.combinations(range(c.n), b.n):
-            if not _induces(c, bc, b):
-                continue
-            bset = set(bc)
-            cols = {col for t, col in coloring.items() if set(t) <= bset}
-            if len(cols) <= 1:
-                return False
+            if _induces(c, bc, b, shape) and len({x for t, x in coloring.items() if set(t) <= set(bc)}) < 2:
+                return False  # a copy of b with at most one color
         return True
     k, n, order, ranks, dist = b.n, c.n, c.order, c.ranks, c.dist
     if k > n:  # no copy of b, and the slice bound below would count from the end

@@ -138,17 +138,13 @@ def test_bad_coloring_verifier_rejects_good_coloring():
     assert not verify_bad_coloring(c, b, a, constant)
 
 
-def test_bad_coloring_verifier_does_not_use_copies_of(monkeypatch):
-    # the re-check of a Fails finds the copies of b on its own
-    from deltaspace import ramsey
+def test_bad_coloring_verifier_does_not_use_copies_of():
+    # the re-check of a Fails finds the copies of b on its own: recheck
+    # imports no space, so copies_of is out of its reach
+    # (test_package.test_recheck_imports_no_engine)
     c, b, a = uniform_space(5, n1(1)), uniform_space(3, n1(1)), uniform_space(2, n1(1))
     verdict = arrow(c, b, a, 2)
     assert verdict.status == FAILS
-
-    def refuse(*args):
-        raise AssertionError("verify_bad_coloring called copies_of")
-
-    monkeypatch.setattr(ramsey, "copies_of", refuse)
     assert verify_bad_coloring(c, b, a, verdict.bad_coloring)
     assert not verify_bad_coloring(c, b, a, dict.fromkeys(verdict.bad_coloring, 0))
 
@@ -203,18 +199,21 @@ def test_arrow_at_scale_is_pinned():
 
 
 def test_ordered_recheck_is_a_search_not_the_subset_scan(monkeypatch):
-    # on ordered inputs neither arrow nor the re-check of its Fails may
-    # fall back to testing subsets with isomorphic on induced spaces
-    from deltaspace import space
+    # on ordered inputs arrow may not fall back to testing subsets with
+    # isomorphic on induced spaces, nor the re-check of its Fails to
+    # testing subsets with _induces; arrow holds its own _induces, which
+    # checks the keys
+    from deltaspace import recheck, space
     c, b, a = at_scale()[0]
 
     def refuse(*args):
-        raise AssertionError("the ordered re-check tested a subset")
+        raise AssertionError("the ordered search or re-check tested a subset")
 
     monkeypatch.setattr(space, "isomorphic", refuse)
     monkeypatch.setattr(Space, "induced", refuse)
     verdict = arrow(c, b, a, 2)
     assert verdict.status == FAILS
+    monkeypatch.setattr(recheck, "_induces", refuse)
     assert verify_bad_coloring(c, b, a, verdict.bad_coloring)
     assert not verify_bad_coloring(c, b, a, dict.fromkeys(verdict.bad_coloring, 0))
 

@@ -30,7 +30,7 @@ class OverlapNotIsometric(AmalgamError):
 
 
 class DegenerateAmalgam(AmalgamError):
-    """Empty overlap between two diameter-zero spaces: the cross distance
+    """Empty overlap between two one-point spaces: the cross distance
     formula degenerates to 0, which no metric allows."""
 
 
@@ -106,7 +106,7 @@ def free_amalgam(b: Space, c: Space, overlap) -> Space:
                     f"d_B({i1},{i2}) = {b.dist[i1][i2]} != {c.dist[j1][j2]} = d_C({j1},{j2})"
                 )
     bound = b.diameter() + c.diameter()
-    if not overlap and bound.is_zero():
+    if not overlap and b.n and c.n and bound.is_zero():
         raise DegenerateAmalgam("two singletons with empty overlap")
     fresh = [j for j in range(c.n) if j not in taken]
     return Space(*adjoin(b, b_side, [[c.dist[jj][j] for jj in c_side] for j in fresh],

@@ -182,12 +182,10 @@ def cmd_saturate(args):
     d = _load_set(args.delta)
     m = _load_ordered_space(args.space, d)
     result, report = limitbuilder.saturate(m, d, args.k, args.max_points, args.max_pairs)
-    # a code's low len(subset) + 1 bits are its missing slots (see ExtensionReport)
-    skipped = sum((code & (2 << len(subset)) - 1).bit_count() for subset, codes in report.groups for code in codes)
     return {
         "space": result.with_delta(d).to_json(),
         "checked": report.checked,
-        "skipped": skipped,
+        "skipped": report.missing,
     }, True if report.empty else None
 
 
@@ -290,7 +288,7 @@ def cmd_triangle_structure(args):
         return {"isomorphism": list(m) if m is not None else None}, m is not None
     return {
         "universe": [str(v) for v in s.universe],
-        "relation": sorted(list(t) for t in s.relation),
+        "relation": [list(t) for t in s.ordered_triples()],
     }, True
 
 

@@ -190,35 +190,35 @@ def approx_check(c: DvsCode, d: DvsCode) -> Optional[tuple[int, ...]]:
 @dataclass(frozen=True)
 class TriangleStructure:
     universe: tuple[ExactReal, ...]
-    relation: frozenset  # ordered index triples (i, j, k)
+    relation: frozenset  # one sorted index triple (i, j, k), i <= j <= k, per multiset
 
     def incidence(self) -> list[int]:
-        """Per position, the number of triples that hold it, each counted once."""
+        """Per position, the ordered triples that hold it: a stored triple counts its 1, 3 or 6 orderings."""
         counts = [0] * len(self.universe)
-        for a, b, c in self.relation:
-            counts[a] += 1
-            if b != a:
-                counts[b] += 1
-            if c != a and c != b:
-                counts[c] += 1
+        for t in self.relation:
+            held = set(t)
+            for p in held:
+                counts[p] += (1, 3, 6)[len(held) - 1]
         return counts
+
+    def ordered_triples(self) -> list[tuple[int, int, int]]:
+        """The relation on ordered triples: every ordering of every stored triple, sorted."""
+        return sorted({p for t in self.relation for p in itertools.permutations(t)})
 
 
 def _positional(vals: tuple[ExactReal, ...]) -> TriangleStructure:
-    """The ternary structure on the positions of vals whose relation holds
-    exactly on the triangle triples: (i, j, k) with |x - y| <= z <= x + y
-    for x, y, z the values at i, j, k.  With the positions sorted by
-    value, for each pair the k form one run, found by bisection between
-    y - x and x + y: about n^2 exact sums and n^2 log n comparisons."""
+    """The ternary structure on the positions of vals: one sorted triple per
+    multiset whose values x, y, z have |x - y| <= z <= x + y, a symmetric
+    test.  With the positions sorted by value, x <= y <= z fails only by
+    z > x + y, so for each pair of ranks the third runs from the second up
+    to a bisection at x + y: about n^2 / 2 exact sums and bisections."""
     order = sorted(range(len(vals)), key=vals.__getitem__)
     ranked = [vals[p] for p in order]
-    rel = set()
-    for a, (i, x) in enumerate(zip(order, ranked)):
-        for j, y in zip(order[a:], ranked[a:]):
-            ks = order[bisect_left(ranked, y - x):bisect_right(ranked, x + y)]
-            rel.update((i, j, k) for k in ks)
-            rel.update((j, i, k) for k in ks)
-    return TriangleStructure(vals, frozenset(rel))
+    return TriangleStructure(vals, frozenset(
+        tuple(sorted((i, j, k)))
+        for a, (i, x) in enumerate(zip(order, ranked))
+        for b, (j, y) in enumerate(zip(order[a:], ranked[a:]), a)
+        for k in order[b:bisect_right(ranked, x + y)]))
 
 
 def triangle_structure(d: DistanceSet) -> TriangleStructure:
@@ -229,7 +229,8 @@ def triangle_structure(d: DistanceSet) -> TriangleStructure:
 
 def ts_isomorphic(s: TriangleStructure, t: TriangleStructure) -> Optional[tuple[int, ...]]:
     """A relation-preserving bijection, by backtracking with
-    triple-incidence pruning."""
+    triple-incidence pruning.  Both relations must hold one sorted triple
+    per multiset, as _positional builds them: asymmetric ones are not supported."""
     n = len(s.universe)
     if n != len(t.universe):
         return None
@@ -241,12 +242,9 @@ def ts_isomorphic(s: TriangleStructure, t: TriangleStructure) -> Optional[tuple[
         return (j for j in range(n) if inc_s[i] == inc_t[j])
 
     def consistent(m, i):
-        # the triples over positions 0..i that hold i, each once: by the
-        # first coordinate that is i
-        idx, before = range(i + 1), range(i)
-        triples = itertools.chain(itertools.product((i,), idx, idx), itertools.product(before, (i,), idx),
-                                  itertools.product(before, before, (i,)))
-        return all(((a, b, c) in s.relation) == ((m[a], m[b], m[c]) in t.relation) for a, b, c in triples)
+        # each multiset {a, b, i} over positions 0..i that holds i, once
+        return all(((a, b, i) in s.relation) == (tuple(sorted((m[a], m[b], m[i]))) in t.relation)
+                   for b in range(i + 1) for a in range(b + 1))
 
     return next(injective_maps(n, candidates, consistent, SEARCH_NODES), None)
 

@@ -107,6 +107,11 @@ class ExtensionReport:
                 for vec, slots in [_decode(base, len(subset), code)] for slot in slots]
 
     @property
+    def missing(self) -> int:
+        """len(unrealized), read off the codes' missing-slot bits (their low size + 1)."""
+        return sum((code & (2 << len(subset)) - 1).bit_count() for subset, codes in self.groups for code in codes)
+
+    @property
     def empty(self) -> bool:
         return not self.groups
 

@@ -252,7 +252,7 @@ def free_amalgam(b, c, overlap):
     cross_default = None
     if not overlap:
         cross_default = b.diameter() + c.diameter()
-        if cross_default.is_zero():
+        if b.n and c.n and cross_default.is_zero():
             raise DegenerateAmalgam("two singletons with empty overlap")
     c_to_b = {j: i for i, j in overlap}
     fresh = [j for j in range(c.n) if j not in c_to_b]
@@ -829,12 +829,13 @@ def approx_check(c1, c2):
 
 def ts_isomorphic(s, t):
     """The first permutation, in lexicographic order, that maps s's
-    relation exactly onto t's, or None."""
+    relation exactly onto t's, or None.  Both relations hold one sorted
+    triple per multiset, so every ordered triple is sorted to look it up."""
     n = len(s.universe)
     if n != len(t.universe):
         return None
     for p in itertools.permutations(range(n)):
-        if all(((a, b, c) in s.relation) == ((p[a], p[b], p[c]) in t.relation)
+        if all((tuple(sorted((a, b, c))) in s.relation) == (tuple(sorted((p[a], p[b], p[c]))) in t.relation)
                for a, b, c in itertools.product(range(n), repeat=3)):
             return p
     return None

@@ -377,6 +377,17 @@ def test_perturb_pairs_out_of_range(tmp_path, capsys):
         assert_input_error(capsys, argv, "out of range for 2 points")
 
 
+def test_amalgamate_with_an_empty_side_is_the_other_space(tmp_path, capsys):
+    # no cross pairs, so no cross distance: only two singletons with an
+    # empty overlap have a zero one to refuse
+    one = write_json(tmp_path, "one.json", uniform_space(1, n1(1), ordered=False).to_json())
+    empty = write_json(tmp_path, "empty.json", Space((), ()).to_json())
+    for b, c, labels in ((one, empty, ["p0"]), (empty, one, ["p0"]), (empty, empty, [])):
+        code, out = run(capsys, ["amalgamate", "--b", b, "--c", c])
+        assert code == 0 and out == {"labels": labels, "dist": [["0/1"]] * len(labels), "order": None}
+    assert_input_error(capsys, ["amalgamate", "--b", one, "--c", one], "two singletons with empty overlap")
+
+
 def test_amalgamate_overlap_out_of_range(tmp_path, capsys):
     b = write_json(tmp_path, "b.json", uniform_space(2, n1(1)).to_json())
     c = write_json(tmp_path, "c.json", uniform_space(3, n1(1)).to_json())

@@ -342,7 +342,16 @@ def test_small_block_is_the_whole_table_of_the_small_rationals():
 @settings(max_examples=200, deadline=None)
 @given(fragments())
 def test_triangle_structure_matches_the_scan(d):
-    assert triangle_structure(d).relation == oracles.triangle_relation(d)
+    s = triangle_structure(d)
+    assert all(list(t) == sorted(t) for t in s.relation)
+    assert set(s.ordered_triples()) == oracles.triangle_relation(d)
+
+
+def test_triangle_structure_keeps_one_triple_per_multiset():
+    # {1, ..., 80}: 46,700 multisets whose values form a triangle, which
+    # are 265,520 ordered triples
+    s = triangle_structure(make_set(nums(*range(1, 81))))
+    assert len(s.relation) == 46700 and len(s.ordered_triples()) == 265520
 
 
 def test_model_unit_cut():

@@ -393,6 +393,7 @@ def test_saturate_matches_the_scan_loop(seed, n, k, max_points, max_pairs, data)
     slow = oracles.saturate(m, d, k, max_points, max_pairs, source_n)
     assert fast[0] == slow[0]  # the same points, distances and order
     assert flat(fast[1]) == flat(slow[1])  # the same checked count and unrealized list
+    assert fast[1].missing == len(fast[1].unrealized)  # what saturate's skipped prints
 
 
 @settings(max_examples=40, deadline=None)

@@ -139,6 +139,21 @@ def test_coding_has_one_triangle_pattern_search():
     assert _callers(source, "injective_maps") == ["ts_isomorphic"]
 
 
+def _reads_attribute(source: str, attr: str) -> bool:
+    return any(isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_only_coding_reads_the_triangle_relation():
+    # TriangleStructure.relation keeps one sorted triple per multiset; the
+    # other modules read its orderings through ordered_triples()
+    assert _reads_attribute("s.relation[0]\n", "relation")
+    assert not _reads_attribute("relation = 1\ns.relation = 2\n", "relation")
+    src = pathlib.Path(deltaspace.__file__).parent
+    assert [path.name for path in sorted(src.glob("*.py")) if _reads_attribute(path.read_text(), "relation")] == \
+        ["coding.py"]
+
+
 def test_search_engine_has_two_callers():
     # the engine's callers are two modules: the ordered copies_of and the
     # bijection searches run on injective_maps; arrow's coloring loop is

@@ -63,9 +63,11 @@ def _load_set(path: str) -> dvs.DistanceSet:
 
 
 def _load_valid_space(path: str, delta=None) -> space.Space:
-    """An input space, validated over delta, else over its own fragment."""
+    """An input space bound to delta, if given, and valid over its
+    fragment: the object validate ran on, with the value ids it built."""
     x = _load(path, space.Space.from_json)
-    verdict = space.validate(x if delta is None else x.with_delta(delta))
+    x = x if delta is None else x.with_delta(delta)
+    verdict = space.validate(x)
     if verdict != space.OK:
         raise space.SpaceError(f"{path}: not a valid space: {verdict}")
     return x
@@ -183,7 +185,7 @@ def cmd_saturate(args):
     m = _load_ordered_space(args.space, d)
     result, report = limitbuilder.saturate(m, d, args.k, args.max_points, args.max_pairs)
     return {
-        "space": result.with_delta(d).to_json(),
+        "space": result.to_json(),
         "checked": report.checked,
         "skipped": report.missing,
     }, True if report.empty else None

@@ -238,7 +238,7 @@ def ts_isomorphic(s: TriangleStructure, t: TriangleStructure) -> Optional[tuple[
     if sorted(inc_s) != sorted(inc_t):
         return None
 
-    def candidates(m, i):
+    def candidates(_m, i):
         return (j for j in range(n) if inc_s[i] == inc_t[j])
 
     def consistent(m, i):
@@ -577,8 +577,8 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     # cuts M[x][y], M[y][z] and M[x][z] give the triples whose p, q and pq
     # hold there, so for each x, y and z the violating triples are one
     # mask over the two blocks of _product_triples.  The last violation
-    # is at the largest triple, then (x, y, z): each block is sorted, so
-    # its top violating bit is its largest violating triple, and only
+    # is at the largest triple, then (x, y, z): each product triple has
+    # one bit, so one max over the violating bits finds it, and only
     # when there is a violation are x, y and z walked again for it.
     spent = _charge(spent, width * width, budget)
     small, keep, listed, below = _product_triples(qs)
@@ -597,14 +597,10 @@ def check_theory_T(model: EncodedModel, budget: Optional[int] = THEORY_BUDGET) -
     if seen:
         smalls = _small_products()[0]
         shift = len(smalls)
-        tops = []  # each block's largest violating triple, and its bit
-        if seen & keep:
-            k = (seen & keep).bit_length() - 1
-            tops.append((tuple(small[s] for s in smalls[k]), k))
-        if seen >> shift:
-            k = (seen >> shift).bit_length() - 1
-            tops.append((listed[k], shift + k))
-        (a, b, _), k = max(tops)
+        # a bit below shift is a small triple, mapped to sample positions
+        # through small, and one at or above it is listed[k - shift]
+        (a, b, _), k = max((tuple(small[s] for s in smalls[k]) if k < shift else listed[k - shift], k)
+                           for k in range(seen.bit_length()) if seen >> k & 1)
         # the last (x, y, z) where triple k has p and q agree, and pq not
         last = next((x, y, z) for x in reversed(nz) for y in reversed(nz) for z in reversed(nz)
                     if lift_a[x][y] >> k & 1 == lift_b[y][z] >> k & 1 != lift_c[x][z] >> k & 1)

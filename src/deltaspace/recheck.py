@@ -7,7 +7,8 @@ shares nothing with the engine that found the witness: this module
 imports no engine (limitbuilder, ramsey, coding, search or amalgam) and
 not space, and a tier-1 test holds it to that.  A witness that fails
 its check is an AssertionError, which the CLI reports as an internal
-error (exit 4), never as a verdict.
+error (exit 4), never as a verdict.  An arrow Fails is decided here
+alone: verify_bad_coloring checks the coloring's keys too.
 """
 
 from __future__ import annotations
@@ -125,40 +126,50 @@ def _induces(c, t: tuple[int, ...], a, shape=None) -> bool:
     return [[c.dist[p][q] for q in pts[:r]] for r, p in enumerate(pts)] == _by_rank(a)
 
 
+_NOT_A_COPY = "a key of the bad coloring is not a copy of a"
+
+
 def verify_bad_coloring(c, b, a, coloring: dict) -> bool:
     """Independent re-check that a coloring witnesses failure: every copy
     of b contains two differently colored copies of a, the copies of a
-    being the coloring's keys.  It finds the copies of b itself and shares
-    no code with the arrow search, copies_of or isomorphic; arrow checks
-    the keys with _induces first.
+    being the coloring's keys, and a key that is no copy of a is an
+    AssertionError.  It finds the copies of b itself and shares no code
+    with the arrow search, copies_of or isomorphic.
 
-    When c and b are ordered it searches for a monochromatic copy of b:
-    c's points are picked in increasing rank, the r-th pick standing for
-    b's r-th point, each pick's distances to the earlier picks compared
-    with exact == in one list compare, which tries identity before
-    ExactReal.__eq__.  A pick adds the colors of the keys whose
-    highest-rank point it is and whose points are all picked, and a
-    branch is cut as soon as it holds two colors.  Otherwise every
-    subset of c is tested with _induces."""
+    When c and b are ordered it checks each key by rank as it files it,
+    then searches for a monochromatic copy of b: c's points are picked
+    in increasing rank, the r-th pick standing for b's r-th point, each
+    pick's distances to the earlier picks compared with exact == in one
+    list compare, which tries identity before ExactReal.__eq__.  A pick
+    adds the colors of the keys whose highest-rank point it is and whose
+    points are all picked, and a branch is cut as soon as it holds two
+    colors.  Otherwise each key and every subset of c is tested with
+    _induces."""
     if c.order is None or b.order is None:
-        shape = _shape(b.dist, range(b.n))
+        shape_a, shape = _shape(a.dist, range(a.n)), _shape(b.dist, range(b.n))
+        if not all(_induces(c, t, a, shape_a) for t in coloring):
+            raise AssertionError(_NOT_A_COPY)
         for bc in itertools.combinations(range(c.n), b.n):
             if _induces(c, bc, b, shape) and len({x for t, x in coloring.items() if set(t) <= set(bc)}) < 2:
                 return False  # a copy of b with at most one color
         return True
     k, n, order, ranks, dist = b.n, c.n, c.order, c.ranks, c.dist
-    if k > n:  # no copy of b, and the slice bound below would count from the end
-        return True
-    want = _by_rank(b)
+    want_a = None if a.order is None else _by_rank(a)  # an unordered a has no copy in an ordered c
     tops = [[] for _ in range(n)]  # tops[p]: the keys (points, color) whose highest-rank point is p
     cols = [None] * (k + 1)  # cols[r]: the one color of the keys inside the first r picks, or None
     for t, col in coloring.items():
+        pts = sorted(t, key=ranks.__getitem__)
+        if [[dist[p][q] for q in pts[:r]] for r, p in enumerate(pts)] != want_a:
+            raise AssertionError(_NOT_A_COPY)
         if t:
-            tops[max(t, key=ranks.__getitem__)].append((t, col))
+            tops[pts[-1]].append((t, col))
         else:  # the empty key lies inside every copy of b
             cols[0] = col
+    if k > n:  # no copy of b, and the slice bound below would count from the end
+        return True
     if k == 0:
         return False  # the empty copy of b holds at most one color
+    want = _by_rank(b)
     picked, pts = [False] * n, [0] * k
     stack = [iter(order[:n - k + 1])]  # stack[r]: the untried points of pick r
     while stack:

@@ -410,7 +410,7 @@ def isomorphisms(x: Space, y: Space):
         return
     n = x.n
 
-    def candidates(m, i):
+    def candidates(_m, i):
         return (j for j in range(n) if px[i] == py[j])
 
     def consistent(m, i):

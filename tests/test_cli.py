@@ -193,6 +193,24 @@ def test_extend_isometry_rechecks_the_order(tmp_path, capsys, monkeypatch):
     assert captured.out == "" and "broke the isometry or the order" in captured.err
 
 
+def test_check_extension_runs_on_the_space_it_validated(tmp_path, capsys, monkeypatch):
+    # the loader binds --delta before it validates and returns that same
+    # object, so a check-extension run builds m's value ids once, for
+    # validate, and saturate's output needs no binding of its own
+    from deltaspace import space
+    d = make_set([n1(1), n1(2)], cap=n1(2))
+    m = write_json(tmp_path, "m.json", random_space(random.Random(2), 6, d, delta_bound=False).to_json())
+    dp = write_json(tmp_path, "d.json", d.to_json())
+    calls, entry_objects, with_delta = [], space._entry_objects, Space.with_delta
+    monkeypatch.setattr(space, "_entry_objects", lambda dist: calls.append("ids") or entry_objects(dist))
+    monkeypatch.setattr(Space, "with_delta", lambda x, delta: calls.append("bind") or with_delta(x, delta))
+    code, _ = run(capsys, ["check-extension", "--space", m, "--delta", dp, "-k", "2"])
+    assert code == 1 and calls == ["bind", "ids"]
+    calls.clear()
+    code, out = run(capsys, ["saturate", "--space", m, "--delta", dp, "-k", "1"])
+    assert code == 0 and calls.count("bind") == 1 and out["space"]["delta"] == d.to_json()
+
+
 def test_saturate_prints_the_delta_it_ran_over(tmp_path, capsys):
     # the input space carries no delta; with -k 0 no point is added, with
     # -k 1 some are, and both outputs are bound to --delta
@@ -732,6 +750,32 @@ def test_theory_verbs(tmp_path, capsys):
     assert out["universe"] == ["1/1", "2/1", "3/1"]
 
 
+def test_extend_isometry_refusals(tmp_path, capsys):
+    # on the path 0 - 1 - 2 (distances 1, 1 and 2), 0 -> 0 and 1 -> 2 is
+    # no isometry.  0 -> 1 with 2 added needs a point at 2 above 1, which
+    # the path lacks: a new point past --max-points 3 is a blown budget,
+    # and one with no fragment to grow over is bad input
+    m = write_json(tmp_path, "m.json", make_space(
+        "abc", {(0, 1): n1(1), (1, 2): n1(1), (0, 2): n1(2)}, order=(0, 1, 2)).to_json())
+    assert_input_error(capsys, ["extend-isometry", "--space", m, "--pairs", "0:0,1:2", "--point", "2"],
+                       "p must be an order-preserving partial isometry")
+    grow = ["extend-isometry", "--space", m, "--pairs", "0:1", "--point", "2"]
+    assert main(grow + ["--max-points", "3"]) == 2
+    assert capsys.readouterr() == ("", "budget: point budget\n")
+    assert_input_error(capsys, grow, "space must carry a fragment binding to grow")
+
+
+def test_input_from_stdin(tmp_path, capsys, monkeypatch):
+    # "-" reads stdin as a file would be read, and names it in an error
+    text = json.dumps(make_set([n1(1), n1(2)]).to_json())
+    code, out = run(capsys, ["encode-code", "--set", write_json(tmp_path, "s.json", json.loads(text))])
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, ["encode-code", "--set", "-"]) == (0, out)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"values": ['))
+    assert_input_error(capsys, ["encode-code", "--set", "-"], "error: -: ")
+
+
 def test_perturb_verb(tmp_path, capsys):
     delta = closed_fragment([ExactReal(Fraction(1, 4))], n1(4))
     m = write_json(tmp_path, "m.json", uniform_space(2, n1(1), delta=delta).to_json())
@@ -739,6 +783,11 @@ def test_perturb_verb(tmp_path, capsys):
     code, out = run(capsys, ["perturb", "--space", m, "--delta", d, "--pairs", "0:1", "--eps", "1/2"])
     assert code == 0
     assert out["images"]
+    # over the unbounded {1/4, 1}, the copies of 0 and 1 moved by 1/4
+    # are 1/4 + 1 = 5/4 from the other's image, which is not in it
+    d = write_json(tmp_path, "d.json", make_set([n1(Fraction(1, 4)), n1(1)]).to_json())
+    assert_input_error(capsys, ["perturb", "--space", m, "--delta", d, "--pairs", "0:0,1:1", "--eps", "1/2"],
+                       "perturbation distance 5/4 is not in the fragment")
 
 
 def test_input_error_exit_code(capsys, tmp_path):
@@ -748,6 +797,12 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert_input_error(capsys, ["encode-model", "--set", str(tmp_path)], "Is a directory")
     code, _ = run(capsys, ["gen-dvs", "--alpha", "2/1", "--height", "1", "--bound", "2/1"])
     assert code == 3
+    assert_input_error(capsys, ["gen-dvs", "--alpha", "1/1*sqrt(2)", "--height", "1", "--bound", "0/1"],
+                       "bound must be positive")
+    s = write_json(tmp_path, "s.json", make_set([n1(1), n1(3)]).to_json())
+    assert_input_error(capsys, ["close", "--set", s, "--bound", "2/1"], "bound below the largest value")
+    s = write_json(tmp_path, "s.json", make_set([n1(1), n1(3)], cap=n1(3)).to_json())
+    assert_input_error(capsys, ["close", "--set", s, "--bound", "4/1"], "bound must equal the cap of a bounded set")
 
 
 @pytest.mark.parametrize("text", ['{"values": [', "\udcff", "[" * 100000 + "]" * 100000],

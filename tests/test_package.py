@@ -45,6 +45,43 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unused == {}
 
 
+def _unread_parameters(source: str) -> list[str]:
+    """The parameters that a def declares and never reads, a read by a
+    def nested in it counting.  A name that starts with _ is declared
+    unread on purpose, and a method's receiver (self or cls) is declared
+    by the method protocol, so neither is listed."""
+    tree = ast.parse(source)
+    methods = {fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not any(getattr(d, "id", None) == "staticmethod"
+                                                              for d in fn.decorator_list)}
+    unread = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = fn.args
+            params = [p.arg for p in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if p]
+            read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            if fn in methods:
+                params = params[1:]
+            unread += [f"{fn.name}: {p} (line {fn.lineno})" for p in params if p not in read and not p.startswith("_")]
+    return unread
+
+
+def test_unread_parameter_guard_sees_an_unread_name():
+    assert _unread_parameters("def f(a, b, _c, *args, d, **kw):\n    return a + d\n") == \
+        ["f: b (line 1)", "f: args (line 1)", "f: kw (line 1)"]
+    assert _unread_parameters("class K:\n    def m(self, x):\n        return 1\n"
+                              "    @staticmethod\n    def s(y):\n        pass\n") == ["m: x (line 2)", "s: y (line 5)"]
+    assert _unread_parameters("def outer(z):\n    def inner():\n        return z\n    return inner\n") == []
+
+
+def test_no_function_declares_a_parameter_it_never_reads():
+    # a parameter that does nothing is deleted, or named _x where a
+    # caller passes it by position (injective_maps' candidates(m, i))
+    src = pathlib.Path(deltaspace.__file__).parent
+    unread = {path.name: names for path in sorted(src.glob("*.py")) if (names := _unread_parameters(path.read_text()))}
+    assert unread == {}
+
+
 def _glance_rows():
     """(module, the backticked spans of its contents cell) for each row
     of README's "Library at a glance" table."""

@@ -138,6 +138,24 @@ def test_bad_coloring_verifier_rejects_good_coloring():
     assert not verify_bad_coloring(c, b, a, constant)
 
 
+@pytest.mark.parametrize("ordered", [True, False])
+def test_bad_coloring_verifier_refuses_a_key_that_is_not_a_copy_of_a(ordered):
+    # c is K5 on 1s but for d(3, 4) = 2: the pair {3, 4} is no copy of a
+    # pair at 1, nor the triple {0, 1, 2}, and the verifier checks its
+    # keys itself, before it looks for copies of b, even when b has more
+    # points than c
+    c = make_space([f"p{i}" for i in range(5)], {(i, j): n1(2 if (i, j) == (3, 4) else 1)
+                                                for i in range(5) for j in range(i + 1, 5)},
+                   tuple(range(5)) if ordered else None)
+    a = uniform_space(2, n1(1), ordered=ordered)
+    keys = [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (3, 4)]
+    for b in (uniform_space(3, n1(1), ordered=ordered), uniform_space(6, n1(1), ordered=ordered)):
+        assert verify_bad_coloring(c, b, a, dict.fromkeys(keys, 0)) == (b.n > c.n)
+        for bad in ((3, 4), (0, 1, 2)):
+            with pytest.raises(AssertionError, match="^a key of the bad coloring is not a copy of a$"):
+                verify_bad_coloring(c, b, a, {**dict.fromkeys(keys, 0), bad: 1})
+
+
 def test_bad_coloring_verifier_does_not_use_copies_of():
     # the re-check of a Fails finds the copies of b on its own: recheck
     # imports no space, so copies_of is out of its reach
@@ -201,8 +219,7 @@ def test_arrow_at_scale_is_pinned():
 def test_ordered_recheck_is_a_search_not_the_subset_scan(monkeypatch):
     # on ordered inputs arrow may not fall back to testing subsets with
     # isomorphic on induced spaces, nor the re-check of its Fails to
-    # testing subsets with _induces; arrow holds its own _induces, which
-    # checks the keys
+    # testing subsets or its keys with _induces
     from deltaspace import recheck, space
     c, b, a = at_scale()[0]
 

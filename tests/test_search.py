@@ -251,8 +251,19 @@ def test_copies_of_matches_subset_scan(c, data):
         a = Space(a.labels, a.dist)
     found = oracles.copies_of(c, a)
     assert copies_of(c, a) == found
-    # arrow's check that each key of a bad coloring is a copy of a agrees
+    # the re-check of a bad coloring refuses a key exactly when it is no
+    # copy of a: by rank when c is ordered, else by _induces, which agrees
     assert [t for t in itertools.combinations(range(c.n), a.n) if _induces(c, t, a)] == found
+    empty = Space((), (), None if c.order is None else ())  # b with no points: the keys alone are checked
+
+    def key_passes(t):
+        try:
+            verify_bad_coloring(c, empty, a, {t: 0})
+        except AssertionError:
+            return False
+        return True
+
+    assert [t for t in itertools.combinations(range(c.n), a.n) if key_passes(t)] == found
 
 
 @settings(max_examples=100, deadline=None)
